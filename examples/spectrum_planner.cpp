@@ -45,7 +45,7 @@ int main() {
   std::printf("\nband utilisation: %.0f of %.0f MHz allocated, largest free gap %.1f MHz\n",
               (kIsmBandwidthHz - ap.allocator().free_bandwidth_hz()) / 1e6,
               kIsmBandwidthHz / 1e6, ap.allocator().largest_gap_hz() / 1e6);
-  std::printf("grants outstanding: %zu\n", ap.grants().size());
+  std::printf("grants outstanding: %zu\n", ap.holders().size());
 
   // Tear one camera down and show the gap being reused.
   ap.release(1);

@@ -120,6 +120,20 @@ std::vector<RetuneEvent> FdmAllocator::compact() {
   return moved;
 }
 
+std::size_t FdmAllocator::invariant_violations() const {
+  // restore()'s slack: compact() packs neighbours at exactly guard
+  // distance, and the re-derived edges can land a few ulps (~4e-6 Hz
+  // each at 24 GHz) inside it. That is rounding, not a violation.
+  const double kEps = 1e-9 * std::max(1.0, high_);
+  const std::vector<ChannelAllocation> used = sorted_used();
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < used.size(); ++i) {
+    if (used[i].low_hz() < low_ - kEps || used[i].high_hz() > high_ + kEps) ++n;
+    if (i > 0 && used[i].low_hz() + kEps < used[i - 1].high_hz() + guard_) ++n;
+  }
+  return n;
+}
+
 std::optional<ChannelAllocation> FdmAllocator::lookup(std::uint16_t node_id) const {
   const auto it = by_node_.find(node_id);
   if (it == by_node_.end()) return std::nullopt;

@@ -112,6 +112,11 @@ class FdmAllocator {
   /// admission controller's "would compaction help?" test.
   double compacted_headroom_hz() const;
 
+  /// Packing-rule violations in the current map: channels reaching past
+  /// a band edge, and neighbours closer than the guard (overlaps
+  /// included), each judged with restore()'s rounding slack. Always 0.
+  std::size_t invariant_violations() const;
+
   std::size_t num_allocations() const { return by_node_.size(); }
   const std::map<std::uint16_t, ChannelAllocation>& allocations() const { return by_node_; }
 

@@ -144,6 +144,18 @@ class RejoinBackoff {
 
 class InitProtocol {
  public:
+  /// One grant holder's state, recorded when the grant is issued and
+  /// erased on release: the live grant plus what admission needs to
+  /// place it again (bearing for SDM grouping, requested rate for
+  /// promotion, priority for shedding). A demoted holder has a grant
+  /// narrower than its requested rate needs.
+  struct Holder {
+    ChannelGrant grant;
+    double bearing_rad = 0.0;
+    double requested_rate_bps = 0.0;
+    std::uint8_t priority = 1;
+  };
+
   InitProtocol(FdmAllocator allocator, rf::Vco node_vco, InitConfig cfg = {});
 
   /// Process one request: FDM first, SDM sharing when the band is full,
@@ -157,8 +169,9 @@ class InitProtocol {
   /// requests processed.
   std::size_t serve(SideChannel& channel, Rng& rng);
 
-  /// All grants issued so far, keyed by node.
-  const std::map<std::uint16_t, ChannelGrant>& grants() const { return grants_; }
+  /// Every current grant holder, keyed by node. A denied request leaves
+  /// no record.
+  const std::map<std::uint16_t, Holder>& holders() const { return holders_; }
 
   /// Release a node's resources.
   bool release(std::uint16_t node_id);
@@ -202,8 +215,15 @@ class InitProtocol {
   };
 
   ChannelGrant make_grant(std::uint16_t node_id, const ChannelAllocation& ch, int harmonic) const;
-  /// FDM allocation + VCO coverage check; rolls back on failure.
-  std::optional<ChannelGrant> try_fdm(std::uint16_t node_id, double bandwidth_hz);
+  /// True if the node VCO reaches both edges of `ch`.
+  bool tunable(const ChannelAllocation& ch) const;
+  /// Grant `request` on `ch` at `harmonic` and record its holder.
+  ChannelGrant record(const ChannelRequest& request, const ChannelAllocation& ch, int harmonic);
+  /// FDM allocation + VCO coverage check + holder record. nullopt when no
+  /// gap fits; a deny when the gap found lies outside the node VCO's
+  /// range (the allocation is rolled back).
+  std::optional<SideChannelMessage> grant_fdm(const ChannelRequest& request,
+                                              double bandwidth_hz);
   SideChannelMessage try_sdm(const ChannelRequest& request);
   /// The overload ladder: compaction, rate demotion, shedding, hinted
   /// deny. Only called when cfg_.overload.enabled.
@@ -220,10 +240,6 @@ class InitProtocol {
   /// Move every grant and SDM group on `from` to `to` (same bandwidth),
   /// queueing re-tune notifications.
   void retune_channel(const ChannelAllocation& from, const ChannelAllocation& to);
-  /// Walk the allocator's map and count overlap/guard/band violations
-  /// into overload_stats_.invariant_violations. Called after the
-  /// mutating overload paths (compaction, shedding, promotion).
-  void verify_allocator_invariants();
   /// True if `ch` backs an SDM group.
   bool channel_shared(const ChannelAllocation& ch) const;
   /// Free harmonic slot steering closest to `bearing_rad`, within the
@@ -233,13 +249,11 @@ class InitProtocol {
   FdmAllocator allocator_;
   rf::Vco node_vco_;
   InitConfig cfg_;
-  std::map<std::uint16_t, ChannelGrant> grants_;
-  std::map<std::uint16_t, double> holder_bearings_;
+  std::map<std::uint16_t, Holder> holders_;
+  /// SDM groups. Each keeps its members' bearings and harmonics inline
+  /// (copies of their holder records) so try_sdm's scan over every group
+  /// does no map lookups.
   std::vector<SharedChannel> shared_;
-  /// Requested rate and priority per grant holder (overload bookkeeping:
-  /// requested > granted marks a demoted node promote_demoted() grows).
-  std::map<std::uint16_t, double> requested_rate_bps_;
-  std::map<std::uint16_t, std::uint8_t> priority_;
   std::vector<ChannelGrant> pending_retunes_;
   OverloadStats overload_stats_;
   /// Consecutive hinted denies since spectrum last freed (deny pressure).

@@ -84,12 +84,12 @@ class NetworkSimulator {
   /// promoted grant; re-tune notifications queue for drain_retunes().
   std::vector<std::pair<std::uint16_t, double>> promote_demoted();
 
-  /// Drain queued re-tune notifications (compaction, shedding, promotion)
-  /// and sync the stored node grants. The caller applies the new rate
-  /// bounds to its per-node controllers.
+  /// Drain queued re-tune notifications (compaction, shedding, promotion).
+  /// grant() already reads the re-tuned grants; the caller applies the
+  /// new rate bounds to its per-node controllers.
   std::vector<mac::ChannelGrant> drain_retunes();
 
-  /// AP-side init protocol (grants, allocator, overload stats).
+  /// AP-side init protocol (holder table, allocator, overload stats).
   const mac::InitProtocol& init() const { return init_; }
 
   /// Register a node at the link layer WITHOUT requesting spectrum — an
@@ -174,10 +174,10 @@ class NetworkSimulator {
   const LinkBudget& budget() const { return budget_; }
 
  private:
+  /// Link-layer state of a resident node. Grant state lives only in
+  /// init_.holders(): a node is associated iff it holds a record there.
   struct NodeState {
     channel::Pose pose;
-    mac::ChannelGrant grant;
-    bool associated = true;
     /// Last note_activity() time; negative = never noted (reap-exempt).
     double last_active_s = -1.0;
   };

@@ -62,7 +62,7 @@ NetworkSimulator::Admission NetworkSimulator::admit(const channel::Pose& pose,
       wrap_angle((pose.position - ap_pose_.position).angle() - ap_pose_.orientation_rad);
   const auto reply = init_.handle(mac::ChannelRequest{id, rate_bps, bearing, priority});
   if (const auto* grant = std::get_if<mac::ChannelGrant>(&reply)) {
-    store_node(id, NodeState{pose, *grant, /*associated=*/true});
+    store_node(id, NodeState{pose});
     return Admission{id, 0.0,
                      grant->channel.bandwidth_hz * cfg_.init.spectral_efficiency};
   }
@@ -72,28 +72,19 @@ NetworkSimulator::Admission NetworkSimulator::admit(const channel::Pose& pose,
 
 std::vector<std::pair<std::uint16_t, double>> NetworkSimulator::promote_demoted() {
   std::vector<std::pair<std::uint16_t, double>> out;
-  for (const mac::ChannelGrant& g : init_.promote_demoted()) {
-    if (g.node_id < nodes_.size() && nodes_[g.node_id].present)
-      nodes_[g.node_id].state.grant = g;
+  for (const mac::ChannelGrant& g : init_.promote_demoted())
     out.emplace_back(g.node_id,
                      g.channel.bandwidth_hz * cfg_.init.spectral_efficiency);
-  }
   return out;
 }
 
-std::vector<mac::ChannelGrant> NetworkSimulator::drain_retunes() {
-  std::vector<mac::ChannelGrant> retunes = init_.take_retunes();
-  for (const mac::ChannelGrant& g : retunes)
-    if (g.node_id < nodes_.size() && nodes_[g.node_id].present)
-      nodes_[g.node_id].state.grant = g;
-  return retunes;
-}
+std::vector<mac::ChannelGrant> NetworkSimulator::drain_retunes() { return init_.take_retunes(); }
 
 std::uint16_t NetworkSimulator::add_tracked_node(const channel::Pose& pose) {
   if (!room_.contains(pose.position))
     throw std::invalid_argument("NetworkSimulator: node outside the room");
   const std::uint16_t id = next_id_++;
-  store_node(id, NodeState{pose, mac::ChannelGrant{}, /*associated=*/false});
+  store_node(id, NodeState{pose});
   return id;
 }
 
@@ -122,11 +113,9 @@ std::vector<std::uint16_t> NetworkSimulator::reap_inactive(double now_s,
   if (silence_timeout_s <= 0.0)
     throw std::invalid_argument("NetworkSimulator: silence_timeout_s must be > 0");
   std::vector<std::uint16_t> reaped;
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    const NodeSlot& slot = nodes_[id];
-    if (!slot.present || !slot.state.associated || slot.state.last_active_s < 0.0) continue;
-    if (now_s - slot.state.last_active_s >= silence_timeout_s)
-      reaped.push_back(static_cast<std::uint16_t>(id));
+  for (const auto& [id, holder] : init_.holders()) {
+    const double last_active_s = node(id).last_active_s;
+    if (last_active_s >= 0.0 && now_s - last_active_s >= silence_timeout_s) reaped.push_back(id);
   }
   for (const std::uint16_t id : reaped) remove_node(id);
   MMX_OBS_COUNT("sim.ap.reaped", reaped.size());
@@ -134,10 +123,7 @@ std::vector<std::uint16_t> NetworkSimulator::reap_inactive(double now_s,
 }
 
 bool NetworkSimulator::revoke_grant(std::uint16_t id) {
-  if (id >= nodes_.size() || !nodes_[id].present || !nodes_[id].state.associated) return false;
-  init_.release(id);
-  nodes_[id].state.grant = mac::ChannelGrant{};
-  nodes_[id].state.associated = false;
+  if (!init_.release(id)) return false;
   MMX_OBS_COUNT("sim.ap.revocations", 1);
   return true;
 }
@@ -347,18 +333,17 @@ std::size_t NetworkSimulator::refresh_cache(std::size_t threads) {
 const mac::ChannelGrant& NetworkSimulator::grant(std::uint16_t id) const {
   // Read the live grant: the init protocol may re-point a node's SDM
   // harmonic when its channel later becomes shared.
-  const auto it = init_.grants().find(id);
-  if (it == init_.grants().end()) throw std::out_of_range("NetworkSimulator: unknown node");
-  return it->second;
+  const auto it = init_.holders().find(id);
+  if (it == init_.holders().end()) throw std::out_of_range("NetworkSimulator: unknown node");
+  return it->second.grant;
 }
 
-bool NetworkSimulator::is_associated(std::uint16_t id) const { return node(id).associated; }
-
-std::size_t NetworkSimulator::num_associated() const {
-  std::size_t n = 0;
-  for (const NodeSlot& slot : nodes_) n += (slot.present && slot.state.associated) ? 1 : 0;
-  return n;
+bool NetworkSimulator::is_associated(std::uint16_t id) const {
+  node(id);  // unknown ids throw
+  return init_.holders().contains(id);
 }
+
+std::size_t NetworkSimulator::num_associated() const { return init_.holders().size(); }
 
 const channel::Pose& NetworkSimulator::node_pose(std::uint16_t id) const {
   return node(id).pose;
@@ -373,9 +358,7 @@ std::map<std::uint16_t, double> NetworkSimulator::sinr_all_db() const {
   // Received power (stronger OTAM level) per node, in watts.
   std::map<std::uint16_t, double> rx_w;
   std::map<std::uint16_t, double> bearing;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].present || !nodes_[i].state.associated) continue;
-    const auto id = static_cast<std::uint16_t>(i);
+  for (const auto& [id, holder] : init_.holders()) {
     const OtamLink l = link(id);
     rx_w[id] = dbm_to_watt(std::max(l.rx1_dbm, l.rx0_dbm));
     bearing[id] = bearing_at_ap(id);

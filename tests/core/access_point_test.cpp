@@ -21,7 +21,7 @@ TEST(CoreAp, InitGrantsThroughFacade) {
   AccessPoint ap = make_ap();
   const auto msg = ap.handle_init(mac::ChannelRequest{1, 10e6, 0.0});
   EXPECT_NE(std::get_if<mac::ChannelGrant>(&msg), nullptr);
-  EXPECT_EQ(ap.init().grants().size(), 1u);
+  EXPECT_EQ(ap.init().holders().size(), 1u);
   EXPECT_TRUE(ap.release(1));
   EXPECT_FALSE(ap.release(1));
 }

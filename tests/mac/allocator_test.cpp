@@ -255,6 +255,7 @@ TEST(FdmAllocatorFuzz, HundredThousandOpsHoldInvariants) {
     }
     if (step == 50000) a.set_policy(AllocPolicy::kFirstFit);
     ASSERT_NO_FATAL_FAILURE(ExpectAllocatorInvariants(a));
+    ASSERT_EQ(a.invariant_violations(), 0u) << "step " << step;
   }
   EXPECT_GT(compactions, 0u);
   EXPECT_GT(held.size(), 0u);

@@ -163,8 +163,8 @@ TEST(InitProtocol, ModifyRateDenyRestoresOldGrant) {
   // Node 1 asks for more than remains -> deny, but keeps its old channel.
   const auto msg = p.modify_rate(1, 190e6);
   EXPECT_NE(std::get_if<ChannelDeny>(&msg), nullptr);
-  ASSERT_TRUE(p.grants().contains(1));
-  EXPECT_NEAR(p.grants().at(1).channel.bandwidth_hz, 12.5e6, 1.0);
+  ASSERT_TRUE(p.holders().contains(1));
+  EXPECT_NEAR(p.holders().at(1).grant.channel.bandwidth_hz, 12.5e6, 1.0);
 }
 
 TEST(InitProtocol, ModifyRateDenyRestoresGrantBitExact) {
@@ -176,11 +176,11 @@ TEST(InitProtocol, ModifyRateDenyRestoresGrantBitExact) {
   p.handle(ChannelRequest{1, 40e6, 0.0});
   p.handle(ChannelRequest{2, 40e6, 0.8});
   p.handle(ChannelRequest{3, 40e6, 1.6});
-  const ChannelGrant before = p.grants().at(2);
+  const ChannelGrant before = p.holders().at(2).grant;
   const auto msg = p.modify_rate(2, 190e6);  // 237.5 MHz: cannot fit
   EXPECT_NE(std::get_if<ChannelDeny>(&msg), nullptr);
-  ASSERT_TRUE(p.grants().contains(2));
-  const ChannelGrant& after = p.grants().at(2);
+  ASSERT_TRUE(p.holders().contains(2));
+  const ChannelGrant& after = p.holders().at(2).grant;
   EXPECT_DOUBLE_EQ(after.channel.center_hz, before.channel.center_hz);
   EXPECT_DOUBLE_EQ(after.channel.bandwidth_hz, before.channel.bandwidth_hz);
   EXPECT_EQ(after.sdm_harmonic, before.sdm_harmonic);
@@ -320,7 +320,7 @@ TEST(InitProtocolOverload, CompactionAdmitsFragmentedDemand) {
   ASSERT_FALSE(retunes.empty());
   rf::Vco vco;
   for (const ChannelGrant& rt : retunes) {
-    EXPECT_EQ(p.grants().at(rt.node_id).channel, rt.channel);
+    EXPECT_EQ(p.holders().at(rt.node_id).grant.channel, rt.channel);
     EXPECT_GE(vco.frequency_hz(rt.vco_tune_v0), rt.channel.low_hz() - 1.0);
     EXPECT_LE(vco.frequency_hz(rt.vco_tune_v1), rt.channel.high_hz() + 1.0);
   }
@@ -344,7 +344,7 @@ TEST(InitProtocolOverload, SheddingReclaimsFromLowerPriorityThenPromotes) {
   EXPECT_GE(p.overload_stats().shed_demotions, 1u);
   EXPECT_EQ(p.overload_stats().invariant_violations, 0u);
   // Nobody — shed incumbents included — sits below the floor.
-  for (const auto& [id, grant] : p.grants()) {
+  for (const auto& [id, holder] : p.holders()) {
     ASSERT_TRUE(p.granted_rate_bps(id).has_value());
     EXPECT_GE(*p.granted_rate_bps(id), cfg.overload.min_rate_bps - 1.0);
   }
@@ -361,6 +361,35 @@ TEST(InitProtocolOverload, SheddingReclaimsFromLowerPriorityThenPromotes) {
   EXPECT_FALSE(promoted.empty());
   EXPECT_GE(p.overload_stats().promotions, 1u);
   EXPECT_EQ(p.overload_stats().invariant_violations, 0u);
+}
+
+TEST(InitProtocol, DeniedRequestsLeaveNoHolderRecord) {
+  // A deny leaves no state behind: 10k denied joiners under distinct ids,
+  // against a full band, leave the holder table as it was. The overload
+  // ladder's rungs (compaction, demotion) must not leak records either.
+  for (const bool overload : {false, true}) {
+    InitConfig cfg;
+    cfg.overload.enabled = overload;
+    cfg.overload.min_rate_bps = 4e6;
+    InitProtocol p = make_overloaded(cfg);
+    std::uint16_t id = 1;
+    while (std::holds_alternative<ChannelGrant>(
+        p.handle(ChannelRequest{id, 8e6, kNoSdmBearing, 2})))
+      ++id;
+    const std::size_t held = p.holders().size();
+    ASSERT_GT(held, 0u);
+    // A granted holder's record carries its request.
+    const InitProtocol::Holder& first = p.holders().at(1);
+    EXPECT_DOUBLE_EQ(first.bearing_rad, kNoSdmBearing);
+    EXPECT_DOUBLE_EQ(first.requested_rate_bps, 8e6);
+    EXPECT_EQ(first.priority, 2);
+    for (int i = 0; i < 10000; ++i) {
+      const auto msg = p.handle(ChannelRequest{++id, 8e6, kNoSdmBearing});
+      ASSERT_TRUE(std::holds_alternative<ChannelDeny>(msg)) << "overload " << overload;
+    }
+    EXPECT_EQ(p.holders().size(), held) << "overload " << overload;
+    EXPECT_EQ(p.allocator().num_allocations(), held);
+  }
 }
 
 TEST(RejoinBackoff, NoJitterFollowsCappedDoubling) {

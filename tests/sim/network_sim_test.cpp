@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mmx/channel/blockage.hpp"
 #include "mmx/common/rng.hpp"
 #include "mmx/common/units.hpp"
@@ -115,6 +118,69 @@ TEST(NetworkSim, ValidatesPositions) {
   EXPECT_THROW(net.link(999), std::out_of_range);
   EXPECT_THROW(NetworkSimulator(channel::Room(6.0, 4.0), channel::Pose{{7.0, 2.0}, 0.0}),
                std::invalid_argument);
+}
+
+// Association is read from the AP's holder table, not kept beside it:
+// is_associated, num_associated and reap_inactive must agree with
+// init().holders() through every grant-changing call.
+void ExpectAssociationMatchesHolders(const NetworkSimulator& net,
+                                     const std::vector<std::uint16_t>& resident) {
+  for (const std::uint16_t id : resident)
+    EXPECT_EQ(net.is_associated(id), net.init().holders().contains(id)) << "node " << id;
+  for (const auto& [id, holder] : net.init().holders())
+    EXPECT_NE(std::find(resident.begin(), resident.end(), id), resident.end()) << "node " << id;
+  EXPECT_EQ(net.num_associated(), net.init().holders().size());
+}
+
+TEST(NetworkSim, AssociationFollowsTheHolderTable) {
+  // Room for two 12.5 MHz channels. Every node sits within 0.45 rad of
+  // the others' bearings, so SDM cannot group them and a third is denied.
+  SimConfig cfg;
+  cfg.band_high_hz = kIsmLowHz + 27e6;
+  NetworkSimulator net(channel::Room(6.0, 4.0), channel::Pose{{5.5, 2.0}, kPi}, cfg);
+  const channel::Pose p1{{1.0, 2.0}, 0.0};
+  const channel::Pose p2{{1.0, 2.3}, 0.0};
+  const channel::Pose p3{{1.5, 1.8}, 0.0};
+  std::vector<std::uint16_t> resident;
+
+  const auto a = net.admit(p1, 10e6).id;
+  const auto b = net.admit(p2, 10e6).id;
+  ASSERT_TRUE(a && b);
+  resident = {*a, *b};
+  EXPECT_FALSE(net.admit(p3, 10e6).id.has_value());
+  const std::uint16_t t = net.add_tracked_node(p3);
+  resident.push_back(t);
+  ExpectAssociationMatchesHolders(net, resident);
+  EXPECT_FALSE(net.is_associated(t));
+  EXPECT_EQ(net.num_associated(), 2u);
+
+  net.note_activity(*a, 0.0);
+  net.note_activity(t, 0.0);
+  EXPECT_TRUE(net.revoke_grant(*b));
+  EXPECT_FALSE(net.revoke_grant(*b));  // already unassociated
+  EXPECT_FALSE(net.revoke_grant(t));   // never associated
+  EXPECT_THROW(net.grant(*b), std::out_of_range);
+  ExpectAssociationMatchesHolders(net, resident);
+  EXPECT_EQ(net.num_nodes(), 3u);  // a revoked node stays resident
+
+  const auto d = net.admit(p3, 10e6).id;  // b's spectrum is free again
+  ASSERT_TRUE(d.has_value());
+  resident.push_back(*d);
+  net.note_activity(*d, 5.0);
+  ExpectAssociationMatchesHolders(net, resident);
+
+  // Only associated, noted, long-silent nodes are reaped: a (silent
+  // 10 s), not d (5 s), not the unassociated t and b.
+  EXPECT_EQ(net.reap_inactive(10.0, 6.0), std::vector<std::uint16_t>{*a});
+  std::erase(resident, *a);
+  EXPECT_THROW(net.is_associated(*a), std::out_of_range);
+  ExpectAssociationMatchesHolders(net, resident);
+
+  net.remove_node(*d);
+  std::erase(resident, *d);
+  ExpectAssociationMatchesHolders(net, resident);
+  EXPECT_EQ(net.num_associated(), 0u);
+  EXPECT_TRUE(net.reap_inactive(100.0, 1.0).empty());
 }
 
 }  // namespace
