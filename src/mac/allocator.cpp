@@ -1,11 +1,15 @@
 #include "mmx/mac/allocator.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 namespace mmx::mac {
 
 double required_bandwidth_hz(double rate_bps, double spectral_efficiency) {
+  if (!std::isfinite(rate_bps))
+    throw std::invalid_argument("required_bandwidth_hz: rate must be finite");
   if (rate_bps <= 0.0) throw std::invalid_argument("required_bandwidth_hz: rate must be > 0");
   if (spectral_efficiency <= 0.0)
     throw std::invalid_argument("required_bandwidth_hz: efficiency must be > 0");
@@ -19,13 +23,16 @@ FdmAllocator::FdmAllocator(double band_low_hz, double band_high_hz, double guard
   if (guard_hz < 0.0) throw std::invalid_argument("FdmAllocator: guard must be >= 0");
 }
 
-std::vector<ChannelAllocation> FdmAllocator::sorted_used() const {
-  std::vector<ChannelAllocation> used;
-  used.reserve(by_node_.size());
+const FdmAllocator::View& FdmAllocator::view() const {
+  if (view_valid_) return view_;
+  std::vector<ChannelAllocation>& used = view_.by_low;
+  used.clear();
   for (const auto& [id, ch] : by_node_) used.push_back(ch);
   std::sort(used.begin(), used.end(),
             [](const auto& a, const auto& b) { return a.low_hz() < b.low_hz(); });
-  return used;
+  view_.largest_gap_hz.reset();
+  view_valid_ = true;
+  return view_;
 }
 
 std::optional<ChannelAllocation> FdmAllocator::allocate(std::uint16_t node_id,
@@ -34,7 +41,7 @@ std::optional<ChannelAllocation> FdmAllocator::allocate(std::uint16_t node_id,
   if (by_node_.contains(node_id))
     throw std::invalid_argument("FdmAllocator: node already holds a channel");
 
-  const std::vector<ChannelAllocation> used = sorted_used();
+  const std::vector<ChannelAllocation>& used = view().by_low;
 
   // Walk the gaps low-to-high (guard applies between channels, not at
   // the band edges). First fit takes the lowest fitting gap; best fit
@@ -62,10 +69,15 @@ std::optional<ChannelAllocation> FdmAllocator::allocate(std::uint16_t node_id,
   if (best_usable < 0.0) return std::nullopt;
   ChannelAllocation ch{best_low + bandwidth_hz / 2.0, bandwidth_hz};
   by_node_[node_id] = ch;
+  invalidate();
   return ch;
 }
 
-bool FdmAllocator::release(std::uint16_t node_id) { return by_node_.erase(node_id) > 0; }
+bool FdmAllocator::release(std::uint16_t node_id) {
+  if (by_node_.erase(node_id) == 0) return false;
+  invalidate();
+  return true;
+}
 
 bool FdmAllocator::restore(std::uint16_t node_id, const ChannelAllocation& ch) {
   if (by_node_.contains(node_id)) return false;
@@ -83,6 +95,7 @@ bool FdmAllocator::restore(std::uint16_t node_id, const ChannelAllocation& ch) {
     if (!below && !above) return false;
   }
   by_node_[node_id] = ch;
+  invalidate();
   return true;
 }
 
@@ -92,6 +105,7 @@ bool FdmAllocator::transfer(std::uint16_t from, std::uint16_t to) {
   const ChannelAllocation ch = it->second;
   by_node_.erase(it);
   by_node_[to] = ch;
+  invalidate();
   return true;
 }
 
@@ -117,6 +131,7 @@ std::vector<RetuneEvent> FdmAllocator::compact() {
     }
     cursor += ch.bandwidth_hz + guard_;
   }
+  if (!moved.empty()) invalidate();
   return moved;
 }
 
@@ -125,7 +140,7 @@ std::size_t FdmAllocator::invariant_violations() const {
   // distance, and the re-derived edges can land a few ulps (~4e-6 Hz
   // each at 24 GHz) inside it. That is rounding, not a violation.
   const double kEps = 1e-9 * std::max(1.0, high_);
-  const std::vector<ChannelAllocation> used = sorted_used();
+  const std::vector<ChannelAllocation>& used = view().by_low;
   std::size_t n = 0;
   for (std::size_t i = 0; i < used.size(); ++i) {
     if (used[i].low_hz() < low_ - kEps || used[i].high_hz() > high_ + kEps) ++n;
@@ -147,7 +162,9 @@ double FdmAllocator::free_bandwidth_hz() const {
 }
 
 double FdmAllocator::largest_gap_hz() const {
-  const std::vector<ChannelAllocation> used = sorted_used();
+  const View& v = view();
+  if (v.largest_gap_hz) return *v.largest_gap_hz;
+  const std::vector<ChannelAllocation>& used = v.by_low;
   double best = 0.0;
   double cursor = low_;
   for (std::size_t i = 0; i <= used.size(); ++i) {
@@ -158,11 +175,29 @@ double FdmAllocator::largest_gap_hz() const {
   // Empty band: the loop's single pass yields high - low (no guard at
   // the edges). Full band: every usable width is <= 0 and the 0.0 seed
   // wins. Both documented in the header.
-  return std::max(0.0, best);
+  view_.largest_gap_hz = std::max(0.0, best);
+  return *view_.largest_gap_hz;
+}
+
+double FdmAllocator::largest_gap_after_release_hz(std::uint16_t node_id) const {
+  const double largest = largest_gap_hz();
+  const auto it = by_node_.find(node_id);
+  if (it == by_node_.end()) return largest;
+  const View& v = view();
+  // Releasing a channel merges the gaps on either side of it into one;
+  // every other gap stays. Each side gap is no wider than the merged one,
+  // so the merged gap and the current largest cover every candidate.
+  const auto pos = std::lower_bound(
+      v.by_low.begin(), v.by_low.end(), it->second.low_hz(),
+      [](const ChannelAllocation& c, double low_hz) { return c.low_hz() < low_hz; });
+  const double cursor = pos == v.by_low.begin() ? low_ : std::prev(pos)->high_hz() + guard_;
+  const auto next = std::next(pos);
+  const double gap_end = next == v.by_low.end() ? high_ : next->low_hz() - guard_;
+  return std::max(largest, gap_end - cursor);
 }
 
 double FdmAllocator::fragmentation() const {
-  const std::vector<ChannelAllocation> used = sorted_used();
+  const std::vector<ChannelAllocation>& used = view().by_low;
   // Raw gap widths (no guard subtraction): their sum is exactly
   // free_bandwidth_hz(), which keeps the ratio well-defined.
   double widest = 0.0;

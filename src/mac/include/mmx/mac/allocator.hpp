@@ -106,6 +106,13 @@ class FdmAllocator {
   /// free_bandwidth_hz().
   double fragmentation() const;
 
+  /// largest_gap_hz() as it would read after release(node_id), without
+  /// mutating: the larger of the current largest gap and the gap the
+  /// release would open between the node's two neighbours, computed with
+  /// largest_gap_hz()'s own expressions so the two agree bit for bit.
+  /// The current largest gap when the node holds nothing.
+  double largest_gap_after_release_hz(std::uint16_t node_id) const;
+
   /// Largest channel allocatable after a compact(): the single
   /// top-of-band gap a fully slid band leaves, minus the one guard the
   /// new channel needs against its down-band neighbour. This is the
@@ -128,14 +135,30 @@ class FdmAllocator {
   double guard_hz() const { return guard_; }
 
  private:
-  /// Occupied intervals sorted by low edge.
-  std::vector<ChannelAllocation> sorted_used() const;
+  /// The occupied intervals sorted by low edge, and the largest gap
+  /// between them. Built on the first read after a mutation and kept
+  /// until the next one, so admission's many queries between two
+  /// mutations share one sort. allocate(), largest_gap_hz(),
+  /// fragmentation() and invariant_violations() all read through it.
+  /// The gap is filled on the first largest_gap_hz() read: first-fit
+  /// allocate() stops at the first fitting gap and never needs it.
+  struct View {
+    std::vector<ChannelAllocation> by_low;
+    std::optional<double> largest_gap_hz;
+  };
+  const View& view() const;
+  /// Every mutator calls this; the next read rebuilds the view.
+  void invalidate() { view_valid_ = false; }
 
   double low_;
   double high_;
   double guard_;
   AllocPolicy policy_;
   std::map<std::uint16_t, ChannelAllocation> by_node_;
+  // Const queries fill the memo, so one allocator must not be queried
+  // from two threads at once.
+  mutable View view_;
+  mutable bool view_valid_ = false;
 };
 
 }  // namespace mmx::mac

@@ -19,9 +19,12 @@
 // sequence.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "mmx/mac/allocator.hpp"
@@ -213,6 +216,18 @@ class InitProtocol {
     std::vector<double> bearings;
     std::vector<int> harmonics;
   };
+  using Groups = std::map<std::uint64_t, SharedChannel>;
+  /// Shared-channel index entry: a group's channel value, then its key.
+  /// Equal values compare equal exactly as ChannelAllocation::operator==
+  /// does, which matters because with overload off an orphaned group's
+  /// channel can be granted again.
+  struct GroupKey {
+    double center_hz;
+    double bandwidth_hz;
+    std::uint64_t group;
+    auto operator<=>(const GroupKey&) const = default;
+  };
+  using SharedIndex = std::set<GroupKey>;
 
   ChannelGrant make_grant(std::uint16_t node_id, const ChannelAllocation& ch, int harmonic) const;
   /// True if the node VCO reaches both edges of `ch`.
@@ -232,16 +247,28 @@ class InitProtocol {
   /// overload floor: admit at the largest step whose channel fits.
   std::optional<ChannelGrant> admit_demoted(const ChannelRequest& request,
                                             double start_rate_bps);
-  /// Shrink strictly-lower-priority incumbents to the floor until
-  /// `needed_hz` fits (after compaction); true if it does.
-  bool shed_for(const ChannelRequest& request, double needed_hz);
+  /// Shrink strictly-lower-priority incumbents to the floor channel
+  /// until it fits (after compaction); true if it does.
+  bool shed_for(const ChannelRequest& request);
   /// Occupancy- and pressure-derived deny hint (deterministic).
   double deny_hint_s() const;
   /// Move every grant and SDM group on `from` to `to` (same bandwidth),
   /// queueing re-tune notifications.
   void retune_channel(const ChannelAllocation& from, const ChannelAllocation& to);
+  /// The shared-channel index entries for groups on `ch`, oldest first.
+  std::pair<SharedIndex::const_iterator, SharedIndex::const_iterator> shared_range(
+      const ChannelAllocation& ch) const;
   /// True if `ch` backs an SDM group.
   bool channel_shared(const ChannelAllocation& ch) const;
+  /// First-formed SDM group on `ch`, or shared_.end().
+  Groups::iterator group_on(const ChannelAllocation& ch);
+  /// The SDM group on `ch` that lists `node_id` as a member, or
+  /// shared_.end(). A member's grant is always on its group's channel.
+  Groups::iterator group_of(std::uint16_t node_id, const ChannelAllocation& ch);
+  void add_group(const SharedChannel& sc);
+  /// Re-file `node_id` in the owner indexes after its holder record,
+  /// allocation or group membership changed.
+  void reindex(std::uint16_t node_id);
   /// Free harmonic slot steering closest to `bearing_rad`, within the
   /// mismatch tolerance; nullopt when none qualifies.
   std::optional<int> best_free_slot(const std::vector<int>& used, double bearing_rad) const;
@@ -250,10 +277,28 @@ class InitProtocol {
   rf::Vco node_vco_;
   InitConfig cfg_;
   std::map<std::uint16_t, Holder> holders_;
-  /// SDM groups. Each keeps its members' bearings and harmonics inline
-  /// (copies of their holder records) so try_sdm's scan over every group
-  /// does no map lookups.
-  std::vector<SharedChannel> shared_;
+  /// SDM groups keyed by a formation counter, so iteration runs in the
+  /// order groups formed: the order try_sdm offers them to a newcomer.
+  /// Each keeps its members' bearings and harmonics inline (copies of
+  /// their holder records) so that scan does no holder lookups.
+  Groups shared_;
+  std::uint64_t next_group_ = 0;
+  /// The shared-channel index: every group filed under its channel.
+  SharedIndex shared_index_;
+  /// Owner indexes. Each holds a superset of the holders one admission
+  /// search can pick, in id order, so the search visits those instead of
+  /// the whole allocation table and re-checks each with its own test.
+  /// All three hold only allocation owners that are not members of a
+  /// group on their own channel.
+  /// - fdm_by_slot_: by the harmonic the owner would take if try_sdm
+  ///   converted its channel (a function of its bearing alone);
+  /// - sheddable_: by priority, owners wider than the shedding floor;
+  /// - demoted_: owners narrower than their requested rate needs.
+  std::map<int, std::set<std::uint16_t>> fdm_by_slot_;
+  std::map<std::uint8_t, std::set<std::uint16_t>> sheddable_;
+  std::set<std::uint16_t> demoted_;
+  /// Channel width at the overload rate floor; 0 when shedding is off.
+  double shed_floor_bw_hz_ = 0.0;
   std::vector<ChannelGrant> pending_retunes_;
   OverloadStats overload_stats_;
   /// Consecutive hinted denies since spectrum last freed (deny pressure).

@@ -3,11 +3,13 @@
 // tests/reference/ref_admission.*. Admission is a pure function of the
 // request sequence, so both must agree after every operation of a long
 // random sequence: the reply, every holder's grant, the re-tune queue,
-// the overload stats and the allocator's map. A rewrite of either
-// data structure passes only if it reproduces the oracle exactly.
+// the overload stats, the allocator's map and its gap and headroom
+// queries. A rewrite of either data structure passes only if it
+// reproduces the oracle exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -35,6 +37,11 @@ bool same_grants(const std::vector<ChannelGrant>& a, const std::vector<ChannelGr
   return true;
 }
 
+/// Bit-for-bit: the memoized gap view must not round differently.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 bool same_reply(const SideChannelMessage& a, const SideChannelMessage& b) {
   if (a.index() != b.index()) return false;
   if (const auto* ga = std::get_if<ChannelGrant>(&a))
@@ -46,15 +53,20 @@ bool same_reply(const SideChannelMessage& a, const SideChannelMessage& b) {
 
 // kNarrowVco: overload off, and the node VCO stops 50 MHz short of the
 // band top, so some FDM gaps are untunable and those requests are denied
-// without trying SDM.
-enum class Mode { kPlain, kOverload, kNarrowVco };
+// without trying SDM. kOverloadFirstFit: the overload ladder with
+// first-fit placement and no compaction.
+enum class Mode { kPlain, kOverload, kOverloadFirstFit, kNarrowVco };
 
 InitConfig config_for(Mode mode) {
   InitConfig cfg;
-  if (mode == Mode::kOverload) {
+  if (mode == Mode::kOverload || mode == Mode::kOverloadFirstFit) {
     cfg.overload.enabled = true;
     cfg.overload.min_rate_bps = 4e6;  // 5 MHz floor channel
     cfg.overload.shedding = true;
+  }
+  if (mode == Mode::kOverloadFirstFit) {
+    cfg.overload.best_fit = false;
+    cfg.overload.compaction = false;
   }
   return cfg;
 }
@@ -87,6 +99,39 @@ Step draw_step(Rng& rng, const std::vector<HarmonicSlot>& slots) {
   }
   s.priority = static_cast<std::uint8_t>(rng.uniform_int(0, 2));
   return s;
+}
+
+/// After one operation on both: the re-tune queues (drained; their size
+/// is added to `retunes`), every holder's grant, the operated node's
+/// rate, the overload stats, and the allocator's map and queries.
+void expect_same_state(InitProtocol& prod, refmac::InitProtocol& ref, std::uint16_t node_id,
+                       const std::string& where, std::size_t& retunes) {
+  const std::vector<ChannelGrant> rt = prod.take_retunes();
+  ASSERT_TRUE(same_grants(rt, ref.take_retunes())) << where;
+  retunes += rt.size();
+
+  ASSERT_EQ(prod.holders().size(), ref.grants().size()) << where;
+  auto r = ref.grants().begin();
+  for (const auto& [id, holder] : prod.holders()) {
+    ASSERT_EQ(id, r->first) << where;
+    ASSERT_TRUE(same_grant(holder.grant, r->second)) << where << " holder " << id;
+    ++r;
+  }
+  ASSERT_EQ(prod.granted_rate_bps(node_id), ref.granted_rate_bps(node_id)) << where;
+  // The reference's invariant check used a 1e-6 Hz slack, below one
+  // ulp at 24 GHz, so it counts compact()'s rounding as violations.
+  // Production must count none; every other stat must match.
+  OverloadStats ref_stats = ref.overload_stats();
+  ref_stats.invariant_violations = 0;
+  ASSERT_EQ(prod.overload_stats(), ref_stats) << where;
+  const FdmAllocator& pa = prod.allocator();
+  const refmac::FdmAllocator& ra = ref.allocator();
+  ASSERT_EQ(pa.allocations(), ra.allocations()) << where;
+  ASSERT_TRUE(same_bits(pa.largest_gap_hz(), ra.largest_gap_hz())) << where;
+  ASSERT_TRUE(same_bits(pa.fragmentation(), ra.fragmentation())) << where;
+  ASSERT_TRUE(same_bits(pa.compacted_headroom_hz(), ra.compacted_headroom_hz())) << where;
+  ASSERT_TRUE(same_bits(pa.free_bandwidth_hz(), ra.free_bandwidth_hz())) << where;
+  ASSERT_EQ(pa.invariant_violations(), 0u) << where;
 }
 
 void run_lockstep(Mode mode, std::uint64_t seed, int steps) {
@@ -139,26 +184,7 @@ void run_lockstep(Mode mode, std::uint64_t seed, int steps) {
         ASSERT_EQ(prod.compact_spectrum(), ref.compact_spectrum()) << where;
         break;
     }
-    const std::vector<ChannelGrant> rt = prod.take_retunes();
-    ASSERT_TRUE(same_grants(rt, ref.take_retunes())) << where;
-    retunes += rt.size();
-
-    ASSERT_EQ(prod.holders().size(), ref.grants().size()) << where;
-    auto r = ref.grants().begin();
-    for (const auto& [id, holder] : prod.holders()) {
-      ASSERT_EQ(id, r->first) << where;
-      ASSERT_TRUE(same_grant(holder.grant, r->second)) << where << " holder " << id;
-      ++r;
-    }
-    ASSERT_EQ(prod.granted_rate_bps(s.id), ref.granted_rate_bps(s.id)) << where;
-    // The reference's invariant check used a 1e-6 Hz slack, below one
-    // ulp at 24 GHz, so it counts compact()'s rounding as violations.
-    // Production must count none; every other stat must match.
-    OverloadStats ref_stats = ref.overload_stats();
-    ref_stats.invariant_violations = 0;
-    ASSERT_EQ(prod.overload_stats(), ref_stats) << where;
-    ASSERT_EQ(prod.allocator().allocations(), ref.allocator().allocations()) << where;
-    ASSERT_EQ(prod.allocator().invariant_violations(), 0u) << where;
+    ASSERT_NO_FATAL_FAILURE(expect_same_state(prod, ref, s.id, where, retunes));
   }
   // The sequence must actually reach the interesting paths.
   EXPECT_GT(grants, 1000u);
@@ -170,7 +196,7 @@ void run_lockstep(Mode mode, std::uint64_t seed, int steps) {
     EXPECT_EQ(untunable_denies, 0u);
     EXPECT_GT(sdm_grants, 100u);
   }
-  if (mode == Mode::kOverload) {
+  if (mode == Mode::kOverload || mode == Mode::kOverloadFirstFit) {
     EXPECT_GT(retunes, 0u);
     EXPECT_GT(prod.overload_stats().demotions, 0u);
     EXPECT_GT(prod.overload_stats().shed_demotions, 0u);
@@ -187,8 +213,73 @@ TEST(AdmissionLockstep, HundredThousandOpsOverloadOn) {
   run_lockstep(Mode::kOverload, 0x0e71, 100000);
 }
 
+TEST(AdmissionLockstep, HundredThousandOpsOverloadFirstFitNoCompaction) {
+  run_lockstep(Mode::kOverloadFirstFit, 0xf1f7, 100000);
+}
+
 TEST(AdmissionLockstep, UntunableGapsDenyLikeTheReference) {
   run_lockstep(Mode::kNarrowVco, 0x7c0, 20000);
+}
+
+TEST(AdmissionLockstep, OrphanedGroupChannelRegrantedLikeTheReference) {
+  // With overload off, an SDM owner's release frees the group's spectrum
+  // while the group lives on, and first fit can hand exactly that channel
+  // value to a newcomer (docs/ROBUSTNESS.md, "Known gap"). The newcomer
+  // then counts as shared until the orphaned group empties. Random
+  // sequences almost never repeat a channel value, so this walks the case
+  // step by step against the reference.
+  const InitConfig cfg = config_for(Mode::kPlain);
+  InitProtocol prod(FdmAllocator(kIsmLowHz, kIsmHighHz, 1e6), rf::Vco{}, cfg);
+  refmac::InitProtocol ref(refmac::FdmAllocator(kIsmLowHz, kIsmHighHz, 1e6), rf::Vco{}, cfg);
+  const double east = std::asin(0.25);   // harmonic +2
+  const double west = std::asin(-0.375);  // harmonic -3, far enough to share
+  std::size_t retunes = 0;
+  int step = 0;
+  const auto join = [&](std::uint16_t id, double rate_bps, double bearing_rad) {
+    const ChannelRequest req{id, rate_bps, bearing_rad, 1};
+    const SideChannelMessage a = prod.handle(req);
+    ASSERT_TRUE(same_reply(a, ref.handle(req))) << "join " << id;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_state(prod, ref, id, "step " + std::to_string(step++), retunes));
+  };
+  const auto leave = [&](std::uint16_t id) {
+    ASSERT_EQ(prod.release(id), ref.release(id)) << "leave " << id;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_state(prod, ref, id, "step " + std::to_string(step++), retunes));
+  };
+  // Nine 25 MHz owners fill the band; a westward newcomer converts owner 1.
+  for (std::uint16_t id = 1; id <= 9; ++id) ASSERT_NO_FATAL_FAILURE(join(id, 20e6, east));
+  ASSERT_NO_FATAL_FAILURE(join(20, 20e6, west));
+  const ChannelAllocation orphaned = prod.holders().at(1).grant.channel;
+  // Owner 1 leaves: the group {20} keeps a channel the allocator freed,
+  // and node 0 is granted that very channel value by first fit.
+  ASSERT_NO_FATAL_FAILURE(leave(1));
+  ASSERT_NO_FATAL_FAILURE(join(0, 20e6, east));
+  ASSERT_EQ(prod.holders().at(0).grant.channel, orphaned);
+  // Node 0 has the lowest id but its channel counts as shared, so the
+  // next conversion takes owner 2.
+  ASSERT_NO_FATAL_FAILURE(join(22, 20e6, west));
+  ASSERT_EQ(prod.holders().at(2).grant.channel, prod.holders().at(22).grant.channel);
+  // The orphaned group empties; node 0's channel is convertible again.
+  ASSERT_NO_FATAL_FAILURE(leave(20));
+  ASSERT_NO_FATAL_FAILURE(join(23, 20e6, west));
+  ASSERT_EQ(prod.holders().at(0).grant.channel, prod.holders().at(23).grant.channel);
+  // Orphan group {22} re-forms through a failed modify_rate, and its
+  // channel value is granted again (to node 24).
+  ASSERT_NO_FATAL_FAILURE(leave(2));
+  ASSERT_TRUE(same_reply(prod.modify_rate(22, 400e6), ref.modify_rate(22, 400e6)));
+  ASSERT_NO_FATAL_FAILURE(expect_same_state(prod, ref, 22, "modify 22", retunes));
+  ASSERT_NO_FATAL_FAILURE(join(24, 20e6, east));
+  ASSERT_EQ(prod.holders().at(24).grant.channel, prod.holders().at(22).grant.channel);
+  ASSERT_NO_FATAL_FAILURE(join(25, 20e6, west));
+  // Compaction moves owners together with every group on their channel.
+  ASSERT_NO_FATAL_FAILURE(leave(5));
+  ASSERT_EQ(prod.compact_spectrum(), ref.compact_spectrum());
+  ASSERT_NO_FATAL_FAILURE(expect_same_state(prod, ref, 0, "compact", retunes));
+  EXPECT_GT(retunes, 0u);
+  for (const std::uint16_t id : {26, 27, 28}) ASSERT_NO_FATAL_FAILURE(join(id, 20e6, west));
+  for (const std::uint16_t id : {0, 22, 23, 24, 25}) ASSERT_NO_FATAL_FAILURE(leave(id));
+  ASSERT_NO_FATAL_FAILURE(join(29, 20e6, west));
 }
 
 }  // namespace

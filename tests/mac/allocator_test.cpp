@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "mmx/common/rng.hpp"
 #include "mmx/common/units.hpp"
@@ -309,6 +314,156 @@ TEST(FdmAllocator, FragmentationGauge) {
   ASSERT_TRUE(a.allocate(5, 10.0));  // [25,35]; gap [35,60] = 25
   a.release(4);                      // gaps [0,25] and [35,60]: 50 free, widest 25
   EXPECT_NEAR(a.fragmentation(), 0.5, 1e-12);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Every query on `a` against an allocator rebuilt from a.allocations()
+/// through restore(): a memoized view that outlived a mutation shows up
+/// as a mismatch. allocate() reads the view too, so it is probed on
+/// copies of both.
+void ExpectQueriesMatchRebuild(const FdmAllocator& a, const std::string& where) {
+  FdmAllocator fresh(a.band_low_hz(), a.band_high_hz(), a.guard_hz(), a.policy());
+  for (const auto& [id, ch] : a.allocations()) ASSERT_TRUE(fresh.restore(id, ch)) << where;
+  EXPECT_TRUE(same_bits(a.largest_gap_hz(), fresh.largest_gap_hz())) << where;
+  EXPECT_TRUE(same_bits(a.fragmentation(), fresh.fragmentation())) << where;
+  EXPECT_TRUE(same_bits(a.compacted_headroom_hz(), fresh.compacted_headroom_hz())) << where;
+  EXPECT_TRUE(same_bits(a.free_bandwidth_hz(), fresh.free_bandwidth_hz())) << where;
+  EXPECT_EQ(a.invariant_violations(), fresh.invariant_violations()) << where;
+  for (const auto& [id, ch] : a.allocations())
+    EXPECT_TRUE(same_bits(a.largest_gap_after_release_hz(id),
+                          fresh.largest_gap_after_release_hz(id)))
+        << where << " id " << id;
+  for (const double bw : {1e6, 20e6, 90e6}) {
+    FdmAllocator probe = a;
+    FdmAllocator probe_fresh = fresh;
+    EXPECT_EQ(probe.allocate(60000, bw), probe_fresh.allocate(60000, bw)) << where;
+  }
+}
+
+/// Reads every query, so the memoized view is built before the next
+/// mutation has to drop it.
+void WarmQueries(const FdmAllocator& a) {
+  (void)a.largest_gap_hz();
+  (void)a.fragmentation();
+  (void)a.invariant_violations();
+  if (!a.allocations().empty()) (void)a.largest_gap_after_release_hz(a.allocations().begin()->first);
+}
+
+TEST(FdmAllocator, EveryMutatorInvalidatesTheMemoizedView) {
+  // Each mutator, succeeding and failing, follows a full set of queries
+  // and is checked against a rebuild. Failed calls (an allocate with no
+  // fitting gap, a refused restore or transfer, releasing a node that
+  // holds nothing) must leave every answer as it was.
+  Rng rng(0x3e30);
+  for (const AllocPolicy policy : {AllocPolicy::kFirstFit, AllocPolicy::kBestFit}) {
+    FdmAllocator a(kIsmLowHz, kIsmHighHz, 1e6, policy);
+    std::uint16_t next_id = 0;
+    std::optional<std::pair<std::uint16_t, ChannelAllocation>> released;
+    for (int step = 0; step < 3000; ++step) {
+      WarmQueries(a);
+      const int op = rng.uniform_int(0, 9);
+      std::string where = "policy " + std::to_string(static_cast<int>(policy)) + " step " +
+                          std::to_string(step) + " op " + std::to_string(op);
+      const auto pick_held = [&]() -> std::optional<std::uint16_t> {
+        if (a.allocations().empty()) return std::nullopt;
+        auto it = a.allocations().begin();
+        std::advance(it, rng.uniform_int(0, static_cast<int>(a.allocations().size()) - 1));
+        return it->first;
+      };
+      switch (op) {
+        case 0:
+        case 1:
+        case 2:  // allocate; fails once the band is full
+          (void)a.allocate(next_id++, rng.uniform(1e6, 40e6));
+          break;
+        case 3: {  // allocate wider than any gap: always refused
+          const double too_wide = a.largest_gap_hz() + 1e6;
+          ASSERT_FALSE(a.allocate(next_id++, too_wide).has_value()) << where;
+          break;
+        }
+        case 4: {  // release; a node that holds nothing is refused
+          if (const auto id = pick_held()) {
+            released = {{*id, *a.lookup(*id)}};
+            ASSERT_TRUE(a.release(*id)) << where;
+          }
+          ASSERT_FALSE(a.release(next_id)) << where;
+          break;
+        }
+        case 5: {  // restore the last release, then a refused one
+          if (released && !a.allocations().contains(released->first) &&
+              a.restore(released->first, released->second)) {
+            ASSERT_FALSE(a.restore(released->first, released->second)) << where;
+          }
+          if (const auto id = pick_held()) {  // overlaps its own channel
+            ASSERT_FALSE(a.restore(next_id, *a.lookup(*id))) << where;
+          }
+          released.reset();
+          break;
+        }
+        case 6: {  // transfer; refused from an empty holder or onto a holder
+          ASSERT_FALSE(a.transfer(next_id, static_cast<std::uint16_t>(next_id + 1))) << where;
+          if (const auto id = pick_held()) {
+            if (const auto other = pick_held(); other && *other != *id) {
+              ASSERT_FALSE(a.transfer(*id, *other)) << where;
+            }
+            ASSERT_TRUE(a.transfer(*id, next_id++)) << where;
+          }
+          break;
+        }
+        case 7:
+          (void)a.compact();
+          break;
+        default:  // queries only
+          break;
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectQueriesMatchRebuild(a, where));
+    }
+  }
+}
+
+TEST(FdmAllocator, LargestGapAfterReleaseMatchesReleaseThenQuery) {
+  // The promotion precheck's answer must equal what release() followed
+  // by largest_gap_hz() reads, bit for bit, on 10k random states: packed
+  // by compact(), fragmented by churn, with and without guards.
+  Rng rng(0x9ec4);
+  int states = 0;
+  while (states < 10000) {
+    const double guard = rng.uniform_int(0, 2) * 0.5e6;
+    FdmAllocator a(kIsmLowHz, kIsmHighHz, guard,
+                   rng.uniform_int(0, 1) == 0 ? AllocPolicy::kFirstFit : AllocPolicy::kBestFit);
+    std::uint16_t next_id = 0;
+    for (int step = 0; step < 200 && states < 10000; ++step) {
+      const double roll = rng.uniform(0.0, 1.0);
+      if (roll < 0.6) {
+        (void)a.allocate(next_id++, rng.uniform(0.5e6, 30e6));
+      } else if (roll < 0.9) {
+        if (!a.allocations().empty()) {
+          auto it = a.allocations().begin();
+          std::advance(it, rng.uniform_int(0, static_cast<int>(a.allocations().size()) - 1));
+          a.release(it->first);
+        }
+      } else {
+        (void)a.compact();
+      }
+      if (a.allocations().empty()) continue;
+      auto it = a.allocations().begin();
+      std::advance(it, rng.uniform_int(0, static_cast<int>(a.allocations().size()) - 1));
+      const std::uint16_t id = it->first;
+      const ChannelAllocation ch = it->second;
+      const auto before = a.allocations();
+      const double predicted = a.largest_gap_after_release_hz(id);
+      ASSERT_TRUE(a.release(id));
+      const double actual = a.largest_gap_hz();
+      ASSERT_TRUE(a.restore(id, ch));
+      ASSERT_TRUE(same_bits(predicted, actual))
+          << "state " << states << ": " << predicted << " vs " << actual;
+      ASSERT_EQ(a.allocations(), before);
+      ++states;
+    }
+  }
 }
 
 class RateMixSweep : public ::testing::TestWithParam<double> {};

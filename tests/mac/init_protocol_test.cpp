@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "mmx/common/units.hpp"
 
@@ -55,6 +57,40 @@ TEST(InitProtocol, ZeroRateDenied) {
   InitProtocol p = make_protocol();
   const auto msg = p.handle(ChannelRequest{1, 0.0, 0.0});
   EXPECT_NE(std::get_if<ChannelDeny>(&msg), nullptr);
+}
+
+TEST(InitProtocol, NonFiniteRatesDenied) {
+  // A NaN rate fails every bandwidth comparison, so on a full band it
+  // used to pass try_sdm's width test and get an SDM slot; +inf walked
+  // the overload demotion ladder forever. Both are denied up front, with
+  // and without overload control, and modify_rate keeps the old grant.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double rate : {kNan, kInf, -kInf})
+    EXPECT_THROW(required_bandwidth_hz(rate), std::invalid_argument) << rate;
+  for (const bool overload : {false, true}) {
+    InitConfig cfg;
+    cfg.overload.enabled = overload;
+    cfg.overload.min_rate_bps = 4e6;
+    cfg.overload.shedding = true;
+    InitProtocol p(FdmAllocator(kIsmLowHz, kIsmHighHz, 1e6), rf::Vco{}, cfg);
+    // Nine 25 MHz channels fill the band, all steered at harmonic +2, so
+    // a newcomer near harmonic -3 is far enough away to share any of them.
+    for (std::uint16_t id = 0; id < 9; ++id)
+      ASSERT_TRUE(std::holds_alternative<ChannelGrant>(p.handle({id, 20e6, std::asin(0.25)})));
+    ASSERT_LT(p.allocator().largest_gap_hz(), 25e6);
+    const ChannelGrant before = p.holders().at(0).grant;
+    for (const double rate : {kNan, kInf, -kInf}) {
+      const auto msg = p.handle(ChannelRequest{100, rate, std::asin(-0.375), 2});
+      EXPECT_NE(std::get_if<ChannelDeny>(&msg), nullptr) << rate << " overload " << overload;
+      EXPECT_FALSE(p.holders().contains(100));
+      const auto mod = p.modify_rate(0, rate);
+      EXPECT_NE(std::get_if<ChannelDeny>(&mod), nullptr) << rate << " overload " << overload;
+      EXPECT_EQ(p.holders().at(0).grant.channel, before.channel);
+      EXPECT_EQ(p.holders().at(0).grant.sdm_harmonic, before.sdm_harmonic);
+    }
+    EXPECT_EQ(p.holders().size(), 9u);
+  }
 }
 
 TEST(InitProtocol, FallsBackToSdmWhenBandFull) {
@@ -265,6 +301,34 @@ TEST(InitProtocolOverload, DemotionStopsAtFloor) {
   const auto msg = p.handle(ChannelRequest{2, 80e6, kNoSdmBearing});
   EXPECT_NE(std::get_if<ChannelDeny>(&msg), nullptr);
   EXPECT_EQ(p.overload_stats().demotions, 0u);
+}
+
+TEST(InitProtocolOverload, PromotionWithNoRoomTouchesNothing) {
+  // Every demoted holder's next rung is wider than the gap its own
+  // release would open, so the pass must find nothing to grow: no
+  // grants, no re-tunes, the spectrum map exactly as it was.
+  InitConfig cfg;
+  cfg.overload.enabled = true;
+  cfg.overload.min_rate_bps = 10e6;  // 12.5 MHz floor
+  cfg.overload.compaction = false;
+  InitProtocol p = make_overloaded(cfg);
+  // Nine 25 MHz channels, then a 12.5 MHz demotion into the 16 MHz tail.
+  for (std::uint16_t id = 0; id < 10; ++id)
+    ASSERT_TRUE(std::holds_alternative<ChannelGrant>(p.handle({id, 20e6, kNoSdmBearing})));
+  // Four 25 MHz holes, each refilled by a 50 MHz demand demoted to 25.
+  for (const std::uint16_t id : {1, 3, 5, 7}) ASSERT_TRUE(p.release(id));
+  for (std::uint16_t id = 11; id < 15; ++id)
+    ASSERT_TRUE(std::holds_alternative<ChannelGrant>(p.handle({id, 40e6, kNoSdmBearing})));
+  ASSERT_EQ(p.overload_stats().demotions, 5u);
+  ASSERT_TRUE(p.take_retunes().empty());
+  const auto before = p.allocator().allocations();
+  EXPECT_TRUE(p.promote_demoted().empty());
+  EXPECT_TRUE(p.take_retunes().empty());
+  EXPECT_EQ(p.allocator().allocations(), before);
+  EXPECT_EQ(p.overload_stats().promotions, 0u);
+  // Freeing a neighbour makes room: the same pass now grows a holder.
+  ASSERT_TRUE(p.release(2));
+  EXPECT_FALSE(p.promote_demoted().empty());
 }
 
 TEST(InitProtocolOverload, DenyHintGrowsWithPressureAndResets) {
