@@ -241,7 +241,7 @@ bool JsonReport::write() const {
         << ", \"min\": " << json_double(m.min) << ", \"max\": " << json_double(m.max) << "}";
   }
   out << (metrics_.empty() ? "" : "\n  ") << "],\n";
-  // Run metadata last: tools/sweep_gate key-scans the document, so the
+  // Run metadata last: tools/bench_gate key-scans the document, so the
   // gated keys above must appear before any free-form strings.
   out << "  \"meta\": {\"git_sha\": \"" << json_escape(kBuildGitSha) << "\", \"compiler\": \""
       << json_escape(kBuildCompiler) << "\", \"cxx_flags\": \"" << json_escape(kBuildCxxFlags)
@@ -249,7 +249,7 @@ bool JsonReport::write() const {
       << "\", \"cpu_cores\": " << std::thread::hardware_concurrency() << "}"
       << (obs_enabled_ ? ",\n" : "\n");
   // The obs block sits after "meta" for the same reason meta sits last:
-  // sweep_gate/bench_trend key-scan the document and must see the gated
+  // bench_gate key-scans the document and must see the gated
   // numeric keys before any free-form instrument names.
   if (obs_enabled_) out << obs_json_block();
   out << "}\n";

@@ -9,9 +9,9 @@
 //         demodulators
 //
 // --stage picks one workload for a machine-readable run (the JSON bench
-// name carries the stage, so tools/sweep_gate can compare a matched
+// name carries the stage, so tools/bench_gate can compare a matched
 // ref/fast pair); the default `all` prints a ref-vs-fast table. CI's
-// bench-perf lane gates goertzel at >= 3x and the fig11-style frame
+// bench-perf lane gates (bench/gates.txt) goertzel at >= 3x and the fig11-style frame
 // stage (synthesize -> AWGN -> joint demodulate at the pinned config) at
 // >= 2x.
 #include <cmath>

@@ -13,8 +13,9 @@
 // table, and FAILS (exit 1) if any stage's per-trial checksums differ —
 // a perf report that doubles as an equivalence test. --stage picks one
 // workload for a machine-readable run (the JSON bench name carries the
-// stage, so tools/sweep_gate can compare a matched ref/fast pair); CI's
-// bench-perf lane gates the refill stage at >= 3x (docs/GEOMETRY.md).
+// stage, so tools/bench_gate can compare a matched ref/fast pair); CI's
+// bench-perf lane gates the refill stage at >= 3x (bench/gates.txt,
+// docs/GEOMETRY.md).
 //
 // Stages:
 //   refill   the sim's cache-refill inner loop at its pinned config

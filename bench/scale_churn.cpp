@@ -6,11 +6,11 @@
 // (default) or off (`--cache off`); every simulated quantity is
 // bit-identical between the two arms (pinned by tests/sim/
 // scale_scenario_test.cpp), so the JSON reports differ only in timing
-// and tools/sweep_gate can gate the cached arm's speedup:
+// and tools/bench_gate can gate the cached arm's speedup:
 //
-//   scale_churn --cache off --json base.json
-//   scale_churn --cache on  --json cached.json
-//   sweep_gate base.json cached.json --min-speedup 5
+//   scale_churn --cache off --json BENCH_scale_base.json
+//   scale_churn --cache on  --json BENCH_scale.json
+//   bench_gate bench/gates.txt   # BENCH_scale.json / BENCH_scale_base.json >= 5
 //
 // JSON semantics: "trials" = total link measurements, "trials_per_s" =
 // measurements per second of measurement-phase wall clock (join storms

@@ -32,7 +32,7 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
     const double ang = -kTwoPi / static_cast<double>(len);
     for (std::size_t k = 0; k < len / 2; ++k) {
       const double ph = ang * static_cast<double>(k);
-      twiddle_.emplace_back(std::cos(ph), std::sin(ph));  // mmx-lint: allow(trig-per-sample) -- one-time plan construction, amortized over every transform of this size
+      twiddle_.emplace_back(std::cos(ph), std::sin(ph));  // mmx-analyze: allow(trig-per-sample) -- one-time plan construction, amortized over every transform of this size
     }
   }
 }

@@ -62,7 +62,7 @@ Rvec design_bandpass(double sample_rate_hz, double low_hz, double high_hz, std::
   Complex resp{0.0, 0.0};
   for (std::size_t i = 0; i < taps; ++i) {
     const double ph = -kTwoPi * fc / sample_rate_hz * static_cast<double>(i);
-    resp += h[i] * Complex{std::cos(ph), std::sin(ph)};  // mmx-lint: allow(trig-per-sample) -- per-tap design-time evaluation, not a sample loop
+    resp += h[i] * Complex{std::cos(ph), std::sin(ph)};  // mmx-analyze: allow(trig-per-sample) -- per-tap design-time evaluation, not a sample loop
   }
   const double mag = std::abs(resp);
   if (mag > 0.0)
@@ -127,7 +127,7 @@ Complex FirFilter::frequency_response(double freq_hz, double sample_rate_hz) con
   Complex acc{0.0, 0.0};
   for (std::size_t i = 0; i < taps_.size(); ++i) {
     const double ph = -kTwoPi * freq_hz / sample_rate_hz * static_cast<double>(i);
-    acc += taps_[i] * Complex{std::cos(ph), std::sin(ph)};  // mmx-lint: allow(trig-per-sample) -- per-tap analysis helper, not a sample loop
+    acc += taps_[i] * Complex{std::cos(ph), std::sin(ph)};  // mmx-analyze: allow(trig-per-sample) -- per-tap analysis helper, not a sample loop
   }
   return acc;
 }

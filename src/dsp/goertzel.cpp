@@ -16,7 +16,7 @@ namespace {
 constexpr std::size_t kRenormInterval = 1024;
 
 Complex unit_phasor(double angle_rad) {
-  return Complex{std::cos(angle_rad), std::sin(angle_rad)};  // mmx-lint: allow(trig-per-sample) -- setup: one phasor per block/bin, not per sample
+  return Complex{std::cos(angle_rad), std::sin(angle_rad)};  // mmx-analyze: allow(trig-per-sample) -- setup: one phasor per block/bin, not per sample
 }
 
 /// One pass over `x` accumulating M rotator-correlation bins at once.

@@ -93,7 +93,7 @@ Cvec frequency_shift(std::span<const Complex> x, double offset_hz, double sample
   const double step = wrap_angle(kTwoPi * offset_hz / sample_rate_hz);
   double phase = 0.0;
   Complex rot{1.0, 0.0};
-  const Complex inc{std::cos(step), std::sin(step)};  // mmx-lint: allow(trig-per-sample) -- setup before the loop
+  const Complex inc{std::cos(step), std::sin(step)};  // mmx-analyze: allow(trig-per-sample) -- setup before the loop
   std::size_t until_resync = kResyncInterval;
   for (std::size_t i = 0; i < x.size(); ++i) {
     out[i] = cmul(x[i], rot);
@@ -102,7 +102,7 @@ Cvec frequency_shift(std::span<const Complex> x, double offset_hz, double sample
     if (phase > kPi) phase -= kTwoPi;
     if (phase <= -kPi) phase += kTwoPi;
     if (--until_resync == 0) {
-      rot = Complex{std::cos(phase), std::sin(phase)};  // mmx-lint: allow(trig-per-sample) -- drift resync, amortized over 256 samples
+      rot = Complex{std::cos(phase), std::sin(phase)};  // mmx-analyze: allow(trig-per-sample) -- drift resync, amortized over 256 samples
       until_resync = kResyncInterval;
     }
   }

@@ -9,7 +9,7 @@ namespace mmx::dsp {
 namespace {
 
 Complex unit_phasor(double angle_rad) {
-  return Complex{std::cos(angle_rad), std::sin(angle_rad)};  // mmx-lint: allow(trig-per-sample) -- setup/resync: amortized over kResyncInterval samples
+  return Complex{std::cos(angle_rad), std::sin(angle_rad)};  // mmx-analyze: allow(trig-per-sample) -- setup/resync: amortized over kResyncInterval samples
 }
 
 }  // namespace

@@ -18,13 +18,13 @@ Rvec make_window(WindowKind kind, std::size_t n) {
         w[i] = 1.0;
         break;
       case WindowKind::kHann:
-        w[i] = 0.5 - 0.5 * std::cos(kTwoPi * t);  // mmx-lint: allow(trig-per-sample) -- window design: one-time per-tap table construction
+        w[i] = 0.5 - 0.5 * std::cos(kTwoPi * t);  // mmx-analyze: allow(trig-per-sample) -- window design: one-time per-tap table construction
         break;
       case WindowKind::kHamming:
-        w[i] = 0.54 - 0.46 * std::cos(kTwoPi * t);  // mmx-lint: allow(trig-per-sample) -- window design: one-time per-tap table construction
+        w[i] = 0.54 - 0.46 * std::cos(kTwoPi * t);  // mmx-analyze: allow(trig-per-sample) -- window design: one-time per-tap table construction
         break;
       case WindowKind::kBlackman:
-        w[i] = 0.42 - 0.5 * std::cos(kTwoPi * t) + 0.08 * std::cos(2.0 * kTwoPi * t);  // mmx-lint: allow(trig-per-sample) -- window design: one-time per-tap table construction
+        w[i] = 0.42 - 0.5 * std::cos(kTwoPi * t) + 0.08 * std::cos(2.0 * kTwoPi * t);  // mmx-analyze: allow(trig-per-sample) -- window design: one-time per-tap table construction
         break;
     }
   }

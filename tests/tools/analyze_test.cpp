@@ -132,15 +132,14 @@ TEST(Lexer, MacroBodiesAreScanned) {
 TEST(Lexer, SuppressionParsing) {
   const LexedFile f = lex(
       "int a;  // mmx-analyze: allow(no-float) -- validated fixture\n"
-      "int b;  // mmx-lint: allow(trig-per-sample) -- legacy spelling\n"
       "int c;  // mmx-analyze: allow(db-arith)\n",
       "src/dsp/a.cpp");
-  ASSERT_EQ(f.suppressions.size(), 3u);
+  ASSERT_EQ(f.suppressions.size(), 2u);
   EXPECT_EQ(f.suppressions[0].rule, "no-float");
   EXPECT_TRUE(f.suppressions[0].reasoned);
-  EXPECT_EQ(f.suppressions[1].rule, "trig-per-sample");
+  EXPECT_EQ(f.suppressions[1].rule, "db-arith");
   EXPECT_EQ(f.suppressions[1].line, 2u);
-  EXPECT_FALSE(f.suppressions[2].reasoned);
+  EXPECT_FALSE(f.suppressions[1].reasoned);
 }
 
 // ---------------------------------------------------------------------------

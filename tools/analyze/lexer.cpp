@@ -124,10 +124,9 @@ class Lexer {
     parse_suppression(src_.substr(begin, i_ - begin), line);
   }
 
-  // `mmx-analyze: allow(rule[,rule]) -- reason` (or legacy `mmx-lint:`).
+  // `mmx-analyze: allow(rule[,rule]) -- reason`.
   void parse_suppression(std::string_view comment, std::size_t line) {
-    std::size_t p = comment.find("mmx-analyze:");
-    if (p == std::string_view::npos) p = comment.find("mmx-lint:");
+    const std::size_t p = comment.find("mmx-analyze:");
     if (p == std::string_view::npos) return;
     const std::size_t open = comment.find("allow(", p);
     if (open == std::string_view::npos) return;

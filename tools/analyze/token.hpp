@@ -41,7 +41,6 @@ struct IncludeDirective {
 
 /// A rule suppression parsed from a comment:
 ///   // mmx-analyze: allow(<rule>) -- <reason>
-/// (the historical `mmx-lint:` spelling is accepted as an alias).
 /// `reasoned` is false when the `-- <reason>` tail is missing; the
 /// analyzer reports that as a violation of its own.
 struct Suppression {
