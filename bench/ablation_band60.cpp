@@ -9,6 +9,7 @@
 
 #include "mmx/channel/beam_channel.hpp"
 #include "mmx/channel/propagation.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/units.hpp"
 #include "mmx/mac/allocator.hpp"
 #include "mmx/sim/link_budget.hpp"
@@ -19,14 +20,16 @@ namespace {
 
 double otam_snr_at(double distance_m, double freq_hz) {
   channel::Room hall(22.0, 8.0);
-  channel::RayTracer tracer(hall);
+  const channel::RoomPlan plan(hall);
+  channel::PathList ws;
   const channel::Pose ap{{21.0, 4.0}, kPi};
   const channel::Pose node{{21.0 - distance_m, 4.0}, 0.0};
   antenna::MmxBeamPair beams(antenna::BeamPairSpec{.freq_hz = freq_hz});
   antenna::Dipole ap_antenna;
   sim::LinkBudget budget;
   rf::SpdtSwitch spdt;
-  const auto g = channel::compute_beam_gains(tracer, node, beams, ap, ap_antenna, freq_hz);
+  const auto g = channel::compute_beam_gains(plan.trace_into(node.position, ap.position, ws),
+                                             node, beams, ap, ap_antenna, freq_hz);
   return budget.evaluate_otam(g, spdt).snr_db;
 }
 

@@ -7,13 +7,13 @@
 
 #include "mmx/baseline/beam_search.hpp"
 #include "mmx/baseline/fixed_beam.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/units.hpp"
 
 using namespace mmx;
 
 int main() {
   channel::Room room(6.0, 4.0);
-  channel::RayTracer tracer(room);
   const channel::Pose ap{{5.0, 2.0}, kPi};
   antenna::MmxBeamPair beams;
   antenna::Dipole ap_antenna;
@@ -26,16 +26,20 @@ int main() {
   std::puts("'stale' = keep yesterday's beam, 're-search' = pay the search again\n");
 
   const channel::Pose start{{1.0, 2.0}, 0.0};
-  const auto aligned = bs.exhaustive_search(tracer, start, ap, ap_antenna, budget);
+  // The node only rotates, so one trace of the fixed room serves the sweep.
+  const channel::RoomPlan plan(room);
+  channel::PathList ws;
+  const auto paths = plan.trace_into(start.position, ap.position, ws);
+  const auto aligned = bs.exhaustive_search(paths, start, ap, ap_antenna, budget);
 
   std::puts("  rot [deg]   OTAM SNR   stale-beam SNR   re-searched SNR");
   for (double deg = 0.0; deg <= 60.01; deg += 10.0) {
     channel::Pose rotated = start;
     rotated.orientation_rad = deg_to_rad(deg);
-    const auto modes = baseline::compare_modes(tracer, rotated, beams, ap, ap_antenna,
+    const auto modes = baseline::compare_modes(paths, rotated, beams, ap, ap_antenna,
                                                24.125e9, budget, spdt);
-    const auto stale_h = bs.beam_gain(aligned.best_beam, tracer, rotated, ap, ap_antenna);
-    const auto fresh = bs.exhaustive_search(tracer, rotated, ap, ap_antenna, budget);
+    const auto stale_h = bs.beam_gain(aligned.best_beam, paths, rotated, ap, ap_antenna);
+    const auto fresh = bs.exhaustive_search(paths, rotated, ap, ap_antenna, budget);
     std::printf("  %9.0f   %8.1f   %14.1f   %15.1f\n", deg, modes.with_otam.snr_db,
                 budget.snr_db(stale_h), fresh.best_snr_db);
   }

@@ -13,11 +13,13 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mmx/antenna/array.hpp"
 #include "mmx/channel/beam_channel.hpp"
 #include "mmx/channel/blockage.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/rng.hpp"
 #include "mmx/common/units.hpp"
 #include "mmx/sim/sweep.hpp"
@@ -30,17 +32,17 @@ using namespace mmx;
 namespace {
 
 /// Fading-averaged contrast between two transmit patterns (incoherent
-/// path-power sums — the level a time-averaged measurement sees).
-double contrast_db(const channel::RayTracer& tracer, const channel::Pose& node,
+/// path-power sums — the level a time-averaged measurement sees) over the
+/// traced path set node.position -> ap.position.
+double contrast_db(std::span<const channel::Path> paths, const channel::Pose& node,
                    const antenna::LinearArray& a0, const antenna::LinearArray& a1,
                    const channel::Pose& ap, const antenna::Element& ap_ant) {
   double p0 = 0.0;
   double p1 = 0.0;
-  for (const auto& path : tracer.trace(node.position, ap.position)) {
+  for (const auto& path : paths) {
     const double dep = wrap_angle(path.departure_rad - node.orientation_rad);
     const double arr = wrap_angle(path.arrival_rad - ap.orientation_rad);
-    const double a = std::abs(channel::RayTracer::path_amplitude(path, 24.125e9)) *
-                     ap_ant.amplitude(arr);
+    const double a = std::abs(channel::path_amplitude(path, 24.125e9)) * ap_ant.amplitude(arr);
     p0 += std::norm(a0.field(dep)) * a * a;
     p1 += std::norm(a1.field(dep)) * a * a;
   }
@@ -95,10 +97,13 @@ int main(int argc, char** argv) {
     const Placement& p = placements[i];
     channel::Room room = bench::furnished_lab();
     if (p.blocked) bench::park_person(room, p.pos, ap.position);
-    const channel::RayTracer tracer(room);
+    // Both beam pairs see the same channel: one trace serves both.
+    const channel::RoomPlan plan(room);
+    channel::PathList ws;
+    const auto paths = plan.trace_into(p.pos, ap.position, ws);
     const channel::Pose node{p.pos, p.orientation_rad};
-    return Ambiguity{contrast_db(tracer, node, orth0, orth1, ap, ap_ant) < kAmbiguous_db ? 1 : 0,
-                     contrast_db(tracer, node, non0, non1, ap, ap_ant) < kAmbiguous_db ? 1 : 0};
+    return Ambiguity{contrast_db(paths, node, orth0, orth1, ap, ap_ant) < kAmbiguous_db ? 1 : 0,
+                     contrast_db(paths, node, non0, non1, ap, ap_ant) < kAmbiguous_db ? 1 : 0};
   });
   int ambiguous_orth = 0;
   int ambiguous_non = 0;

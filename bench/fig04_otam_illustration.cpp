@@ -8,6 +8,7 @@
 
 #include "mmx/channel/beam_channel.hpp"
 #include "mmx/channel/blockage.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/rng.hpp"
 #include "mmx/common/units.hpp"
 #include "mmx/phy/pipeline.hpp"
@@ -23,11 +24,12 @@ void run_scenario(const char* label, bool blocked, Rng& rng) {
   const channel::Pose node{{1.0, 2.0}, 0.0};
   const channel::Pose ap{{5.0, 2.0}, kPi};
   if (blocked) channel::park_blocker_on_los(room, node.position, ap.position);
-  channel::RayTracer tracer(room);
+  const channel::RoomPlan plan(room);
+  channel::PathList ws;
   antenna::MmxBeamPair beams;
   antenna::Dipole ap_antenna;
-  const auto g =
-      channel::compute_beam_gains(tracer, node, beams, ap, ap_antenna, 24.125e9);
+  const auto g = channel::compute_beam_gains(plan.trace_into(node.position, ap.position, ws),
+                                             node, beams, ap, ap_antenna, 24.125e9);
 
   rf::SpdtSwitch sw;
   PhyConfig cfg;

@@ -17,6 +17,7 @@
 
 #include "mmx/baseline/fixed_beam.hpp"
 #include "mmx/channel/blockage.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/rng.hpp"
 #include "mmx/common/units.hpp"
 #include "mmx/sim/stats.hpp"
@@ -69,11 +70,14 @@ int main(int argc, char** argv) {
     // Fresh room per location: one person parked on this cell's LoS.
     channel::Room room = bench::furnished_lab();
     bench::park_person(room, pos, ap.position);
-    const channel::RayTracer tracer(room);
+    // Orientation samples share the cell's position: one trace serves all.
+    const channel::RoomPlan plan(room);
+    channel::PathList ws;
+    const auto paths = plan.trace_into(pos, ap.position, ws);
     CellSnr acc{0.0, 0.0};
     for (std::size_t j = 0; j < samples; ++j) {
       const channel::Pose node{pos, orientations[cell * samples + j]};
-      const auto modes = baseline::compare_modes_avg(tracer, node, beams, ap, ap_antenna,
+      const auto modes = baseline::compare_modes_avg(paths, node, beams, ap, ap_antenna,
                                                      24.125e9, budget, spdt);
       acc.with_otam += modes.with_otam.snr_db;
       acc.without_otam += modes.without_otam.snr_db;

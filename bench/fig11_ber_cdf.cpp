@@ -16,6 +16,7 @@
 
 #include "mmx/baseline/fixed_beam.hpp"
 #include "mmx/channel/blockage.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/rng.hpp"
 #include "mmx/common/units.hpp"
 #include "mmx/phy/ber.hpp"
@@ -56,10 +57,11 @@ int main(int argc, char** argv) {
     const Placement& p = placements[i];
     channel::Room room = bench::furnished_lab();
     bench::park_person(room, p.pos, ap.position);
-    const channel::RayTracer tracer(room);
+    const channel::RoomPlan plan(room);
+    channel::PathList ws;
     const channel::Pose node{p.pos, p.orientation_rad};
-    const auto modes =
-        baseline::compare_modes_avg(tracer, node, beams, ap, ap_antenna, 24.125e9, budget, spdt);
+    const auto modes = baseline::compare_modes_avg(plan.trace_into(p.pos, ap.position, ws), node,
+                                                   beams, ap, ap_antenna, 24.125e9, budget, spdt);
     return TrialBer{std::max(phy::kBerFloor, modes.with_otam.joint_ber),
                     std::max(phy::kBerFloor, modes.without_otam.joint_ber)};
   });

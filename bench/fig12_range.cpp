@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "mmx/channel/beam_channel.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/units.hpp"
 #include "mmx/sim/link_budget.hpp"
 #include "mmx/sim/sweep.hpp"
@@ -25,7 +26,7 @@ int main(int argc, char** argv) {
       bench::parse_args(argc, argv, 20, 12, "distance sample points over [1, 20] m");
   // A 22 x 8 m hall; AP at one end.
   const channel::Room hall(22.0, 8.0);
-  const channel::RayTracer tracer(hall);
+  const channel::RoomPlan plan(hall);
   const channel::Pose ap{{21.0, 4.0}, kPi};
   const antenna::MmxBeamPair beams;
   const antenna::Dipole ap_antenna;
@@ -47,10 +48,12 @@ int main(int argc, char** argv) {
     // "Not facing": rotated 45 degrees, so only one arm of Beam 0 points
     // roughly at the AP (paper's description of scenario 2).
     const channel::Pose away{{21.0 - d, 4.0}, deg_to_rad(45.0)};
+    // Both orientations share a position, so one trace serves both.
+    channel::PathList ws;
+    const auto paths = plan.trace_into(facing.position, ap.position, ws);
     const auto g_face =
-        channel::compute_beam_gains(tracer, facing, beams, ap, ap_antenna, 24.125e9);
-    const auto g_away =
-        channel::compute_beam_gains(tracer, away, beams, ap, ap_antenna, 24.125e9);
+        channel::compute_beam_gains(paths, facing, beams, ap, ap_antenna, 24.125e9);
+    const auto g_away = channel::compute_beam_gains(paths, away, beams, ap, ap_antenna, 24.125e9);
     return RangeSnr{budget.evaluate_otam(g_face, spdt).snr_db,
                     budget.evaluate_otam(g_away, spdt).snr_db};
   });

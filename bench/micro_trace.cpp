@@ -1,11 +1,12 @@
-// Micro-benchmarks of the geometry fast path (channel::RoomPlan) against
-// the reference RayTracer, on the shared sweep harness.
+// Micro-benchmarks of the production tracer (channel::RoomPlan) against
+// the frozen reference tracer (tests/reference/ref_ray_tracer.hpp), on
+// the shared sweep harness.
 //
 // Two kernel sets are selectable with --kernels:
 //   fast  the production path: compiled RoomPlan, tabulated AP images,
 //         batched trace_batch_into, caller-owned PathList workspace
-//   ref   RayTracer::trace — the frozen bit-exact reference (allocating
-//         one vector per call, deriving every image inline)
+//   ref   channel::ref::RayTracer::trace — the frozen bit-exact oracle
+//         (allocating one vector per call, deriving every image inline)
 //
 // Every trial folds the traced paths into a checksum, so the work cannot
 // be optimized away AND ref/fast runs are bitwise-comparable: the default
@@ -34,9 +35,9 @@
 #include <vector>
 
 #include "harness.hpp"
-#include "mmx/channel/ray_tracer.hpp"
 #include "mmx/channel/room_plan.hpp"
 #include "mmx/common/rng.hpp"
+#include "ref_ray_tracer.hpp"
 
 using namespace mmx;
 
@@ -68,7 +69,7 @@ double path_checksum(const channel::Path& p) {
 // the amortization the production refill enjoys.
 struct Fixture {
   channel::Room room;
-  channel::RayTracer tracer;
+  channel::ref::RayTracer tracer;
   channel::RoomPlan plan;
   channel::ImageTable ap_images;
 

@@ -8,13 +8,13 @@
 
 #include "mmx/baseline/beam_search.hpp"
 #include "mmx/baseline/fixed_beam.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/units.hpp"
 
 int main() {
   using namespace mmx;
 
   channel::Room room(6.0, 4.0);
-  channel::RayTracer tracer(room);
   const channel::Pose ap{{5.0, 2.0}, kPi};
   antenna::MmxBeamPair beams;
   antenna::Dipole ap_antenna;
@@ -23,6 +23,10 @@ int main() {
   baseline::BeamSearchNode searcher;
 
   const Vec2 node_pos{1.0, 2.0};
+  // The node only swivels, so one trace of the fixed room serves the pan.
+  const channel::RoomPlan plan(room);
+  channel::PathList ws;
+  const auto paths = plan.trace_into(node_pos, ap.position, ws);
   const double kPanRate = deg_to_rad(20.0);  // deg/s swivel
   const double kSnrFloor = 10.0;             // link considered usable above this
   const double dt = 0.05;
@@ -44,18 +48,18 @@ int main() {
     const channel::Pose node{node_pos, orient};
 
     // mmX: no alignment state at all.
-    const auto modes = baseline::compare_modes(tracer, node, beams, ap, ap_antenna, 24.125e9,
+    const auto modes = baseline::compare_modes(paths, node, beams, ap, ap_antenna, 24.125e9,
                                                budget, spdt);
     if (modes.with_otam.snr_db >= kSnrFloor) otam_up += dt;
 
     // Phased array: re-search when the current beam drops below the floor.
     double snr = -300.0;
     if (have_beam) {
-      snr = budget.snr_db(searcher.beam_gain(current_beam, tracer, node, ap, ap_antenna));
+      snr = budget.snr_db(searcher.beam_gain(current_beam, paths, node, ap, ap_antenna));
     }
     double step_overhead = 0.0;
     if (snr < kSnrFloor) {
-      const auto result = searcher.exhaustive_search(tracer, node, ap, ap_antenna, budget);
+      const auto result = searcher.exhaustive_search(paths, node, ap, ap_antenna, budget);
       current_beam = result.best_beam;
       have_beam = true;
       ++searches;

@@ -33,15 +33,15 @@ antenna::LinearArray BeamSearchNode::make_beam(double angle) const {
 }
 
 std::complex<double> BeamSearchNode::beam_gain(std::size_t beam,
-                                               const channel::RayTracer& tracer,
+                                               std::span<const channel::Path> paths,
                                                const channel::Pose& node,
                                                const channel::Pose& ap,
                                                const antenna::Element& ap_antenna) const {
   const antenna::LinearArray array = make_beam(beam_angle(beam));
-  return channel::compute_pattern_gain(tracer, node, array, ap, ap_antenna, spec_.freq_hz);
+  return channel::compute_pattern_gain(paths, node, array, ap, ap_antenna, spec_.freq_hz);
 }
 
-SearchOutcome BeamSearchNode::exhaustive_search(const channel::RayTracer& tracer,
+SearchOutcome BeamSearchNode::exhaustive_search(std::span<const channel::Path> paths,
                                                 const channel::Pose& node,
                                                 const channel::Pose& ap,
                                                 const antenna::Element& ap_antenna,
@@ -49,7 +49,7 @@ SearchOutcome BeamSearchNode::exhaustive_search(const channel::RayTracer& tracer
   SearchOutcome out;
   double best_mag = -1.0;
   for (std::size_t i = 0; i < spec_.codebook_size; ++i) {
-    const auto h = beam_gain(i, tracer, node, ap, ap_antenna);
+    const auto h = beam_gain(i, paths, node, ap, ap_antenna);
     ++out.probes;
     if (std::abs(h) > best_mag) {
       best_mag = std::abs(h);

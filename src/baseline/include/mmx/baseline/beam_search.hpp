@@ -9,6 +9,7 @@
 // and costs a few hundred dollars").
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "mmx/antenna/array.hpp"
@@ -40,8 +41,9 @@ class BeamSearchNode {
   explicit BeamSearchNode(BeamSearchSpec spec = {});
 
   /// Exhaustively probe every codebook beam through the ray-traced
-  /// channel and pick the strongest at the AP.
-  SearchOutcome exhaustive_search(const channel::RayTracer& tracer, const channel::Pose& node,
+  /// channel (`paths`: the traced path set node.position -> ap.position)
+  /// and pick the strongest at the AP.
+  SearchOutcome exhaustive_search(std::span<const channel::Path> paths, const channel::Pose& node,
                                   const channel::Pose& ap, const antenna::Element& ap_antenna,
                                   const sim::LinkBudget& budget) const;
 
@@ -53,7 +55,7 @@ class BeamSearchNode {
 
   /// Channel gain of one specific beam (used to model stale-beam loss
   /// after movement without a re-search).
-  std::complex<double> beam_gain(std::size_t beam, const channel::RayTracer& tracer,
+  std::complex<double> beam_gain(std::size_t beam, std::span<const channel::Path> paths,
                                  const channel::Pose& node, const channel::Pose& ap,
                                  const antenna::Element& ap_antenna) const;
 

@@ -16,14 +16,15 @@ struct ModeComparison {
 };
 
 /// Evaluate both modes for one node placement through the same channel
-/// (instantaneous coherent multipath).
-ModeComparison compare_modes(const channel::RayTracer& tracer, const channel::Pose& node,
+/// (instantaneous coherent multipath). `paths` is the traced path set
+/// node.position -> ap.position.
+ModeComparison compare_modes(std::span<const channel::Path> paths, const channel::Pose& node,
                              const antenna::MmxBeamPair& beams, const channel::Pose& ap,
                              const antenna::Element& ap_antenna, double freq_hz,
                              const sim::LinkBudget& budget, const rf::SpdtSwitch& spdt);
 
 /// Fading-averaged variant (time-averaged measurement, paper §9.2).
-ModeComparison compare_modes_avg(const channel::RayTracer& tracer, const channel::Pose& node,
+ModeComparison compare_modes_avg(std::span<const channel::Path> paths, const channel::Pose& node,
                                  const antenna::MmxBeamPair& beams, const channel::Pose& ap,
                                  const antenna::Element& ap_antenna, double freq_hz,
                                  const sim::LinkBudget& budget, const rf::SpdtSwitch& spdt);

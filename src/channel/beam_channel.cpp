@@ -13,16 +13,16 @@ double BeamGains::contrast_db() const {
   return std::abs(amp_to_db(a1 / a0));
 }
 
-BeamGains beam_gains_from_paths(std::span<const Path> paths, const Pose& node,
-                                const antenna::MmxBeamPair& beams, const Pose& ap,
-                                const antenna::Element& ap_antenna, double freq_hz) {
+BeamGains compute_beam_gains(std::span<const Path> paths, const Pose& node,
+                             const antenna::MmxBeamPair& beams, const Pose& ap,
+                             const antenna::Element& ap_antenna, double freq_hz) {
   BeamGains g{};
   for (const Path& p : paths) {
     // Angles in each device's own frame.
     const double dep = wrap_angle(p.departure_rad - node.orientation_rad);
     const double arr = wrap_angle(p.arrival_rad - ap.orientation_rad);
     const double rx_amp = ap_antenna.amplitude(arr);
-    const std::complex<double> a = RayTracer::path_amplitude(p, freq_hz) * rx_amp;
+    const std::complex<double> a = path_amplitude(p, freq_hz) * rx_amp;
     g.h0 += beams.field(0, dep) * a;
     g.h1 += beams.field(1, dep) * a;
     ++g.paths_used;
@@ -30,24 +30,17 @@ BeamGains beam_gains_from_paths(std::span<const Path> paths, const Pose& node,
   return g;
 }
 
-BeamGains compute_beam_gains(const RayTracer& tracer, const Pose& node,
-                             const antenna::MmxBeamPair& beams, const Pose& ap,
-                             const antenna::Element& ap_antenna, double freq_hz) {
-  const auto paths = tracer.trace(node.position, ap.position);
-  return beam_gains_from_paths(paths, node, beams, ap, ap_antenna, freq_hz);
-}
-
-BeamGains compute_beam_gains_avg(const RayTracer& tracer, const Pose& node,
+BeamGains compute_beam_gains_avg(std::span<const Path> paths, const Pose& node,
                                  const antenna::MmxBeamPair& beams, const Pose& ap,
                                  const antenna::Element& ap_antenna, double freq_hz) {
   double p0 = 0.0;
   double p1 = 0.0;
   int used = 0;
-  for (const Path& p : tracer.trace(node.position, ap.position)) {
+  for (const Path& p : paths) {
     const double dep = wrap_angle(p.departure_rad - node.orientation_rad);
     const double arr = wrap_angle(p.arrival_rad - ap.orientation_rad);
     const double rx_amp = ap_antenna.amplitude(arr);
-    const double a = std::abs(RayTracer::path_amplitude(p, freq_hz)) * rx_amp;
+    const double a = std::abs(path_amplitude(p, freq_hz)) * rx_amp;
     p0 += std::norm(beams.field(0, dep)) * a * a;
     p1 += std::norm(beams.field(1, dep)) * a * a;
     ++used;
@@ -59,14 +52,14 @@ BeamGains compute_beam_gains_avg(const RayTracer& tracer, const Pose& node,
   return g;
 }
 
-std::complex<double> compute_pattern_gain(const RayTracer& tracer, const Pose& tx,
+std::complex<double> compute_pattern_gain(std::span<const Path> paths, const Pose& tx,
                                           const antenna::LinearArray& tx_array, const Pose& rx,
                                           const antenna::Element& rx_antenna, double freq_hz) {
   std::complex<double> h{0.0, 0.0};
-  for (const Path& p : tracer.trace(tx.position, rx.position)) {
+  for (const Path& p : paths) {
     const double dep = wrap_angle(p.departure_rad - tx.orientation_rad);
     const double arr = wrap_angle(p.arrival_rad - rx.orientation_rad);
-    h += tx_array.field(dep) * rx_antenna.amplitude(arr) * RayTracer::path_amplitude(p, freq_hz);
+    h += tx_array.field(dep) * rx_antenna.amplitude(arr) * path_amplitude(p, freq_hz);
   }
   return h;
 }

@@ -13,7 +13,7 @@
 
 #include "mmx/antenna/element.hpp"
 #include "mmx/antenna/mmx_beams.hpp"
-#include "mmx/channel/ray_tracer.hpp"
+#include "mmx/channel/path.hpp"
 
 namespace mmx::channel {
 
@@ -34,32 +34,27 @@ struct BeamGains {
   double contrast_db() const;
 };
 
-/// Compute the per-beam gains between a node (with the mmX beam pair)
-/// and the AP (with a single element pattern). Paths combine coherently
-/// (instantaneous channel, includes small-scale fading).
-BeamGains compute_beam_gains(const RayTracer& tracer, const Pose& node,
+/// Per-beam gains between a node (with the mmX beam pair) and the AP
+/// (with a single element pattern), accumulated over `paths`: the traced
+/// path set node.position -> ap.position (RoomPlan::trace_into, or one
+/// window of a batch trace). Paths combine coherently (instantaneous
+/// channel, includes small-scale fading).
+BeamGains compute_beam_gains(std::span<const Path> paths, const Pose& node,
                              const antenna::MmxBeamPair& beams, const Pose& ap,
                              const antenna::Element& ap_antenna, double freq_hz);
-
-/// Same accumulation over an already-traced path set — the entry point
-/// for the RoomPlan batch path, where one trace_batch_into produces the
-/// per-node path windows. Bit-identical to compute_beam_gains when
-/// `paths` is the trace of (node.position -> ap.position).
-BeamGains beam_gains_from_paths(std::span<const Path> paths, const Pose& node,
-                                const antenna::MmxBeamPair& beams, const Pose& ap,
-                                const antenna::Element& ap_antenna, double freq_hz);
 
 /// Fading-averaged variant: |h_b| is the RMS over path phases (incoherent
 /// power sum), the quantity a time-averaged SNR measurement sees when
 /// people moving through the room scramble the multipath phases (the
 /// paper's §9.2 procedure). Returned gains are real-valued amplitudes.
-BeamGains compute_beam_gains_avg(const RayTracer& tracer, const Pose& node,
+BeamGains compute_beam_gains_avg(std::span<const Path> paths, const Pose& node,
                                  const antenna::MmxBeamPair& beams, const Pose& ap,
                                  const antenna::Element& ap_antenna, double freq_hz);
 
-/// Channel gain for an arbitrary single transmit pattern (used by the
-/// beam-search baseline with steered phased-array beams).
-std::complex<double> compute_pattern_gain(const RayTracer& tracer, const Pose& tx,
+/// Channel gain for an arbitrary single transmit pattern over the traced
+/// path set tx.position -> rx.position (used by the beam-search baseline
+/// with steered phased-array beams).
+std::complex<double> compute_pattern_gain(std::span<const Path> paths, const Pose& tx,
                                           const antenna::LinearArray& tx_array, const Pose& rx,
                                           const antenna::Element& rx_antenna, double freq_hz);
 

@@ -1,10 +1,10 @@
-// Geometry acceleration engine: a compiled, epoch-keyed room plan.
+// The production ray tracer: a compiled, epoch-keyed room plan.
 //
-// RayTracer::trace re-derives every wall image, scans every blocker per
-// segment, and heap-allocates its result vector on each call — fine for
-// one link, ruinous for the 10^4-node cache refills the scale lane runs
-// (docs/SCALING.md). A RoomPlan compiles a Room snapshot once per
-// Room::epoch() into flat, cache-friendly tables:
+// Image-method tracing of LoS + single-bounce (+ ordered double-bounce)
+// paths with blocker and partition losses (path.hpp defines Path). A
+// RoomPlan compiles a Room snapshot once per Room::epoch() into flat,
+// cache-friendly tables, so the 10^4-node cache refills of the scale
+// lane (docs/SCALING.md) do not re-derive the room per trace:
 //
 //   - per-wall precomputed segments (direction/length cached) so the
 //     image-method mirror/intersect steps apply stored transforms,
@@ -17,18 +17,17 @@
 //     and per-wall-pair images are hoisted into an ImageTable once per
 //     batch instead of once per node.
 //
-// Every path it produces is bit-identical to RayTracer::trace — same
-// paths, same order, same doubles (tests/channel/room_plan_test.cpp) —
-// so the sim layer's cached==uncached and thread-invariance guarantees
-// carry over unchanged. See docs/GEOMETRY.md for the contract and the
-// broad-phase conservativeness argument.
+// Every path it produces is bit-identical to the frozen reference tracer
+// in tests/reference/ — same paths, same order, same doubles
+// (tests/channel/room_plan_test.cpp). See docs/GEOMETRY.md for the
+// contract and the broad-phase conservativeness argument.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "mmx/channel/ray_tracer.hpp"
+#include "mmx/channel/path.hpp"
 #include "mmx/channel/room.hpp"
 
 namespace mmx::channel {
@@ -44,10 +43,6 @@ class RoomPlan;
 class PathList {
  public:
   PathList() = default;
-
-  /// Pre-grow the path store (setup-time allocation; optional — traces
-  /// grow it on demand, amortized).
-  void reserve_paths(std::size_t n) { ensure_paths(n); }
 
   void clear() { count_ = 0; }
   std::size_t size() const { return count_; }
@@ -122,23 +117,26 @@ class RoomPlan {
   /// stale (pre-mutation) paths, exactly like a stale LinkCache entry.
   std::uint64_t room_epoch() const { return room_epoch_; }
 
-  std::size_t wall_count() const { return walls_.size(); }
   std::size_t blocker_count() const { return bx_.size(); }
   /// Upper bound on paths a single trace can append (LoS + one per wall
   /// + one per ordered wall pair when max_bounces >= 2).
   std::size_t max_paths(int max_bounces) const;
 
   bool grid_enabled() const { return grid_on_; }
-  int grid_cols() const { return grid_cols_; }
-  int grid_rows() const { return grid_rows_; }
-  double grid_cell_m() const { return cell_m_; }
 
   /// Hoist the per-wall (and, for max_bounces >= 2, per-wall-pair)
   /// images of `rx` into `out` for trace_batch_into.
   void build_images(Vec2 rx, int max_bounces, ImageTable& out) const;
 
-  /// Bit-identical replacement for RayTracer::trace(tx, rx, ...):
-  /// appends the path set to `out` and returns the appended window.
+  /// All propagation paths tx -> rx: the (possibly blocked) LoS plus one
+  /// single-bounce reflection per visible wall/reflector, and — with
+  /// `max_bounces` == 2 — ordered double bounces (image-of-image method).
+  /// Paths whose total excess loss exceeds `max_excess_loss_db` are
+  /// dropped. With `apply_blockers` false, blocker crossings contribute
+  /// no loss and no pruning: the result is the wall-only path superset a
+  /// link cache uses to decide which nodes a blocker move can affect
+  /// (blockers attenuate paths but never create or bend them). Appends
+  /// the path set to `out` and returns the appended window.
   std::span<const Path> trace_into(Vec2 tx, Vec2 rx, PathList& out,
                                    double max_excess_loss_db = 60.0, int max_bounces = 1,
                                    bool apply_blockers = true) const;
@@ -177,6 +175,17 @@ class RoomPlan {
                                               int max_bounces = 1) const;
 
  private:
+  /// Wall ids a transmission scan must ignore — a leg's own reflecting
+  /// wall(s) touch the leg at an endpoint and must not count as
+  /// crossings. At most two walls are ever skipped (the two bounce walls
+  /// of a double-reflected leg), so a 2-slot mask beats scanning a list.
+  struct WallSkip {
+    int w0 = -1;
+    int w1 = -1;
+
+    bool contains(int w) const { return w == w0 || w == w1; }
+  };
+
   struct WallRec {
     Segment seg;  ///< precomputed (cached direction/length)
     double reflection_loss_db = 0.0;

@@ -7,8 +7,8 @@
 namespace mmx::channel {
 
 namespace {
-// Keep in sync with ray_tracer.cpp: reflected paths take half the dB body
-// loss (3-D elevation spread routes part of the Fresnel zone around a
+// Same constant as the reference tracer: reflected paths take half the dB
+// body loss (3-D elevation spread routes part of the Fresnel zone around a
 // standing blocker); LoS takes the full loss.
 constexpr double kReflectedBlockageFraction = 0.5;
 
@@ -211,7 +211,7 @@ void RoomPlan::build_images(Vec2 rx, int max_bounces, ImageTable& out) const {
 
 double RoomPlan::transmission_loss_db(Vec2 a, Vec2 b, WallSkip skip) const {
   // trans_walls_ is ascending, so the dB sum accumulates in the exact
-  // wall order of RayTracer::transmission_loss_db.
+  // wall order of the reference tracer's transmission_loss_db.
   double loss = 0.0;
   for (const std::uint32_t w : trans_walls_) {
     if (skip.contains(static_cast<int>(w))) continue;
@@ -313,7 +313,7 @@ double RoomPlan::blocker_loss_db(Vec2 a, Vec2 b, int& crossings, double loss_sca
 void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const Vec2* wall_images, const Vec2* pair_images,
                          PathList& out, double max_excess_loss_db, int max_bounces,
                          bool apply_blockers) const {
-  // Mirrors RayTracer::trace statement-for-statement; only the image
+  // Mirrors the reference tracer statement-for-statement; only the image
   // computation (tabulated), the blocker scan (broad-phased) and the
   // path storage (workspace) differ — all bit-preserving substitutions.
 

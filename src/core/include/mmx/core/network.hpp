@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 
+#include "mmx/channel/beam_channel.hpp"
 #include "mmx/channel/room.hpp"
 #include "mmx/core/access_point.hpp"
 #include "mmx/core/node.hpp"
@@ -41,7 +42,8 @@ class Network {
   Network(channel::Room room, channel::Pose ap_pose, NetworkSpec spec = {});
 
   /// Register a node (side-channel init). Returns its id, or nullopt if
-  /// the AP denied the rate request.
+  /// the AP denied the rate request. Ids are never reused: once all 65535
+  /// have been issued (granted or denied) this throws std::overflow_error.
   std::optional<std::uint16_t> join(const channel::Pose& pose, double rate_bps);
 
   void leave(std::uint16_t id);
@@ -78,6 +80,9 @@ class Network {
   std::size_t num_nodes() const { return nodes_.size(); }
 
  private:
+  /// Per-beam gains of `n` through one trace of the current room.
+  channel::BeamGains gains(const Node& n) const;
+
   channel::Room room_;
   NetworkSpec spec_;
   AccessPoint ap_;

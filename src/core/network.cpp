@@ -2,8 +2,9 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
-#include "mmx/channel/ray_tracer.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/units.hpp"
 #include "mmx/dsp/noise.hpp"
 #include "mmx/phy/preamble.hpp"
@@ -21,6 +22,11 @@ Network::Network(channel::Room room, channel::Pose ap_pose, NetworkSpec spec)
 
 std::optional<std::uint16_t> Network::join(const channel::Pose& pose, double rate_bps) {
   if (!room_.contains(pose.position)) throw std::invalid_argument("Network: node outside room");
+  // Ids are not recycled: past 65535 the counter would wrap onto an id
+  // that may still be joined (next_id_ starts at 1, so 0 means wrapped).
+  if (next_id_ == 0)
+    throw std::overflow_error("Network: node id space exhausted (65535 ids issued, " +
+                              std::to_string(nodes_.size()) + " live)");
   const std::uint16_t id = next_id_++;
   const double bearing =
       wrap_angle((pose.position - ap_.pose().position).angle() - ap_.pose().orientation_rad);
@@ -54,28 +60,26 @@ const Node& Network::node(std::uint16_t id) const {
   return it->second;
 }
 
+channel::BeamGains Network::gains(const Node& n) const {
+  const channel::RoomPlan plan(room_);
+  channel::PathList ws;
+  const auto paths = plan.trace_into(n.pose().position, ap_.pose().position, ws);
+  return channel::compute_beam_gains(paths, n.pose(), n.beams(), ap_.pose(), ap_.antenna(),
+                                     spec_.freq_hz);
+}
+
 phy::OtamChannel Network::channel_for(std::uint16_t id) const {
-  const Node& n = node(id);
-  channel::RayTracer tracer(room_);
-  const auto g = channel::compute_beam_gains(tracer, n.pose(), n.beams(), ap_.pose(),
-                                             ap_.antenna(), spec_.freq_hz);
+  const auto g = gains(node(id));
   return {g.h0, g.h1};
 }
 
 sim::OtamLink Network::measure(std::uint16_t id) const {
   const Node& n = node(id);
-  channel::RayTracer tracer(room_);
-  const auto g = channel::compute_beam_gains(tracer, n.pose(), n.beams(), ap_.pose(),
-                                             ap_.antenna(), spec_.freq_hz);
-  return budget_.evaluate_otam(g, n.spdt());
+  return budget_.evaluate_otam(gains(n), n.spdt());
 }
 
 sim::OtamLink Network::measure_fixed_beam(std::uint16_t id) const {
-  const Node& n = node(id);
-  channel::RayTracer tracer(room_);
-  const auto g = channel::compute_beam_gains(tracer, n.pose(), n.beams(), ap_.pose(),
-                                             ap_.antenna(), spec_.freq_hz);
-  return budget_.evaluate_fixed_beam(g);
+  return budget_.evaluate_fixed_beam(gains(node(id)));
 }
 
 Network::ReliableReport Network::send_reliable(std::uint16_t id,
@@ -109,7 +113,9 @@ SendReport Network::send(std::uint16_t id, std::span<const std::uint8_t> payload
   frame.seq = next_seq_++;
   frame.payload.assign(payload.begin(), payload.end());
 
-  const phy::OtamChannel ch = channel_for(id);
+  // One trace feeds both the synthesized channel and the link report.
+  const channel::BeamGains g = gains(n);
+  const phy::OtamChannel ch{g.h0, g.h1};
   dsp::Cvec rx;
   if (profile == phy::CodingProfile::kNone) {
     rx = n.transmit_frame(frame, ch);
@@ -130,7 +136,7 @@ SendReport Network::send(std::uint16_t id, std::span<const std::uint8_t> payload
   dsp::add_awgn(rx, dbm_to_watt(ap_.noise_floor_dbm()), rng_);
 
   const Reception rec = ap_.receive(rx, n.phy_config(), profile);
-  const sim::OtamLink link = measure(id);
+  const sim::OtamLink link = budget_.evaluate_otam(g, n.spdt());
 
   SendReport report;
   report.snr_db = link.snr_db;

@@ -13,7 +13,7 @@
 //   - A blocker add/move/clear invalidates exactly the entries whose
 //     wall-only path corridors the old or new disc touches. Blockers
 //     attenuate paths but never create or bend them, so the blocker-free
-//     corridor set (RayTracer::trace with apply_blockers = false) is a
+//     corridor set (RoomPlan traces with apply_blockers = false) is a
 //     sound superset of every path a blocker configuration can influence:
 //     a disc that misses all corridors provably leaves the node's gains
 //     bit-identical, and the entry is revalidated for free. Invalidated
@@ -114,16 +114,10 @@ class LinkCache {
   const LinkCacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  /// Wall-only path corridors node -> AP. `max_excess_loss_db` and
-  /// `max_bounces` must match the values the gains computation traces
-  /// with, so the corridor set stays a superset of the real path set.
-  static std::vector<Corridor> corridors_for(const channel::Room& room, Vec2 node_position,
-                                             Vec2 ap_position, double max_excess_loss_db,
-                                             int max_bounces);
-
-  /// Corridors from an already-traced wall-only path set (the RoomPlan
-  /// batch path: trace with apply_blockers = false, then convert each
-  /// node's path window). corridors_for delegates here after tracing.
+  /// Wall-only path corridors node -> AP, from a path set RoomPlan traced
+  /// with apply_blockers = false. The trace must use the same
+  /// max_excess_loss_db and max_bounces as the gains trace, so the
+  /// corridor set stays a superset of the real path set.
   static std::vector<Corridor> corridors_from_paths(std::span<const channel::Path> paths,
                                                     Vec2 node_position, Vec2 ap_position);
 

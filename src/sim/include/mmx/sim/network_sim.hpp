@@ -8,7 +8,8 @@
 // (node pose, Room::epoch()) — bit-identical to re-tracing, but repeated
 // gains()/link() queries against unchanged geometry cost a map lookup
 // instead of a ray trace (docs/SCALING.md). Set SimConfig::link_cache
-// false (or call the *_uncached accessors) to force fresh traces.
+// false (or call the *_uncached accessors) to force fresh traces, each
+// through its own RoomPlan of the live room.
 #pragma once
 
 #include <map>
@@ -192,11 +193,10 @@ class NetworkSimulator {
 
   /// Compiled trace state shared by every cached evaluation: the RoomPlan
   /// (walls + blocker grid) plus the AP-endpoint ImageTable, both rebuilt
-  /// lazily when Room::epoch() moves. Cache fills trace through the plan
-  /// (bit-identical to the reference tracer); the *_uncached cross-check
-  /// paths keep re-tracing with RayTracer, so the existing
-  /// cached==uncached tests double as an end-to-end plan-vs-reference
-  /// equivalence check (docs/GEOMETRY.md).
+  /// lazily when Room::epoch() moves. The *_uncached accessors trace
+  /// through a fresh plan of their own instead, so cached==uncached
+  /// compares the batched refill kernels against single traces of the
+  /// live room (docs/GEOMETRY.md).
   struct TraceContext {
     channel::RoomPlan plan;
     channel::ImageTable ap_images;
@@ -208,6 +208,10 @@ class NetworkSimulator {
   };
 
   const NodeState& node(std::uint16_t id) const;
+  /// Next never-issued id. Ids are not recycled, so once all 65535 are
+  /// spent this throws std::overflow_error instead of wrapping onto an id
+  /// that may still hold a grant.
+  std::uint16_t issue_id();
   void store_node(std::uint16_t id, NodeState state);
   channel::BeamGains compute_gains(const channel::Pose& pose) const;
   /// Lazily recompile ctx_ against the current Room::epoch(). Not safe

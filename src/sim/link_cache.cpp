@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "mmx/channel/ray_tracer.hpp"
 #include "mmx/obs/obs.hpp"
 
 namespace mmx::sim {
@@ -145,16 +144,6 @@ void LinkCache::clear() {
   stats_.invalidated += live_;
   slots_.clear();
   live_ = 0;
-}
-
-std::vector<LinkCache::Corridor> LinkCache::corridors_for(const channel::Room& room,
-                                                          Vec2 node_position, Vec2 ap_position,
-                                                          double max_excess_loss_db,
-                                                          int max_bounces) {
-  const channel::RayTracer tracer(room);
-  const auto paths = tracer.trace(node_position, ap_position, max_excess_loss_db, max_bounces,
-                                  /*apply_blockers=*/false);
-  return corridors_from_paths(paths, node_position, ap_position);
 }
 
 std::vector<LinkCache::Corridor> LinkCache::corridors_from_paths(

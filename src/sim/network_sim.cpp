@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "mmx/channel/ray_tracer.hpp"
 #include "mmx/common/units.hpp"
 #include "mmx/obs/trace.hpp"
 #include "mmx/sim/sweep.hpp"
@@ -13,7 +13,7 @@
 namespace mmx::sim {
 
 namespace {
-// Trace parameters behind gains(); corridors_for must use the same ones
+// Trace parameters behind gains(); the corridor traces use the same ones
 // so the cache's corridor set stays a superset of the real path set.
 constexpr double kTraceMaxExcessLossDb = 60.0;
 constexpr int kTraceMaxBounces = 1;
@@ -56,7 +56,7 @@ NetworkSimulator::Admission NetworkSimulator::admit(const channel::Pose& pose,
                                                     double rate_bps, std::uint8_t priority) {
   if (!room_.contains(pose.position))
     throw std::invalid_argument("NetworkSimulator: node outside the room");
-  const std::uint16_t id = next_id_++;
+  const std::uint16_t id = issue_id();
   // Bearing at registration: AP-frame azimuth of the direct path.
   const double bearing =
       wrap_angle((pose.position - ap_pose_.position).angle() - ap_pose_.orientation_rad);
@@ -83,9 +83,17 @@ std::vector<mac::ChannelGrant> NetworkSimulator::drain_retunes() { return init_.
 std::uint16_t NetworkSimulator::add_tracked_node(const channel::Pose& pose) {
   if (!room_.contains(pose.position))
     throw std::invalid_argument("NetworkSimulator: node outside the room");
-  const std::uint16_t id = next_id_++;
+  const std::uint16_t id = issue_id();
   store_node(id, NodeState{pose});
   return id;
+}
+
+std::uint16_t NetworkSimulator::issue_id() {
+  // next_id_ starts at 1, so 0 means the counter wrapped past 65535.
+  if (next_id_ == 0)
+    throw std::overflow_error("NetworkSimulator: node id space exhausted (65535 ids issued, " +
+                              std::to_string(num_nodes_) + " live)");
+  return next_id_++;
 }
 
 void NetworkSimulator::store_node(std::uint16_t id, NodeState state) {
@@ -145,9 +153,13 @@ const NetworkSimulator::NodeState& NetworkSimulator::node(std::uint16_t id) cons
 }
 
 channel::BeamGains NetworkSimulator::compute_gains(const channel::Pose& pose) const {
-  const channel::RayTracer tracer(room_);
-  return channel::compute_beam_gains(tracer, pose, beams_, ap_pose_, ap_antenna_,
-                                     cfg_.freq_hz);
+  // A fresh plan and workspace per call: the uncached path shares no
+  // state with the cache (or another thread) and compiles the live room.
+  const channel::RoomPlan plan(room_);
+  channel::PathList ws;
+  const auto paths = plan.trace_into(pose.position, ap_pose_.position, ws, kTraceMaxExcessLossDb,
+                                     kTraceMaxBounces);
+  return channel::compute_beam_gains(paths, pose, beams_, ap_pose_, ap_antenna_, cfg_.freq_hz);
 }
 
 const NetworkSimulator::TraceContext& NetworkSimulator::trace_context() const {
@@ -169,8 +181,7 @@ LinkCache::Entry NetworkSimulator::make_entry(const channel::Pose& pose,
                                          kTraceMaxExcessLossDb, kTraceMaxBounces,
                                          /*apply_blockers=*/true);
   // Consume the span before the next trace can grow the workspace.
-  e.gains =
-      channel::beam_gains_from_paths(paths, pose, beams_, ap_pose_, ap_antenna_, cfg_.freq_hz);
+  e.gains = channel::compute_beam_gains(paths, pose, beams_, ap_pose_, ap_antenna_, cfg_.freq_hz);
   // A stale same-pose entry keeps valid corridors (walls and pose decide
   // them, and both are unchanged) — reuse instead of re-tracing.
   if (prior != nullptr && prior->pose == pose) {
@@ -224,8 +235,8 @@ std::vector<LinkCache::Entry> NetworkSimulator::refill_block(
     for (std::size_t k = 0; k < need_corridors.size(); ++k) {
       const std::size_t i = need_corridors[k];
       out[i].gains =
-          channel::beam_gains_from_paths(ws.slice(offs[k], offs[k + 1]), jobs[i].pose, beams_,
-                                         ap_pose_, ap_antenna_, cfg_.freq_hz);
+          channel::compute_beam_gains(ws.slice(offs[k], offs[k + 1]), jobs[i].pose, beams_,
+                                      ap_pose_, ap_antenna_, cfg_.freq_hz);
       out[i].corridors = LinkCache::corridors_from_paths(
           ws.slice(wall_offs[k], wall_offs[k + 1]), jobs[i].pose.position, ap_pose_.position);
     }
@@ -242,8 +253,8 @@ std::vector<LinkCache::Entry> NetworkSimulator::refill_block(
     for (std::size_t k = 0; k < gains_only.size(); ++k) {
       const std::size_t i = gains_only[k];
       out[i].gains =
-          channel::beam_gains_from_paths(ws.slice(offs[k], offs[k + 1]), jobs[i].pose, beams_,
-                                         ap_pose_, ap_antenna_, cfg_.freq_hz);
+          channel::compute_beam_gains(ws.slice(offs[k], offs[k + 1]), jobs[i].pose, beams_,
+                                      ap_pose_, ap_antenna_, cfg_.freq_hz);
     }
   }
   return out;

@@ -6,6 +6,7 @@
 
 #include "mmx/baseline/fixed_beam.hpp"
 #include "mmx/common/units.hpp"
+#include "trace_paths.hpp"
 
 namespace mmx::baseline {
 namespace {
@@ -29,9 +30,9 @@ TEST(BeamSearch, CodebookSpansFieldOfView) {
 
 TEST(BeamSearch, ExhaustiveFindsLosBeam) {
   Scene s;
-  channel::RayTracer rt(s.room);
+  const auto paths = test::trace_paths(s.room, s.node.position, s.ap.position);
   BeamSearchNode bs;
-  const SearchOutcome out = bs.exhaustive_search(rt, s.node, s.ap, s.ap_antenna, s.budget);
+  const SearchOutcome out = bs.exhaustive_search(paths, s.node, s.ap, s.ap_antenna, s.budget);
   // AP dead ahead: winning beam should steer near 0 degrees.
   EXPECT_NEAR(rad_to_deg(bs.beam_angle(out.best_beam)), 0.0, 10.0);
   EXPECT_EQ(out.probes, bs.codebook_size());
@@ -43,8 +44,8 @@ TEST(BeamSearch, SearchCostsScaleWithCodebook) {
   spec.codebook_size = 32;
   BeamSearchNode bs(spec);
   Scene s;
-  channel::RayTracer rt(s.room);
-  const SearchOutcome out = bs.exhaustive_search(rt, s.node, s.ap, s.ap_antenna, s.budget);
+  const auto paths = test::trace_paths(s.room, s.node.position, s.ap.position);
+  const SearchOutcome out = bs.exhaustive_search(paths, s.node, s.ap, s.ap_antenna, s.budget);
   EXPECT_EQ(out.probes, 32u);
   EXPECT_NEAR(out.search_time_s, 32 * 50e-6, 1e-9);
   EXPECT_NEAR(out.search_energy_j, 32 * 100e-6, 1e-12);
@@ -54,10 +55,10 @@ TEST(BeamSearch, SharperBeamBeatsOtamSnrWhenAligned) {
   // The honest trade-off: an 8-element phased array, once aligned, beats
   // the fixed 2-element pair on raw SNR...
   Scene s;
-  channel::RayTracer rt(s.room);
+  const auto paths = test::trace_paths(s.room, s.node.position, s.ap.position);
   BeamSearchNode bs;
-  const SearchOutcome search = bs.exhaustive_search(rt, s.node, s.ap, s.ap_antenna, s.budget);
-  const ModeComparison modes = compare_modes(rt, s.node, s.beams, s.ap, s.ap_antenna,
+  const SearchOutcome search = bs.exhaustive_search(paths, s.node, s.ap, s.ap_antenna, s.budget);
+  const ModeComparison modes = compare_modes(paths, s.node, s.beams, s.ap, s.ap_antenna,
                                              24.125e9, s.budget, s.spdt);
   EXPECT_GT(search.best_snr_db, modes.with_otam.snr_db);
 }
@@ -68,18 +69,18 @@ TEST(BeamSearch, StaleBeamCollapsesAfterRotation) {
   // realignment (§6: "regular mobility ... means the beam must perform a
   // continuous search").
   Scene s;
-  channel::RayTracer rt(s.room);
+  const auto paths = test::trace_paths(s.room, s.node.position, s.ap.position);
   BeamSearchNode bs;
-  const SearchOutcome aligned = bs.exhaustive_search(rt, s.node, s.ap, s.ap_antenna, s.budget);
+  const SearchOutcome aligned = bs.exhaustive_search(paths, s.node, s.ap, s.ap_antenna, s.budget);
 
   channel::Pose rotated = s.node;
   rotated.orientation_rad += deg_to_rad(40.0);
   const auto stale_h =
-      bs.beam_gain(aligned.best_beam, rt, rotated, s.ap, s.ap_antenna);
+      bs.beam_gain(aligned.best_beam, paths, rotated, s.ap, s.ap_antenna);
   const double stale_snr = s.budget.snr_db(stale_h);
   EXPECT_LT(stale_snr, aligned.best_snr_db - 10.0);
 
-  const ModeComparison modes = compare_modes(rt, rotated, s.beams, s.ap, s.ap_antenna,
+  const ModeComparison modes = compare_modes(paths, rotated, s.beams, s.ap, s.ap_antenna,
                                              24.125e9, s.budget, s.spdt);
   EXPECT_GT(modes.with_otam.snr_db, stale_snr);
 }
@@ -102,8 +103,8 @@ TEST(BeamSearch, BadSpecThrows) {
 
 TEST(FixedBeam, ComparisonConsistentWithDirectEvaluation) {
   Scene s;
-  channel::RayTracer rt(s.room);
-  const ModeComparison modes = compare_modes(rt, s.node, s.beams, s.ap, s.ap_antenna,
+  const auto paths = test::trace_paths(s.room, s.node.position, s.ap.position);
+  const ModeComparison modes = compare_modes(paths, s.node, s.beams, s.ap, s.ap_antenna,
                                              24.125e9, s.budget, s.spdt);
   // Facing the AP: both healthy, OTAM no worse on BER.
   EXPECT_GT(modes.without_otam.snr_db, 10.0);

@@ -7,6 +7,7 @@
 
 #include "mmx/channel/blockage.hpp"
 #include "mmx/common/units.hpp"
+#include "trace_paths.hpp"
 
 namespace mmx::channel {
 namespace {
@@ -18,14 +19,19 @@ struct Scene {
   double freq = 24.125e9;
 };
 
+/// Gains of `node` through one trace of `room` as it is now.
+BeamGains gains_in(const Room& room, const Scene& s, const Pose& node, const Pose& ap) {
+  return compute_beam_gains(test::trace_paths(room, node.position, ap.position), node, s.beams,
+                            ap, s.ap_antenna, s.freq);
+}
+
 TEST(BeamChannel, FacingNodeBeam1Dominates) {
   // Node at one end facing the AP: Beam 1 (broadside) rides the LoS,
   // Beam 0 has a null toward the AP — strong amplitude contrast (Fig. 4a).
   Scene s;
-  RayTracer rt(s.room);
   const Pose node{{1.0, 2.0}, 0.0};             // facing +x
   const Pose ap{{5.0, 2.0}, kPi};               // facing back at the node
-  const BeamGains g = compute_beam_gains(rt, node, s.beams, ap, s.ap_antenna, s.freq);
+  const BeamGains g = gains_in(s.room, s, node, ap);
   EXPECT_GT(std::abs(g.h1), std::abs(g.h0));
   EXPECT_GT(g.contrast_db(), 6.0);
   EXPECT_EQ(g.paths_used, 5);
@@ -36,14 +42,12 @@ TEST(BeamChannel, BlockedLosInvertsContrast) {
   // Beam 0 still reaches the AP off reflections — "all bits are
   // inverted" but contrast survives.
   Scene s;
-  RayTracer rt_clear(s.room);
   const Pose node{{1.0, 2.0}, 0.0};
   const Pose ap{{5.0, 2.0}, kPi};
-  const BeamGains clear = compute_beam_gains(rt_clear, node, s.beams, ap, s.ap_antenna, s.freq);
+  const BeamGains clear = gains_in(s.room, s, node, ap);
 
   park_blocker_on_los(s.room, node.position, ap.position);
-  RayTracer rt_blocked(s.room);
-  const BeamGains blocked = compute_beam_gains(rt_blocked, node, s.beams, ap, s.ap_antenna, s.freq);
+  const BeamGains blocked = gains_in(s.room, s, node, ap);
 
   // Beam 1 loses a lot; Beam 0 barely changes.
   EXPECT_LT(std::abs(blocked.h1), std::abs(clear.h1) * 0.5);
@@ -56,22 +60,19 @@ TEST(BeamChannel, OtamContrastSurvivesBlockage) {
   Scene s;
   const Pose node{{1.0, 2.0}, 0.0};
   const Pose ap{{5.0, 2.0}, kPi};
-  RayTracer rt1(s.room);
-  EXPECT_GT(compute_beam_gains(rt1, node, s.beams, ap, s.ap_antenna, s.freq).contrast_db(), 3.0);
+  EXPECT_GT(gains_in(s.room, s, node, ap).contrast_db(), 3.0);
   park_blocker_on_los(s.room, node.position, ap.position);
-  RayTracer rt2(s.room);
-  EXPECT_GT(compute_beam_gains(rt2, node, s.beams, ap, s.ap_antenna, s.freq).contrast_db(), 3.0);
+  EXPECT_GT(gains_in(s.room, s, node, ap).contrast_db(), 3.0);
 }
 
 TEST(BeamChannel, RotatedNodeStillDelivers) {
   // Paper picks orientations in [-60, +60] degrees; the wide beam pair
   // plus reflections keep some energy flowing at the extremes.
   Scene s;
-  RayTracer rt(s.room);
   const Pose ap{{5.0, 2.0}, kPi};
   for (double deg : {-60.0, -30.0, 0.0, 30.0, 60.0}) {
     const Pose node{{1.0, 2.0}, deg_to_rad(deg)};
-    const BeamGains g = compute_beam_gains(rt, node, s.beams, ap, s.ap_antenna, s.freq);
+    const BeamGains g = gains_in(s.room, s, node, ap);
     EXPECT_GT(std::max(std::abs(g.h0), std::abs(g.h1)), 0.0) << deg;
   }
 }
@@ -81,10 +82,9 @@ TEST(BeamChannel, NodeAt30DegreesOffsetFavoursBeam0) {
   // boresight): now Beam 0 should dominate — the "0" and "1" levels swap
   // exactly as OTAM's preamble-based polarity resolution expects.
   Scene s;
-  RayTracer rt(s.room);
   const Pose node{{1.0, 2.0}, deg_to_rad(-30.0)};  // boresight now 30 deg off the AP bearing
   const Pose ap{{5.0, 2.0}, kPi};
-  const BeamGains g = compute_beam_gains(rt, node, s.beams, ap, s.ap_antenna, s.freq);
+  const BeamGains g = gains_in(s.room, s, node, ap);
   EXPECT_GT(std::abs(g.h0), std::abs(g.h1));
 }
 
@@ -92,25 +92,22 @@ TEST(BeamChannel, ReciprocalDistanceScaling) {
   // Doubling the distance costs ~6 dB on the LoS-dominated gain.
   Scene s;
   Room big(20.0, 8.0);
-  RayTracer rt(big);
   const Pose ap{{19.0, 4.0}, kPi};
   const Pose near_node{{ap.position.x - 4.0, 4.0}, 0.0};
   const Pose far_node{{ap.position.x - 8.0, 4.0}, 0.0};
-  const double g_near =
-      std::abs(compute_beam_gains(rt, near_node, s.beams, ap, s.ap_antenna, s.freq).h1);
-  const double g_far =
-      std::abs(compute_beam_gains(rt, far_node, s.beams, ap, s.ap_antenna, s.freq).h1);
+  const double g_near = std::abs(gains_in(big, s, near_node, ap).h1);
+  const double g_far = std::abs(gains_in(big, s, far_node, ap).h1);
   EXPECT_NEAR(amp_to_db(g_near / g_far), 6.0, 2.5);
 }
 
 TEST(BeamChannel, PatternGainMatchesBeamGainForSameArray) {
   // compute_pattern_gain with Beam 1's own array must equal h1.
   Scene s;
-  RayTracer rt(s.room);
   const Pose node{{1.5, 1.5}, 0.3};
   const Pose ap{{5.0, 2.5}, kPi};
-  const BeamGains g = compute_beam_gains(rt, node, s.beams, ap, s.ap_antenna, s.freq);
-  const auto h1 = compute_pattern_gain(rt, node, s.beams.beam(1), ap, s.ap_antenna, s.freq);
+  const auto paths = test::trace_paths(s.room, node.position, ap.position);
+  const BeamGains g = compute_beam_gains(paths, node, s.beams, ap, s.ap_antenna, s.freq);
+  const auto h1 = compute_pattern_gain(paths, node, s.beams.beam(1), ap, s.ap_antenna, s.freq);
   EXPECT_NEAR(std::abs(h1 - g.h1), 0.0, 1e-15);
 }
 

@@ -1,16 +1,19 @@
 #include <gtest/gtest.h>
 
-#include "mmx/channel/ray_tracer.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/units.hpp"
+#include "trace_paths.hpp"
 
 namespace mmx::channel {
 namespace {
+
+using test::trace_paths;
 
 TEST(DelaySpread, SinglePathIsZero) {
   Path p;
   p.length_m = 5.0;
   const std::vector<Path> one{p};
-  EXPECT_DOUBLE_EQ(RayTracer::rms_delay_spread_s(one, 24e9), 0.0);
+  EXPECT_DOUBLE_EQ(rms_delay_spread_s(one, 24e9), 0.0);
 }
 
 TEST(DelaySpread, TwoEqualPathsHalfSeparation) {
@@ -21,9 +24,9 @@ TEST(DelaySpread, TwoEqualPathsHalfSeparation) {
   b.length_m = 6.0;
   const std::vector<Path> two{a, b};
   const double dt = 3.0 / kSpeedOfLight;
-  EXPECT_NEAR(RayTracer::rms_delay_spread_s(two, 24e9), dt / 2.0, dt * 0.35);
+  EXPECT_NEAR(rms_delay_spread_s(two, 24e9), dt / 2.0, dt * 0.35);
   // (the longer path is weaker, so spread is below the equal-power bound)
-  EXPECT_LT(RayTracer::rms_delay_spread_s(two, 24e9), dt / 2.0);
+  EXPECT_LT(rms_delay_spread_s(two, 24e9), dt / 2.0);
 }
 
 TEST(DelaySpread, IndoorRoomIsNanoseconds) {
@@ -31,9 +34,8 @@ TEST(DelaySpread, IndoorRoomIsNanoseconds) {
   // room's multipath spread is a handful of ns — tiny against the 100 ns
   // symbols of a 10 Mbps node.
   Room room(6.0, 4.0);
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {5.0, 2.0});
-  const double spread = RayTracer::rms_delay_spread_s(paths, 24e9);
+  const auto paths = trace_paths(room, {1.0, 2.0}, {5.0, 2.0});
+  const double spread = rms_delay_spread_s(paths, 24e9);
   EXPECT_GT(spread, 0.1e-9);
   EXPECT_LT(spread, 10e-9);
 }
@@ -51,13 +53,12 @@ TEST(DelaySpread, SuppressingDominantEarlyPathRaisesSpread) {
   Path blocked_early = early;
   blocked_early.excess_loss_db = 28.0;
   const std::vector<Path> blocked{blocked_early, late};
-  EXPECT_GT(RayTracer::rms_delay_spread_s(blocked, 24e9),
-            RayTracer::rms_delay_spread_s(clear, 24e9));
+  EXPECT_GT(rms_delay_spread_s(blocked, 24e9), rms_delay_spread_s(clear, 24e9));
 }
 
 TEST(DelaySpread, EmptyPathsThrow) {
   const std::vector<Path> none;
-  EXPECT_THROW(RayTracer::rms_delay_spread_s(none, 24e9), std::invalid_argument);
+  EXPECT_THROW(rms_delay_spread_s(none, 24e9), std::invalid_argument);
 }
 
 }  // namespace

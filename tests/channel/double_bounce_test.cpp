@@ -3,25 +3,26 @@
 
 #include <cmath>
 
-#include "mmx/channel/ray_tracer.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/units.hpp"
+#include "trace_paths.hpp"
 
 namespace mmx::channel {
 namespace {
 
+using test::trace_paths;
+
 TEST(DoubleBounce, DefaultTraceHasNone) {
   Room room(6.0, 4.0);
-  RayTracer rt(room);
-  for (const Path& p : rt.trace({1.0, 2.0}, {5.0, 2.0})) {
+  for (const Path& p : trace_paths(room, {1.0, 2.0}, {5.0, 2.0})) {
     EXPECT_NE(p.kind, PathKind::kDoubleReflected);
   }
 }
 
 TEST(DoubleBounce, TwoBounceTraceIsSuperset) {
   Room room(6.0, 4.0);
-  RayTracer rt(room);
-  const auto single = rt.trace({1.0, 2.0}, {5.0, 2.0}, 60.0, 1);
-  const auto both = rt.trace({1.0, 2.0}, {5.0, 2.0}, 60.0, 2);
+  const auto single = trace_paths(room, {1.0, 2.0}, {5.0, 2.0}, 60.0, 1);
+  const auto both = trace_paths(room, {1.0, 2.0}, {5.0, 2.0}, 60.0, 2);
   EXPECT_GT(both.size(), single.size());
   // Every single-bounce path still present (same count of LoS+reflected).
   std::size_t non_double = 0;
@@ -37,10 +38,9 @@ TEST(DoubleBounce, FloorCeilingZigZagGeometry) {
   // image (total vertical travel 2+4+2 = 8 m), horizontal crossings sit
   // at 1/4 and 3/4 of the x span when heights match.
   Room room(12.0, 4.0);
-  RayTracer rt(room);
   const Vec2 tx{2.0, 2.0};
   const Vec2 rx{10.0, 2.0};
-  const auto paths = rt.trace(tx, rx, 80.0, 2);
+  const auto paths = trace_paths(room, tx, rx, 80.0, 2);
   const Path* zigzag = nullptr;
   for (const Path& p : paths) {
     if (p.kind != PathKind::kDoubleReflected) continue;
@@ -57,8 +57,7 @@ TEST(DoubleBounce, FloorCeilingZigZagGeometry) {
 
 TEST(DoubleBounce, LongerAndWeakerThanSingle) {
   Room room(6.0, 4.0);
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {5.0, 2.0}, 80.0, 2);
+  const auto paths = trace_paths(room, {1.0, 2.0}, {5.0, 2.0}, 80.0, 2);
   double max_single = 0.0;
   double min_double = 1e9;
   for (const Path& p : paths) {
@@ -77,8 +76,7 @@ TEST(DoubleBounce, LongerAndWeakerThanSingle) {
 TEST(DoubleBounce, OrderedPairsGiveDistinctPaths) {
   // floor-then-ceiling and ceiling-then-floor are different zig-zags.
   Room room(12.0, 4.0);
-  RayTracer rt(room);
-  const auto paths = rt.trace({2.0, 2.0}, {10.0, 2.0}, 80.0, 2);
+  const auto paths = trace_paths(room, {2.0, 2.0}, {10.0, 2.0}, 80.0, 2);
   bool floor_first = false;
   bool ceiling_first = false;
   for (const Path& p : paths) {
@@ -92,17 +90,15 @@ TEST(DoubleBounce, OrderedPairsGiveDistinctPaths) {
 
 TEST(DoubleBounce, MaxExcessLossFilters) {
   Room room(6.0, 4.0);
-  RayTracer rt(room);
   // Threshold below 2x drywall: no double bounce survives.
-  const auto paths = rt.trace({1.0, 2.0}, {5.0, 2.0}, 20.0, 2);
+  const auto paths = trace_paths(room, {1.0, 2.0}, {5.0, 2.0}, 20.0, 2);
   for (const Path& p : paths) EXPECT_NE(p.kind, PathKind::kDoubleReflected);
 }
 
 TEST(DoubleBounce, InvalidBounceCountThrows) {
   Room room(6.0, 4.0);
-  RayTracer rt(room);
-  EXPECT_THROW(rt.trace({1.0, 2.0}, {5.0, 2.0}, 60.0, 0), std::invalid_argument);
-  EXPECT_THROW(rt.trace({1.0, 2.0}, {5.0, 2.0}, 60.0, 3), std::invalid_argument);
+  EXPECT_THROW(trace_paths(room, {1.0, 2.0}, {5.0, 2.0}, 60.0, 0), std::invalid_argument);
+  EXPECT_THROW(trace_paths(room, {1.0, 2.0}, {5.0, 2.0}, 60.0, 3), std::invalid_argument);
 }
 
 TEST(DoubleBounce, CornerReflectorRoundTrip) {
@@ -111,8 +107,7 @@ TEST(DoubleBounce, CornerReflectorRoundTrip) {
   Room room(6.0, 4.0);
   room.add_reflector({{4.9, 1.0}, {5.9, 1.0}}, metal());   // horizontal lip
   room.add_reflector({{5.9, 1.0}, {5.9, 2.0}}, metal());   // vertical lip
-  RayTracer rt(room);
-  const auto paths = rt.trace({3.9, 3.0}, {2.5, 2.8}, 80.0, 2);
+  const auto paths = trace_paths(room, {3.9, 3.0}, {2.5, 2.8}, 80.0, 2);
   bool corner = false;
   for (const Path& p : paths) {
     if (p.kind == PathKind::kDoubleReflected &&

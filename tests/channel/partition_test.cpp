@@ -4,11 +4,14 @@
 
 #include <cmath>
 
-#include "mmx/channel/ray_tracer.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/units.hpp"
+#include "trace_paths.hpp"
 
 namespace mmx::channel {
 namespace {
+
+using test::trace_paths;
 
 const Path* find_los(const std::vector<Path>& paths) {
   for (const Path& p : paths)
@@ -19,8 +22,7 @@ const Path* find_los(const std::vector<Path>& paths) {
 TEST(Partition, DrywallAddsTransmissionLossToLos) {
   Room room(8.0, 4.0);
   room.add_partition({{4.0, 0.0}, {4.0, 4.0}}, drywall());
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {7.0, 2.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {7.0, 2.0});
   const Path* los = find_los(paths);
   ASSERT_NE(los, nullptr);
   EXPECT_NEAR(los->excess_loss_db, drywall().transmission_loss_db, 1e-9);
@@ -29,8 +31,7 @@ TEST(Partition, DrywallAddsTransmissionLossToLos) {
 TEST(Partition, MetalPartitionEssentiallyKillsThrough) {
   Room room(8.0, 4.0);
   room.add_partition({{4.0, 0.0}, {4.0, 4.0}}, metal());
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {7.0, 2.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {7.0, 2.0});
   const Path* los = find_los(paths);
   // 60 dB through-metal exceeds the 60 dB excess-loss cull by default.
   if (los != nullptr) {
@@ -42,8 +43,7 @@ TEST(Partition, ReflectorDoesNotShadow) {
   // Furniture (add_reflector) reflects but must not attenuate the LoS.
   Room room(8.0, 4.0);
   room.add_reflector({{4.0, 0.0}, {4.0, 4.0}}, metal());
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {7.0, 2.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {7.0, 2.0});
   const Path* los = find_los(paths);
   ASSERT_NE(los, nullptr);
   EXPECT_DOUBLE_EQ(los->excess_loss_db, 0.0);
@@ -53,10 +53,9 @@ TEST(Partition, OwnReflectionNotSelfShadowed) {
   // A bounce OFF the partition must not also pay its transmission loss.
   Room room(8.0, 4.0);
   room.add_partition({{4.0, 0.0}, {4.0, 4.0}}, drywall());
-  RayTracer rt(room);
   // Both endpoints on the same (left) side: the partition reflection
   // exists and costs only the reflection loss.
-  const auto paths = rt.trace({1.0, 2.0}, {2.0, 1.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {2.0, 1.0});
   bool found = false;
   for (const Path& p : paths) {
     if (p.kind == PathKind::kReflected && std::abs(p.via.x - 4.0) < 1e-9) {
@@ -72,8 +71,7 @@ TEST(Partition, DoorwayGapLetsRaysThrough) {
   // reflected path routing through the gap pays no transmission loss.
   Room room(8.0, 4.0);
   room.add_partition({{4.0, 0.0}, {4.0, 2.9}}, drywall());
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {7.0, 2.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {7.0, 2.0});
   // LoS at y=2 crosses the partition (below the doorway top? no — the
   // partition occupies y<=2.9 at x=4, so the LoS at y=2 crosses it).
   const Path* los = find_los(paths);
@@ -99,14 +97,10 @@ TEST(Partition, NextRoomLinkBudgetDegradedButAlive) {
   Room open_room(8.0, 4.0);
   Room multi_room(8.0, 4.0);
   multi_room.add_partition({{4.0, 0.0}, {4.0, 4.0}}, drywall());
-  RayTracer rt_open(open_room);
-  RayTracer rt_multi(multi_room);
-  const auto open_paths = rt_open.trace({1.0, 2.0}, {7.0, 2.0});
-  const auto multi_paths = rt_multi.trace({1.0, 2.0}, {7.0, 2.0});
-  const double a_open =
-      std::abs(RayTracer::path_amplitude(*find_los(open_paths), 24e9));
-  const double a_multi =
-      std::abs(RayTracer::path_amplitude(*find_los(multi_paths), 24e9));
+  const auto open_paths = trace_paths(open_room, {1.0, 2.0}, {7.0, 2.0});
+  const auto multi_paths = trace_paths(multi_room, {1.0, 2.0}, {7.0, 2.0});
+  const double a_open = std::abs(path_amplitude(*find_los(open_paths), 24e9));
+  const double a_multi = std::abs(path_amplitude(*find_los(multi_paths), 24e9));
   EXPECT_NEAR(amp_to_db(a_open / a_multi), drywall().transmission_loss_db, 0.5);
 }
 

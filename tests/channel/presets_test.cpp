@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "mmx/channel/ray_tracer.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/units.hpp"
+#include "trace_paths.hpp"
 
 namespace mmx::channel {
 namespace {
+
+using test::trace_paths;
 
 TEST(Presets, FurnishedLabGeometry) {
   Room lab = furnished_lab();
@@ -25,10 +28,9 @@ TEST(Presets, FurnishedLabIsReflectorRich) {
   // Every node position must see strictly more paths than the bare room
   // would offer (LoS + 4 walls).
   Room lab = furnished_lab();
-  RayTracer rt(lab);
   const Pose ap = furnished_lab_ap();
   for (double y : {1.0, 2.5, 4.0}) {
-    const auto paths = rt.trace({2.0, y}, ap.position);
+    const auto paths = trace_paths(lab, {2.0, y}, ap.position);
     EXPECT_GT(paths.size(), 5u) << y;
   }
 }

@@ -1,4 +1,8 @@
-#include "mmx/channel/ray_tracer.hpp"
+// Tracer physics: LoS and single-bounce geometry, blocker and reflector
+// losses, excess-loss pruning — checked on RoomPlan, the production
+// tracer. Its bit-identity with the frozen reference tracer is
+// room_plan_test's job.
+#include "mmx/channel/room_plan.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,9 +11,12 @@
 
 #include "mmx/common/rng.hpp"
 #include "mmx/common/units.hpp"
+#include "trace_paths.hpp"
 
 namespace mmx::channel {
 namespace {
+
+using test::trace_paths;
 
 // 6 x 4 room matching the paper's §9.2 testbed.
 Room paper_room() { return Room(6.0, 4.0); }
@@ -22,8 +29,7 @@ const Path* find_los(const std::vector<Path>& paths) {
 
 TEST(RayTracer, LosPlusFourWallReflections) {
   Room room = paper_room();
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {5.0, 2.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {5.0, 2.0});
   // LoS + one reflection per wall (all four walls visible in a rectangle).
   EXPECT_EQ(paths.size(), 5u);
   EXPECT_NE(find_los(paths), nullptr);
@@ -31,8 +37,7 @@ TEST(RayTracer, LosPlusFourWallReflections) {
 
 TEST(RayTracer, LosGeometry) {
   Room room = paper_room();
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {5.0, 2.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {5.0, 2.0});
   const Path* los = find_los(paths);
   ASSERT_NE(los, nullptr);
   EXPECT_NEAR(los->length_m, 4.0, 1e-12);
@@ -46,8 +51,7 @@ TEST(RayTracer, ReflectionGeometryMirrorLaw) {
   // tx and rx symmetric about x=3 at the same height: floor (y=0)
   // reflection point must be exactly at (3, 0) and obey equal angles.
   Room room = paper_room();
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {5.0, 2.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {5.0, 2.0});
   const Path* floor = nullptr;
   for (const Path& p : paths) {
     if (p.kind == PathKind::kReflected && std::abs(p.via.y) < 1e-9) floor = &p;
@@ -64,14 +68,13 @@ TEST(RayTracer, NLosWeakerThanLosWithinPaperBounds) {
   // §6.1: "NLoS paths typically experience 10-20 dB higher attenuation
   // than LoS".
   Room room = paper_room();
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {5.0, 2.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {5.0, 2.0});
   const Path* los = find_los(paths);
   ASSERT_NE(los, nullptr);
-  const double los_db = amp_to_db(std::abs(RayTracer::path_amplitude(*los, 24e9)));
+  const double los_db = amp_to_db(std::abs(path_amplitude(*los, 24e9)));
   for (const Path& p : paths) {
     if (p.kind != PathKind::kReflected) continue;
-    const double nlos_db = amp_to_db(std::abs(RayTracer::path_amplitude(p, 24e9)));
+    const double nlos_db = amp_to_db(std::abs(path_amplitude(p, 24e9)));
     EXPECT_GT(los_db - nlos_db, 8.0);
     EXPECT_LT(los_db - nlos_db, 25.0);
   }
@@ -80,8 +83,7 @@ TEST(RayTracer, NLosWeakerThanLosWithinPaperBounds) {
 TEST(RayTracer, BlockerAttenuatesLos) {
   Room room = paper_room();
   room.add_blocker(human_blocker({3.0, 2.0}));
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {5.0, 2.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {5.0, 2.0});
   const Path* los = find_los(paths);
   ASSERT_NE(los, nullptr);
   EXPECT_EQ(los->blocker_crossings, 1);
@@ -94,8 +96,7 @@ TEST(RayTracer, BlockerMissesOffAxisPaths) {
   // are the NLoS detours OTAM's Beam 0 rides in Fig. 4(b).
   Room room = paper_room();
   room.add_blocker(human_blocker({3.0, 2.0}));
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {5.0, 2.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {5.0, 2.0});
   for (const Path& p : paths) {
     if (p.kind != PathKind::kReflected) continue;
     const bool vertical_bounce = std::abs(p.via.y) < 1e-9 || std::abs(p.via.y - 4.0) < 1e-9;
@@ -112,15 +113,14 @@ TEST(RayTracer, BlockedLosOrderingMatchesPaper) {
   // the strongest NLoS must beat the blocked LoS.
   Room room = paper_room();
   room.add_blocker(human_blocker({3.0, 2.0}));
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {5.0, 2.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {5.0, 2.0});
   const Path* los = find_los(paths);
   ASSERT_NE(los, nullptr);
-  const double blocked_los = amp_to_db(std::abs(RayTracer::path_amplitude(*los, 24e9)));
+  const double blocked_los = amp_to_db(std::abs(path_amplitude(*los, 24e9)));
   double best_nlos = -1e9;
   for (const Path& p : paths) {
     if (p.kind != PathKind::kReflected) continue;
-    best_nlos = std::max(best_nlos, amp_to_db(std::abs(RayTracer::path_amplitude(p, 24e9))));
+    best_nlos = std::max(best_nlos, amp_to_db(std::abs(path_amplitude(p, 24e9))));
   }
   EXPECT_GT(best_nlos, blocked_los);
 }
@@ -128,8 +128,7 @@ TEST(RayTracer, BlockedLosOrderingMatchesPaper) {
 TEST(RayTracer, MetalReflectorAddsStrongPath) {
   Room room = paper_room();
   room.add_reflector({{2.0, 3.5}, {4.0, 3.5}}, metal());
-  RayTracer rt(room);
-  const auto paths = rt.trace({1.0, 2.0}, {5.0, 2.0});
+  const auto paths = trace_paths(room, {1.0, 2.0}, {5.0, 2.0});
   EXPECT_EQ(paths.size(), 6u);  // LoS + 4 walls + metal sheet
   bool found_metal = false;
   for (const Path& p : paths) {
@@ -143,24 +142,24 @@ TEST(RayTracer, ReflectorOutOfViewIgnored) {
   // A reflector whose segment the specular point misses contributes no path.
   Room room = paper_room();
   room.add_reflector({{0.2, 3.9}, {0.4, 3.9}}, metal());  // tiny, far corner
-  RayTracer rt(room);
-  const auto paths = rt.trace({5.0, 0.5}, {5.5, 0.5});
+  const auto paths = trace_paths(room, {5.0, 0.5}, {5.5, 0.5});
   EXPECT_EQ(paths.size(), 5u);  // unchanged: LoS + 4 walls
 }
 
 TEST(RayTracer, MaxExcessLossDropsWeakPaths) {
   Room room = paper_room();
-  RayTracer rt(room);
-  const auto all = rt.trace({1.0, 2.0}, {5.0, 2.0}, 60.0);
-  const auto tight = rt.trace({1.0, 2.0}, {5.0, 2.0}, 5.0);  // cheaper than drywall's 12 dB
+  const auto all = trace_paths(room, {1.0, 2.0}, {5.0, 2.0}, 60.0);
+  // 5 dB is cheaper than drywall's 12 dB reflection loss.
+  const auto tight = trace_paths(room, {1.0, 2.0}, {5.0, 2.0}, 5.0);
   EXPECT_GT(all.size(), tight.size());
   EXPECT_EQ(tight.size(), 1u);  // only LoS survives
 }
 
 TEST(RayTracer, CoincidentEndpointsThrow) {
   Room room = paper_room();
-  RayTracer rt(room);
-  EXPECT_THROW(rt.trace({1.0, 1.0}, {1.0, 1.0}), std::invalid_argument);
+  const RoomPlan plan(room);
+  PathList ws;
+  EXPECT_THROW(plan.trace_into({1.0, 1.0}, {1.0, 1.0}, ws), std::invalid_argument);
 }
 
 TEST(RayTracer, PathAmplitudeDecaysWithLength) {
@@ -168,8 +167,8 @@ TEST(RayTracer, PathAmplitudeDecaysWithLength) {
   a.length_m = 2.0;
   Path b;
   b.length_m = 8.0;
-  EXPECT_GT(std::abs(RayTracer::path_amplitude(a, 24e9)),
-            std::abs(RayTracer::path_amplitude(b, 24e9)));
+  EXPECT_GT(std::abs(path_amplitude(a, 24e9)),
+            std::abs(path_amplitude(b, 24e9)));
 }
 
 class PlacementSweep : public ::testing::TestWithParam<int> {};
@@ -179,12 +178,15 @@ TEST_P(PlacementSweep, TraceAlwaysFindsLosAndReflections) {
   // and 4 wall bounces (rectangle geometry guarantees visibility).
   Rng rng(GetParam());
   Room room = paper_room();
-  RayTracer rt(room);
+  // One plan and workspace for the whole sweep, as a production loop uses.
+  const RoomPlan plan(room);
+  PathList ws;
   for (int i = 0; i < 50; ++i) {
     const Vec2 tx{rng.uniform(0.2, 5.8), rng.uniform(0.2, 3.8)};
     const Vec2 rx{rng.uniform(0.2, 5.8), rng.uniform(0.2, 3.8)};
     if (distance(tx, rx) < 0.05) continue;
-    const auto paths = rt.trace(tx, rx);
+    ws.clear();
+    const auto paths = plan.trace_into(tx, rx, ws);
     EXPECT_EQ(paths.size(), 5u) << "tx=(" << tx.x << "," << tx.y << ")";
   }
 }

@@ -8,12 +8,15 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mmx/channel/ray_tracer.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/rng.hpp"
 #include "mmx/common/units.hpp"
+#include "trace_paths.hpp"
 
 namespace mmx::channel {
 namespace {
+
+using test::trace_paths;
 
 /// Sort keys so forward/backward path sets can be matched up. Symmetric
 /// geometries can contain distinct paths with identical length and loss
@@ -51,30 +54,29 @@ void expect_reciprocal(const std::vector<Path>& fwd, const std::vector<Path>& bw
 
 TEST(Reciprocity, EmptyRoom) {
   Room room(6.0, 4.0);
-  RayTracer rt(room);
-  expect_reciprocal(rt.trace({1.0, 2.0}, {5.0, 2.5}), rt.trace({5.0, 2.5}, {1.0, 2.0}));
+  expect_reciprocal(trace_paths(room, {1.0, 2.0}, {5.0, 2.5}),
+                    trace_paths(room, {5.0, 2.5}, {1.0, 2.0}));
 }
 
 TEST(Reciprocity, WithBlockerAndFurniture) {
   Room room(6.0, 4.0);
   room.add_reflector({{2.0, 3.5}, {4.0, 3.5}}, metal());
   room.add_blocker(human_blocker({3.0, 2.0}));
-  RayTracer rt(room);
-  expect_reciprocal(rt.trace({1.0, 1.5}, {5.0, 2.5}), rt.trace({5.0, 2.5}, {1.0, 1.5}));
+  expect_reciprocal(trace_paths(room, {1.0, 1.5}, {5.0, 2.5}),
+                    trace_paths(room, {5.0, 2.5}, {1.0, 1.5}));
 }
 
 TEST(Reciprocity, WithPartitions) {
   Room room(8.0, 4.0);
   room.add_partition({{4.0, 0.0}, {4.0, 2.9}}, drywall());
-  RayTracer rt(room);
-  expect_reciprocal(rt.trace({1.0, 2.0}, {7.0, 2.0}), rt.trace({7.0, 2.0}, {1.0, 2.0}));
+  expect_reciprocal(trace_paths(room, {1.0, 2.0}, {7.0, 2.0}),
+                    trace_paths(room, {7.0, 2.0}, {1.0, 2.0}));
 }
 
 TEST(Reciprocity, DoubleBounce) {
   Room room(6.0, 4.0);
-  RayTracer rt(room);
-  expect_reciprocal(rt.trace({1.0, 2.0}, {5.0, 2.5}, 80.0, 2),
-                    rt.trace({5.0, 2.5}, {1.0, 2.0}, 80.0, 2));
+  expect_reciprocal(trace_paths(room, {1.0, 2.0}, {5.0, 2.5}, 80.0, 2),
+                    trace_paths(room, {5.0, 2.5}, {1.0, 2.0}, 80.0, 2));
 }
 
 class ReciprocitySweep : public ::testing::TestWithParam<int> {};
@@ -84,12 +86,11 @@ TEST_P(ReciprocitySweep, RandomPlacements) {
   Room room(6.0, 4.0);
   room.add_reflector({{0.5, 3.0}, {2.5, 3.0}}, glass());
   if (GetParam() % 2 == 0) room.add_blocker(human_blocker({3.0, 2.0}));
-  RayTracer rt(room);
   for (int i = 0; i < 20; ++i) {
     const Vec2 a{rng.uniform(0.3, 5.7), rng.uniform(0.3, 3.7)};
     const Vec2 b{rng.uniform(0.3, 5.7), rng.uniform(0.3, 3.7)};
     if (distance(a, b) < 0.1) continue;
-    expect_reciprocal(rt.trace(a, b, 80.0), rt.trace(b, a, 80.0));
+    expect_reciprocal(trace_paths(room, a, b, 80.0), trace_paths(room, b, a, 80.0));
   }
 }
 

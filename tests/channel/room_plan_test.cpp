@@ -1,6 +1,7 @@
-// RoomPlan vs RayTracer: the fast path must be BIT-identical — same
-// paths, same order, same doubles — or the sim layer's cached==uncached
-// and thread-invariance guarantees silently rot (docs/GEOMETRY.md).
+// RoomPlan vs the frozen reference tracer (ref::RayTracer): the
+// production tracer must be BIT-identical — same paths, same order, same
+// doubles — or the sim layer's cached==uncached and thread-invariance
+// guarantees silently rot (docs/GEOMETRY.md).
 #include "mmx/channel/room_plan.hpp"
 
 #include <gtest/gtest.h>
@@ -9,8 +10,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "mmx/channel/ray_tracer.hpp"
 #include "mmx/common/rng.hpp"
+#include "ref_ray_tracer.hpp"
 
 namespace mmx::channel {
 namespace {
@@ -77,7 +78,7 @@ TEST(RoomPlanProperty, BitIdenticalToReferenceTracer) {
     double w = 0.0;
     double h = 0.0;
     const Room room = random_room(rng, w, h);
-    const RayTracer tracer(room);
+    const ref::RayTracer tracer(room);
     RoomPlanConfig cfg;
     if (c % 2 == 1) {
       cfg.grid_min_blockers = 0;
@@ -109,7 +110,7 @@ TEST(RoomPlanProperty, BatchMatchesSingleAndReference) {
   Room room = random_room(rng, w, h);
   while (room.blockers().size() < 8)
     room.add_blocker({random_point(rng, w, h), rng.uniform(0.1, 0.5), 20.0});
-  const RayTracer tracer(room);
+  const ref::RayTracer tracer(room);
   const RoomPlan plan(room);
   ASSERT_TRUE(plan.grid_enabled());
   const Vec2 ap = random_point(rng, w, h);
@@ -153,7 +154,7 @@ TEST(RoomPlanProperty, DualBatchMatchesTwoReferencePasses) {
   Room room = random_room(rng, w, h);
   while (room.blockers().size() < 10)
     room.add_blocker({random_point(rng, w, h), rng.uniform(0.1, 0.5), 22.0});
-  const RayTracer tracer(room);
+  const ref::RayTracer tracer(room);
   const RoomPlan plan(room);
   const Vec2 ap = random_point(rng, w, h);
 
@@ -193,7 +194,7 @@ TEST(RoomPlanGrid, SegmentAlongCellBoundary) {
   Room room(8.0, 8.0);
   for (int i = 0; i < 10; ++i)
     room.add_blocker({{0.8 * (i + 1), 4.0}, 0.25, 15.0});  // centres on the y=4 line
-  const RayTracer tracer(room);
+  const ref::RayTracer tracer(room);
   RoomPlanConfig cfg;
   cfg.grid_cell_m = 1.0;  // y=4.0 is an exact cell boundary
   cfg.grid_min_blockers = 0;
@@ -216,7 +217,7 @@ TEST(RoomPlanGrid, BlockerSpanningManyCells) {
   Room room(10.0, 10.0);
   room.add_blocker({{5.0, 5.0}, 3.0, 25.0});  // 6 m disc across a 1 m grid
   room.add_blocker({{1.0, 9.0}, 0.2, 10.0});
-  const RayTracer tracer(room);
+  const ref::RayTracer tracer(room);
   RoomPlanConfig cfg;
   cfg.grid_cell_m = 1.0;
   cfg.grid_min_blockers = 0;
@@ -242,7 +243,7 @@ TEST(RoomPlan, DegenerateZeroLengthWallsRejected) {
   EXPECT_THROW(room.add_partition({{2.0, 2.0}, {2.0, 2.0}}, drywall()), std::invalid_argument);
   // The plan compiles the (still valid) room and matches the reference.
   const RoomPlan plan(room);
-  const RayTracer tracer(room);
+  const ref::RayTracer tracer(room);
   PathList ws;
   EXPECT_TRUE(paths_equal(tracer.trace({1.0, 1.0}, {3.0, 3.0}),
                           plan.trace_into({1.0, 1.0}, {3.0, 3.0}, ws)));
@@ -297,7 +298,7 @@ TEST(RoomPlan, TracksRoomEpoch) {
   // A rebuilt plan sees the moved blocker exactly like a fresh tracer.
   room.move_blocker(blk, {1.5, 2.0});
   plan.rebuild(room);
-  const RayTracer tracer(room);
+  const ref::RayTracer tracer(room);
   PathList ws;
   const auto ref = tracer.trace({1.0, 2.0}, {5.0, 2.0});
   const auto fast = plan.trace_into({1.0, 2.0}, {5.0, 2.0}, ws);
@@ -311,7 +312,7 @@ TEST(PathList, SliceStabilityAndSteadyStateCapacity) {
   Room room(12.0, 8.0);
   room.add_blocker(human_blocker({4.0, 4.0}));
   const RoomPlan plan(room);
-  const RayTracer tracer(room);
+  const ref::RayTracer tracer(room);
   PathList ws;
   plan.trace_into({1.0, 1.0}, {11.0, 7.0}, ws);
   const std::size_t end1 = ws.size();

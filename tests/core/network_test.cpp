@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "mmx/channel/blockage.hpp"
 #include "mmx/common/units.hpp"
 
@@ -125,6 +129,30 @@ TEST(CoreNetwork, Validation) {
   EXPECT_THROW(net.send(42, std::vector<std::uint8_t>{1}), std::out_of_range);
   const auto id = net.join({{1.0, 2.0}, 0.0}, 1e6);
   EXPECT_THROW(net.set_pose(*id, {{-1.0, 2.0}, 0.0}), std::invalid_argument);
+}
+
+TEST(CoreNetwork, IdSpaceExhaustionThrowsInsteadOfWrapping) {
+  // Ids are never recycled; the 65536th join must fail loudly instead of
+  // reissuing id 1, which is still joined, and must change nothing.
+  Network net = paper_network();
+  const auto held = net.join({{1.0, 2.0}, 0.0}, 10e6);
+  ASSERT_TRUE(held.has_value());
+  for (int i = 1; i < std::numeric_limits<std::uint16_t>::max(); ++i) {
+    const auto id = net.join({{2.0, 2.0}, 0.0}, 10e6);
+    ASSERT_TRUE(id.has_value()) << "cycle " << i;
+    net.leave(*id);
+  }
+  ASSERT_EQ(net.num_nodes(), 1u);
+
+  try {
+    (void)net.join({{2.0, 2.0}, 0.0}, 10e6);
+    FAIL() << "expected std::overflow_error";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("node id space exhausted"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("1 live"), std::string::npos);
+  }
+  EXPECT_EQ(net.num_nodes(), 1u);
+  EXPECT_EQ(net.node(*held).pose().position.x, 1.0);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "mmx/rf/vco.hpp"
 #include "mmx/sim/network_sim.hpp"
 #include "mmx/sim/stats.hpp"
+#include "trace_paths.hpp"
 
 namespace mmx {
 namespace {
@@ -56,10 +57,10 @@ TEST(Fig10, OtamNeverLosesToFixedBeam) {
     const Vec2 pos{rng.uniform(0.5, 3.5), rng.uniform(0.3, 4.8)};
     channel::Room room = furnished_lab();
     channel::park_person(room, pos, ap.position);
-    channel::RayTracer tracer(room);
+    const auto paths = test::trace_paths(room, pos, ap.position);
     const double toward = (ap.position - pos).angle();
     const channel::Pose node{pos, toward + deg_to_rad(rng.uniform(-60.0, 60.0))};
-    const auto modes = baseline::compare_modes_avg(tracer, node, beams, ap, ap_ant,
+    const auto modes = baseline::compare_modes_avg(paths, node, beams, ap, ap_ant,
                                                    24.125e9, budget, spdt);
     EXPECT_LE(modes.with_otam.joint_ber, modes.without_otam.joint_ber + 1e-12);
     worst_otam = std::min(worst_otam, modes.with_otam.snr_db);
@@ -80,10 +81,10 @@ TEST(Fig11, BerCdfOrdering) {
     const Vec2 pos{rng.uniform(0.5, 3.5), rng.uniform(0.3, 4.8)};
     channel::Room room = furnished_lab();
     channel::park_person(room, pos, ap.position);
-    channel::RayTracer tracer(room);
+    const auto paths = test::trace_paths(room, pos, ap.position);
     const double toward = (ap.position - pos).angle();
     const channel::Pose node{pos, toward + deg_to_rad(rng.uniform(-60.0, 60.0))};
-    const auto modes = baseline::compare_modes_avg(tracer, node, beams, ap, ap_ant,
+    const auto modes = baseline::compare_modes_avg(paths, node, beams, ap, ap_ant,
                                                    24.125e9, budget, spdt);
     with_otam.push_back(std::max(phy::kBerFloor, modes.with_otam.joint_ber));
     without.push_back(std::max(phy::kBerFloor, modes.without_otam.joint_ber));
@@ -96,7 +97,6 @@ TEST(Fig11, BerCdfOrdering) {
 
 TEST(Fig12, RangeAnchors) {
   channel::Room hall(22.0, 8.0);
-  channel::RayTracer tracer(hall);
   const channel::Pose ap{{21.0, 4.0}, kPi};
   antenna::MmxBeamPair beams;
   antenna::Dipole ap_ant;
@@ -104,8 +104,9 @@ TEST(Fig12, RangeAnchors) {
   rf::SpdtSwitch spdt;
   const channel::Pose facing{{3.0, 4.0}, 0.0};            // 18 m out
   const channel::Pose away{{3.0, 4.0}, deg_to_rad(45.0)};
-  const auto gf = channel::compute_beam_gains(tracer, facing, beams, ap, ap_ant, 24.125e9);
-  const auto ga = channel::compute_beam_gains(tracer, away, beams, ap, ap_ant, 24.125e9);
+  const auto paths = test::trace_paths(hall, facing.position, ap.position);
+  const auto gf = channel::compute_beam_gains(paths, facing, beams, ap, ap_ant, 24.125e9);
+  const auto ga = channel::compute_beam_gains(paths, away, beams, ap, ap_ant, 24.125e9);
   const double snr_facing = budget.evaluate_otam(gf, spdt).snr_db;
   const double snr_away = budget.evaluate_otam(ga, spdt).snr_db;
   // Paper: >= 15 dB facing, ~9 dB not facing, at 18 m.

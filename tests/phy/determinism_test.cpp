@@ -16,6 +16,7 @@
 #include "mmx/phy/joint.hpp"
 #include "mmx/phy/otam.hpp"
 #include "mmx/phy/preamble.hpp"
+#include "trace_paths.hpp"
 
 namespace mmx::phy {
 namespace {
@@ -59,8 +60,8 @@ RunResult run_pipeline(std::uint64_t seed) {
   f.seq = 42;
   f.payload = {1, 2, 3, 4, 5, 6, 7, 8};
 
-  channel::RayTracer rt(room);
-  const auto g = channel::compute_beam_gains(rt, node, beams, ap, ap_antenna, kIsmCenterHz);
+  const auto paths = test::trace_paths(room, node.position, ap.position);
+  const auto g = channel::compute_beam_gains(paths, node, beams, ap, ap_antenna, kIsmCenterHz);
   const OtamChannel ch{g.h0, g.h1};
 
   rf::SpdtSwitch sw;

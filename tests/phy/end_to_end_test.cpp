@@ -11,6 +11,7 @@
 #include "mmx/phy/joint.hpp"
 #include "mmx/phy/otam.hpp"
 #include "mmx/phy/preamble.hpp"
+#include "trace_paths.hpp"
 
 namespace mmx::phy {
 namespace {
@@ -31,8 +32,8 @@ struct TestLink {
   }
 
   OtamChannel gains() const {
-    channel::RayTracer rt(room);
-    const auto g = channel::compute_beam_gains(rt, node, beams, ap, ap_antenna, 24.125e9);
+    const auto paths = test::trace_paths(room, node.position, ap.position);
+    const auto g = channel::compute_beam_gains(paths, node, beams, ap, ap_antenna, 24.125e9);
     return {g.h0, g.h1};
   }
 };

@@ -8,6 +8,7 @@
 #include "mmx/channel/room.hpp"
 #include "mmx/sim/link_cache.hpp"
 #include "mmx/sim/network_sim.hpp"
+#include "ref_ray_tracer.hpp"
 
 namespace mmx::sim {
 namespace {
@@ -67,22 +68,41 @@ TEST(RoomEpoch, BumpsOnEveryMutationButNotOnNoOps) {
   EXPECT_EQ(room.epoch(), e4);
 }
 
+// The cached gains of `id` against the frozen reference tracer: one
+// ref::RayTracer trace of the live room, the same beam accumulation.
+void expect_gains_match_reference(const NetworkSimulator& sim, std::uint16_t id) {
+  const channel::Pose& node = sim.node_pose(id);
+  const auto paths =
+      channel::ref::RayTracer(sim.room()).trace(node.position, sim.ap_pose().position);
+  const SimConfig cfg;
+  const channel::BeamGains ref = channel::compute_beam_gains(
+      paths, node, antenna::MmxBeamPair(antenna::BeamPairSpec{.freq_hz = cfg.freq_hz}),
+      sim.ap_pose(), antenna::Dipole(), cfg.freq_hz);
+  const channel::BeamGains got = sim.gains(id);
+  EXPECT_EQ(got.h0, ref.h0);
+  EXPECT_EQ(got.h1, ref.h1);
+  EXPECT_EQ(got.paths_used, ref.paths_used);
+}
+
 TEST(LinkCache, CachedLinkBitIdenticalToUncachedAcrossBlockerChurn) {
   Fixture f;
-  expect_links_equal(f.sim.link(f.a), f.sim.link_uncached(f.a));
-  expect_links_equal(f.sim.link(f.b), f.sim.link_uncached(f.b));
+  const auto check = [&] {
+    expect_links_equal(f.sim.link(f.a), f.sim.link_uncached(f.a));
+    expect_links_equal(f.sim.link(f.b), f.sim.link_uncached(f.b));
+    // End to end against the reference tracer, not just plan vs plan.
+    expect_gains_match_reference(f.sim, f.a);
+    expect_gains_match_reference(f.sim, f.b);
+  };
+  check();
 
   const std::size_t idx = f.sim.room().add_blocker(channel::human_blocker(kOnLosA));
-  expect_links_equal(f.sim.link(f.a), f.sim.link_uncached(f.a));
-  expect_links_equal(f.sim.link(f.b), f.sim.link_uncached(f.b));
+  check();
 
   f.sim.room().move_blocker(idx, kFarCorner);
-  expect_links_equal(f.sim.link(f.a), f.sim.link_uncached(f.a));
-  expect_links_equal(f.sim.link(f.b), f.sim.link_uncached(f.b));
+  check();
 
   f.sim.room().clear_blockers();
-  expect_links_equal(f.sim.link(f.a), f.sim.link_uncached(f.a));
-  expect_links_equal(f.sim.link(f.b), f.sim.link_uncached(f.b));
+  check();
 }
 
 TEST(LinkCache, BlockerOnOneLosInvalidatesExactlyThatNode) {

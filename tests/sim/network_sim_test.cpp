@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "mmx/channel/blockage.hpp"
@@ -181,6 +183,33 @@ TEST(NetworkSim, AssociationFollowsTheHolderTable) {
   ExpectAssociationMatchesHolders(net, resident);
   EXPECT_EQ(net.num_associated(), 0u);
   EXPECT_TRUE(net.reap_inactive(100.0, 1.0).empty());
+}
+
+TEST(NetworkSim, IdSpaceExhaustionThrowsInsteadOfWrapping) {
+  // Ids are never recycled. A wrapped counter would reissue id 1 while
+  // its holder is still live and hand it the old grant back, so the
+  // 65536th id must fail loudly and change nothing.
+  NetworkSimulator net = paper_testbed();
+  const auto held = net.add_node({{1.0, 2.0}, 0.0}, 10e6);
+  ASSERT_TRUE(held.has_value());
+  const mac::ChannelGrant held_grant = net.grant(*held);
+  for (int i = 1; i < std::numeric_limits<std::uint16_t>::max(); ++i) {
+    const auto id = net.add_node({{2.0, 2.0}, 0.0}, 10e6);
+    ASSERT_TRUE(id.has_value()) << "cycle " << i;
+    net.remove_node(*id);
+  }
+  ASSERT_EQ(net.num_nodes(), 1u);
+
+  try {
+    (void)net.add_node({{2.0, 2.0}, 0.0}, 10e6);
+    FAIL() << "expected std::overflow_error";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("node id space exhausted"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("1 live"), std::string::npos);
+  }
+  EXPECT_THROW(net.add_tracked_node({{2.0, 2.0}, 0.0}), std::overflow_error);
+  EXPECT_EQ(net.num_nodes(), 1u);
+  EXPECT_EQ(net.grant(*held).channel.center_hz, held_grant.channel.center_hz);
 }
 
 }  // namespace

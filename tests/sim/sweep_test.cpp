@@ -19,6 +19,7 @@
 #include "mmx/phy/ber.hpp"
 #include "mmx/sim/sweep.hpp"
 #include "mmx/sim/thread_pool.hpp"
+#include "trace_paths.hpp"
 
 namespace mmx::sim {
 namespace {
@@ -173,10 +174,10 @@ Fig11Point evaluate_placement(const channel::Pose& ap, const Vec2& pos, double o
   const rf::SpdtSwitch spdt;
   channel::Room room = channel::furnished_lab();
   channel::park_person(room, pos, ap.position);
-  const channel::RayTracer tracer(room);
+  const auto paths = test::trace_paths(room, pos, ap.position);
   const channel::Pose node{pos, orientation_rad};
   const auto modes =
-      baseline::compare_modes_avg(tracer, node, beams, ap, ap_antenna, 24.125e9, budget, spdt);
+      baseline::compare_modes_avg(paths, node, beams, ap, ap_antenna, 24.125e9, budget, spdt);
   return {std::max(phy::kBerFloor, modes.with_otam.joint_ber),
           std::max(phy::kBerFloor, modes.without_otam.joint_ber)};
 }

@@ -15,6 +15,7 @@
 
 #include "mmx/baseline/fixed_beam.hpp"
 #include "mmx/channel/blockage.hpp"
+#include "mmx/channel/room_plan.hpp"
 #include "mmx/common/units.hpp"
 #include "mmx/core/scenario.hpp"
 #include "mmx/sim/network_sim.hpp"
@@ -91,13 +92,15 @@ int cmd_link(const Args& args) {
                             std::atof(args.positional[1].c_str())},
                            deg_to_rad(std::atof(args.positional[2].c_str()))};
   if (args.blocker) channel::park_blocker_on_los(room, node.position, ap.position);
-  channel::RayTracer tracer(room);
+  const channel::RoomPlan plan(room);
+  channel::PathList ws;
+  const auto paths = plan.trace_into(node.position, ap.position, ws);
   antenna::MmxBeamPair beams;
   antenna::Dipole ap_ant;
   sim::LinkBudget budget;
   rf::SpdtSwitch spdt;
   const auto modes =
-      baseline::compare_modes(tracer, node, beams, ap, ap_ant, 24.125e9, budget, spdt);
+      baseline::compare_modes(paths, node, beams, ap, ap_ant, 24.125e9, budget, spdt);
   std::printf("link: node (%.2f, %.2f) @ %.0f deg -> AP (%.2f, %.2f)%s\n", node.position.x,
               node.position.y, rad_to_deg(node.orientation_rad), ap.position.x, ap.position.y,
               args.blocker ? " [LoS blocked]" : "");
@@ -115,16 +118,18 @@ int cmd_map(const Args& args) {
   antenna::Dipole ap_ant;
   sim::LinkBudget budget;
   rf::SpdtSwitch spdt;
+  channel::PathList ws;
   std::printf("OTAM SNR map [dB], room %.1fx%.1f, AP right-centre%s\n", args.room_w,
               args.room_h, args.blocker ? ", person on each LoS" : "");
   for (double y = args.step / 2.0; y < args.room_h; y += args.step) {
     for (double x = args.step / 2.0; x < args.room_w - 0.5; x += args.step) {
       channel::Room room(args.room_w, args.room_h);
       if (args.blocker) channel::park_blocker_on_los(room, {x, y}, ap.position);
-      channel::RayTracer tracer(room);
+      const channel::RoomPlan plan(room);
       const channel::Pose node{{x, y}, 0.0};
-      const auto g =
-          channel::compute_beam_gains_avg(tracer, node, beams, ap, ap_ant, 24.125e9);
+      ws.clear();
+      const auto paths = plan.trace_into(node.position, ap.position, ws);
+      const auto g = channel::compute_beam_gains_avg(paths, node, beams, ap, ap_ant, 24.125e9);
       std::printf("%6.1f", budget.evaluate_otam(g, spdt).snr_db);
     }
     std::printf("\n");
@@ -134,7 +139,8 @@ int cmd_map(const Args& args) {
 
 int cmd_range(const Args& args) {
   channel::Room hall(args.max_range + 2.0, 8.0);
-  channel::RayTracer tracer(hall);
+  const channel::RoomPlan plan(hall);
+  channel::PathList ws;
   const channel::Pose ap{{args.max_range + 1.0, 4.0}, kPi};
   antenna::MmxBeamPair beams;
   antenna::Dipole ap_ant;
@@ -144,8 +150,11 @@ int cmd_range(const Args& args) {
   for (double d = 1.0; d <= args.max_range; d += 1.0) {
     const channel::Pose facing{{ap.position.x - d, 4.0}, 0.0};
     const channel::Pose away{{ap.position.x - d, 4.0}, deg_to_rad(45.0)};
-    const auto gf = channel::compute_beam_gains(tracer, facing, beams, ap, ap_ant, 24.125e9);
-    const auto ga = channel::compute_beam_gains(tracer, away, beams, ap, ap_ant, 24.125e9);
+    // Both orientations share a position, so one trace serves both.
+    ws.clear();
+    const auto paths = plan.trace_into(facing.position, ap.position, ws);
+    const auto gf = channel::compute_beam_gains(paths, facing, beams, ap, ap_ant, 24.125e9);
+    const auto ga = channel::compute_beam_gains(paths, away, beams, ap, ap_ant, 24.125e9);
     std::printf("%10.0f %13.1f %12.1f\n", d, budget.evaluate_otam(gf, spdt).snr_db,
                 budget.evaluate_otam(ga, spdt).snr_db);
   }
