@@ -68,7 +68,7 @@ int main() {
   std::printf("\naggregate camera uplink: %.0f Mbps, radio power %.1f W total\n",
               total_rate / 1e6, total_power);
   std::printf("spectrum used: %.0f of %.0f MHz\n",
-              (kIsmBandwidthHz - net.ap().init().allocator().free_bandwidth_hz()) / 1e6,
+              (kIsmBandwidthHz - net.sim().init().allocator().free_bandwidth_hz()) / 1e6,
               kIsmBandwidthHz / 1e6);
   std::puts("\n(no beam search, no phased arrays: each camera is a VCO, a switch");
   std::puts(" and two printed antenna arrays riding the cabin's reflections)");

@@ -23,7 +23,7 @@ int main() {
     std::puts("AP denied the rate request");
     return 1;
   }
-  const auto& node = net.node(*cam);
+  const core::Node node = net.node(*cam);
   std::printf("camera joined: node %u, channel %.1f MHz wide at %.4f GHz, %.0f Mbps\n",
               node.id(), node.grant().channel.bandwidth_hz / 1e6,
               node.grant().channel.center_hz / 1e9, node.bit_rate_bps() / 1e6);

@@ -52,7 +52,7 @@ int main() {
   }
   std::printf("%zu devices joined; spectrum in use: %.0f MHz of %.0f MHz\n\n",
               devices.size(),
-              (kIsmBandwidthHz - net.ap().init().allocator().free_bandwidth_hz()) / 1e6,
+              (kIsmBandwidthHz - net.sim().init().allocator().free_bandwidth_hz()) / 1e6,
               kIsmBandwidthHz / 1e6);
 
   // Three residents wander the room at walking pace.

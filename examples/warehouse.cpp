@@ -37,8 +37,8 @@ int main() {
   std::puts("=== warehouse uplinks over 8 s with 4 moving blockers (ARQ on) ===\n");
   std::puts("  node   dist-to-AP   frames   delivered   inversions   mean SNR   goodput");
   for (const auto& n : result.nodes) {
-    const auto& pose = net.node(n.id).pose();
-    const double dist = distance(pose.position, net.ap().pose().position);
+    const double dist =
+        distance(net.sim().node_pose(n.id).position, net.ap().pose().position);
     std::printf("  %4u   %7.1f m   %6zu   %8.1f%%   %10zu   %6.1f dB   %6.0f kbps\n", n.id,
                 dist, n.frames_sent, 100.0 * n.delivery_ratio(), n.inversions, n.mean_snr_db,
                 n.goodput_bps / 1e3);

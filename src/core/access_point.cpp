@@ -3,27 +3,13 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "mmx/common/units.hpp"
 #include "mmx/dsp/resample.hpp"
 #include "mmx/phy/preamble.hpp"
 
 namespace mmx::core {
 
 AccessPoint::AccessPoint(channel::Pose pose, ApSpec spec)
-    : pose_(pose),
-      spec_(spec),
-      chain_(spec.receiver),
-      antenna_(spec.dipole_gain_dbi, spec.dipole_hpbw_deg),
-      init_(mac::FdmAllocator(kIsmLowHz, kIsmHighHz, spec.init.guard_hz), rf::Vco{},
-            spec.init) {}
-
-mac::SideChannelMessage AccessPoint::handle_init(const mac::ChannelRequest& request) {
-  return init_.handle(request);
-}
-
-std::size_t AccessPoint::serve(mac::SideChannel& channel, Rng& rng) {
-  return init_.serve(channel, rng);
-}
+    : pose_(pose), chain_(spec.receiver) {}
 
 Reception AccessPoint::receive_channel(std::span<const dsp::Complex> wideband,
                                        double wideband_rate_hz, double channel_offset_hz,

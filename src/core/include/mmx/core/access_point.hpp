@@ -1,17 +1,15 @@
 // mmx::AccessPoint — the receive side (paper §5.2, §8.2).
 //
 // LNA -> coupled-line filter -> sub-harmonic mixer -> baseband capture,
-// plus the MAC brain: the FDM/SDM initialization protocol served over the
-// WiFi/BT side channel, and the joint ASK-FSK receiver that turns a noisy
-// capture back into frames.
+// and the joint ASK-FSK receiver that turns a noisy capture back into
+// frames. The MAC side (the FDM/SDM init protocol) lives in
+// sim::NetworkSimulator, which core::Network runs on.
 #pragma once
 
-#include <cstdint>
 #include <optional>
+#include <vector>
 
-#include "mmx/antenna/element.hpp"
 #include "mmx/channel/beam_channel.hpp"
-#include "mmx/mac/init_protocol.hpp"
 #include "mmx/phy/config.hpp"
 #include "mmx/phy/frame.hpp"
 #include "mmx/phy/coding.hpp"
@@ -22,9 +20,6 @@ namespace mmx::core {
 
 struct ApSpec {
   rf::ReceiverChainSpec receiver{};
-  mac::InitConfig init{};
-  double dipole_gain_dbi = 5.0;
-  double dipole_hpbw_deg = 62.0;
 };
 
 /// Result of receiving one capture.
@@ -38,12 +33,6 @@ struct Reception {
 class AccessPoint {
  public:
   explicit AccessPoint(channel::Pose pose, ApSpec spec = {});
-
-  /// MAC: handle one init request directly (grants also remembered).
-  mac::SideChannelMessage handle_init(const mac::ChannelRequest& request);
-
-  /// MAC: drain the side channel (paper §7a's one-shot bootstrap).
-  std::size_t serve(mac::SideChannel& channel, Rng& rng);
 
   /// PHY: receive a noisy capture with the given node PHY parameters.
   /// `profile` must match the transmitter's coding profile.
@@ -67,20 +56,13 @@ class AccessPoint {
   Reception receive_channel(std::span<const dsp::Complex> wideband, double wideband_rate_hz,
                             double channel_offset_hz, const phy::PhyConfig& cfg) const;
 
-  /// Link budget hooks.
   double noise_floor_dbm() const { return chain_.noise_floor_dbm(); }
   const rf::ReceiverChain& chain() const { return chain_; }
-  const antenna::Dipole& antenna() const { return antenna_; }
   const channel::Pose& pose() const { return pose_; }
-  const mac::InitProtocol& init() const { return init_; }
-  bool release(std::uint16_t node_id) { return init_.release(node_id); }
 
  private:
   channel::Pose pose_;
-  ApSpec spec_;
   rf::ReceiverChain chain_;
-  antenna::Dipole antenna_;
-  mac::InitProtocol init_;
 };
 
 }  // namespace mmx::core

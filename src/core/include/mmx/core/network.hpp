@@ -1,29 +1,27 @@
 // mmx::Network — the top-level facade (what a downstream user of the
 // library instantiates).
 //
-// Owns the room, the AP and the nodes; wires the side-channel bootstrap,
-// the ray-traced channel and the sample-level PHY into three verbs:
-// join, send, measure.
+// A thin sample-level PHY layer over one sim::NetworkSimulator, which
+// owns the room, the node table, the AP's init protocol and the cached
+// ray-traced links. The facade adds the AP's receiver and wires OTAM
+// synthesis, noise and joint decoding into three verbs: join, send,
+// measure.
 #pragma once
 
-#include <map>
-#include <memory>
 #include <optional>
 
-#include "mmx/channel/beam_channel.hpp"
 #include "mmx/channel/room.hpp"
 #include "mmx/core/access_point.hpp"
 #include "mmx/core/node.hpp"
 #include "mmx/mac/arq.hpp"
-#include "mmx/sim/link_budget.hpp"
+#include "mmx/sim/network_sim.hpp"
 
 namespace mmx::core {
 
 struct NetworkSpec {
-  ApSpec ap{};
-  NodeSpec node{};
+  /// Link budget; its receiver spec is also the AP's receive chain, so
+  /// send()'s noise floor and measure()'s SNR read one spec.
   sim::LinkBudgetSpec budget{};
-  double freq_hz = 24.125e9;
   std::uint64_t noise_seed = 1;
 };
 
@@ -44,10 +42,12 @@ class Network {
   /// Register a node (side-channel init). Returns its id, or nullopt if
   /// the AP denied the rate request. Ids are never reused: once all 65535
   /// have been issued (granted or denied) this throws std::overflow_error.
-  std::optional<std::uint16_t> join(const channel::Pose& pose, double rate_bps);
+  std::optional<std::uint16_t> join(const channel::Pose& pose, double rate_bps) {
+    return sim_.add_node(pose, rate_bps);
+  }
 
-  void leave(std::uint16_t id);
-  void set_pose(std::uint16_t id, const channel::Pose& pose);
+  void leave(std::uint16_t id) { sim_.remove_node(id); }
+  void set_pose(std::uint16_t id, const channel::Pose& pose) { sim_.set_node_pose(id, pose); }
 
   /// Sample-level end-to-end transmission of a payload: OTAM synthesis
   /// through the ray-traced channel, AWGN at the AP's noise floor,
@@ -67,29 +67,25 @@ class Network {
                                mac::ArqConfig arq = {});
 
   /// Link-budget measurements (fast path; no sample simulation).
-  sim::OtamLink measure(std::uint16_t id) const;
-  sim::OtamLink measure_fixed_beam(std::uint16_t id) const;
+  sim::OtamLink measure(std::uint16_t id) const { return sim_.link(id); }
+  sim::OtamLink measure_fixed_beam(std::uint16_t id) const { return sim_.fixed_beam_link(id); }
 
   /// Current per-beam channel for a node.
   phy::OtamChannel channel_for(std::uint16_t id) const;
 
-  channel::Room& room() { return room_; }
+  channel::Room& room() { return sim_.room(); }
   const AccessPoint& ap() const { return ap_; }
-  Node& node(std::uint16_t id);
-  const Node& node(std::uint16_t id) const;
-  std::size_t num_nodes() const { return nodes_.size(); }
+  const sim::NetworkSimulator& sim() const { return sim_; }
+  /// The node as it stands now: its current pose, configured with its
+  /// live grant. Built on each call, so hold the value, not a reference
+  /// into it.
+  Node node(std::uint16_t id) const;
+  std::size_t num_nodes() const { return sim_.num_nodes(); }
 
  private:
-  /// Per-beam gains of `n` through one trace of the current room.
-  channel::BeamGains gains(const Node& n) const;
-
-  channel::Room room_;
-  NetworkSpec spec_;
+  sim::NetworkSimulator sim_;
   AccessPoint ap_;
-  sim::LinkBudget budget_;
   Rng rng_;
-  std::map<std::uint16_t, Node> nodes_;
-  std::uint16_t next_id_ = 1;
   std::uint16_t next_seq_ = 0;
 };
 

@@ -52,17 +52,14 @@ class Node {
 
   /// Encode + OTAM-transmit a frame through the given per-beam channel.
   /// Returns the complex baseband signal arriving at the AP (before
-  /// noise). `tx_amplitude` is sqrt(radiated watts) — defaults to the
-  /// node's 10 dBm radiated power.
-  dsp::Cvec transmit_frame(const phy::Frame& frame, const phy::OtamChannel& ch,
-                           double tx_amplitude_override = 0.0) const;
+  /// noise), with the carrier at the VCO's output power.
+  dsp::Cvec transmit_frame(const phy::Frame& frame, const phy::OtamChannel& ch) const;
 
-  /// Raw bit transmission (no framing) — used by microbenchmarks.
+  /// Raw bit transmission (no framing): coded frames, microbenchmarks.
   dsp::Cvec transmit_bits(const phy::Bits& bits, const phy::OtamChannel& ch) const;
 
   std::uint16_t id() const { return id_; }
   const channel::Pose& pose() const { return pose_; }
-  void set_pose(const channel::Pose& pose) { pose_ = pose; }
 
   const antenna::MmxBeamPair& beams() const { return beams_; }
   const rf::Vco& vco() const { return vco_; }

@@ -54,12 +54,8 @@ const phy::PhyConfig& Node::phy_config() const {
 
 double Node::bit_rate_bps() const { return phy_config().symbol_rate_hz; }
 
-dsp::Cvec Node::transmit_frame(const phy::Frame& frame, const phy::OtamChannel& ch,
-                               double tx_amplitude_override) const {
-  const phy::Bits bits = phy::encode_frame(frame, phy::default_preamble());
-  const double amp =
-      (tx_amplitude_override > 0.0) ? tx_amplitude_override : default_tx_amplitude_;
-  return phy::otam_synthesize(bits, phy_config(), ch, spdt_, amp);
+dsp::Cvec Node::transmit_frame(const phy::Frame& frame, const phy::OtamChannel& ch) const {
+  return transmit_bits(phy::encode_frame(frame, phy::default_preamble()), ch);
 }
 
 dsp::Cvec Node::transmit_bits(const phy::Bits& bits, const phy::OtamChannel& ch) const {

@@ -100,7 +100,7 @@ ScenarioResult run_scenario(Network& net, const std::vector<ScenarioNode>& nodes
                             static_cast<double>(l.spec.payload_bytes) * 8.0 / cfg.duration_s;
     // Airtime/energy ledger: frame bits at the node's granted bit rate,
     // times the 1.1 W radio draw while transmitting.
-    const Node& dev = net.node(l.id);
+    const Node dev = net.node(l.id);
     const double frame_bits = static_cast<double>(
         phy::frame_length_bits(l.spec.payload_bytes, phy::default_preamble().size()));
     l.outcome.airtime_s =

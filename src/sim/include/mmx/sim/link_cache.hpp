@@ -89,12 +89,12 @@ class LinkCache {
   void reconcile(const channel::Room& room);
 
   /// Valid entry for (id, pose) or a freshly filled one: `fill` runs only
-  /// on a miss (absent, stale, or computed at another pose) and receives
-  /// the prior same-pose entry (or nullptr) so it can reuse the still-
-  /// valid corridors of a stale entry. Counts one hit or one miss. Call
-  /// reconcile() first.
+  /// on a miss (absent, stale, or computed at another pose), while the
+  /// old entry is still stored, so it can find() a stale entry's
+  /// still-valid corridors. Counts one hit or one miss. Call reconcile()
+  /// first.
   Entry& ensure(std::uint16_t id, const channel::Pose& pose,
-                const std::function<Entry(const Entry* prior)>& fill);
+                const std::function<Entry()>& fill);
 
   /// True if a lookup for (id, pose) would hit. No stats side effects —
   /// this is the batched-refresh probe.

@@ -218,11 +218,11 @@ class NetworkSimulator {
   /// during a parallel refresh — refresh_cache primes it serially and
   /// hands workers the const reference.
   const TraceContext& trace_context() const;
-  LinkCache::Entry make_entry(const channel::Pose& pose,
-                              const LinkCache::Entry* prior) const;
   /// Batched refill of one job block: one trace_batch_into for the gains
   /// (blockers applied) and one for the corridors of jobs that cannot
   /// reuse a stale prior's, amortizing the AP image table per block.
+  /// refresh_cache fans blocks of it over workers; a lazy miss in
+  /// cache_entry refills a one-job block.
   std::vector<LinkCache::Entry> refill_block(const TraceContext& ctx,
                                              std::span<const RefillJob> jobs) const;
   LinkCache::Entry& cache_entry(std::uint16_t id, const NodeState& n) const;

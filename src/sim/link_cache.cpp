@@ -91,7 +91,7 @@ void LinkCache::reconcile(const channel::Room& room) {
 }
 
 LinkCache::Entry& LinkCache::ensure(std::uint16_t id, const channel::Pose& pose,
-                                    const std::function<Entry(const Entry*)>& fill) {
+                                    const std::function<Entry()>& fill) {
   if (id >= slots_.size()) slots_.resize(id + 1);
   Slot& slot = slots_[id];
   if (slot.present && !slot.entry.stale && slot.entry.pose == pose) {
@@ -99,16 +99,9 @@ LinkCache::Entry& LinkCache::ensure(std::uint16_t id, const channel::Pose& pose,
     return slot.entry;
   }
   ++stats_.misses;
-  const Entry* prior = nullptr;
-  if (slot.present) {
-    if (slot.entry.pose == pose) {
-      prior = &slot.entry;  // stale same-pose entry: corridors reusable
-    } else if (!slot.entry.stale) {
-      ++stats_.invalidated;  // pose moved under a live entry
-    }
-  }
-  Entry filled = fill(prior);
-  slot.entry = std::move(filled);
+  if (slot.present && !slot.entry.stale && slot.entry.pose != pose)
+    ++stats_.invalidated;  // pose moved under a live entry
+  slot.entry = fill();
   if (!slot.present) ++live_;
   slot.present = true;
   return slot.entry;

@@ -170,31 +170,6 @@ const NetworkSimulator::TraceContext& NetworkSimulator::trace_context() const {
   return ctx_;
 }
 
-LinkCache::Entry NetworkSimulator::make_entry(const channel::Pose& pose,
-                                              const LinkCache::Entry* prior) const {
-  const TraceContext& ctx = trace_context();
-  channel::PathList& ws = tls_path_list();
-  ws.clear();
-  LinkCache::Entry e;
-  e.pose = pose;
-  const auto paths = ctx.plan.trace_into(pose.position, ap_pose_.position, ws,
-                                         kTraceMaxExcessLossDb, kTraceMaxBounces,
-                                         /*apply_blockers=*/true);
-  // Consume the span before the next trace can grow the workspace.
-  e.gains = channel::compute_beam_gains(paths, pose, beams_, ap_pose_, ap_antenna_, cfg_.freq_hz);
-  // A stale same-pose entry keeps valid corridors (walls and pose decide
-  // them, and both are unchanged) — reuse instead of re-tracing.
-  if (prior != nullptr && prior->pose == pose) {
-    e.corridors = prior->corridors;
-  } else {
-    const auto wall_only = ctx.plan.trace_into(pose.position, ap_pose_.position, ws,
-                                               kTraceMaxExcessLossDb, kTraceMaxBounces,
-                                               /*apply_blockers=*/false);
-    e.corridors = LinkCache::corridors_from_paths(wall_only, pose.position, ap_pose_.position);
-  }
-  return e;
-}
-
 std::vector<LinkCache::Entry> NetworkSimulator::refill_block(
     const TraceContext& ctx, std::span<const RefillJob> jobs) const {
   channel::PathList& ws = tls_path_list();
@@ -262,8 +237,12 @@ std::vector<LinkCache::Entry> NetworkSimulator::refill_block(
 
 LinkCache::Entry& NetworkSimulator::cache_entry(std::uint16_t id, const NodeState& n) const {
   cache_.reconcile(room_);
-  return cache_.ensure(
-      id, n.pose, [&](const LinkCache::Entry* prior) { return make_entry(n.pose, prior); });
+  // A miss is a one-job batched refill. Two captures keep the fill
+  // callable inside std::function's inline buffer: no allocation on a hit.
+  const RefillJob job{id, n.pose};
+  return cache_.ensure(id, n.pose, [this, &job] {
+    return std::move(refill_block(trace_context(), {&job, 1}).front());
+  });
 }
 
 channel::BeamGains NetworkSimulator::gains(std::uint16_t id) const {

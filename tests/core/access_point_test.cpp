@@ -5,11 +5,20 @@
 #include "mmx/common/units.hpp"
 #include "mmx/core/node.hpp"
 #include "mmx/dsp/noise.hpp"
+#include "mmx/mac/init_protocol.hpp"
 
 namespace mmx::core {
 namespace {
 
 AccessPoint make_ap() { return AccessPoint({{5.5, 2.0}, kPi}); }
+
+/// A node configured with a 10 Mbps grant from the AP's init protocol.
+Node granted_node() {
+  mac::InitProtocol init(mac::FdmAllocator(kIsmLowHz, kIsmHighHz, 1e6), rf::Vco{});
+  Node node(1, {{1.0, 2.0}, 0.0});
+  node.configure(std::get<mac::ChannelGrant>(init.handle(mac::ChannelRequest{1, 10e6, 0.0})));
+  return node;
+}
 
 TEST(CoreAp, NoiseFloorSane) {
   AccessPoint ap = make_ap();
@@ -17,30 +26,10 @@ TEST(CoreAp, NoiseFloorSane) {
   EXPECT_NEAR(ap.noise_floor_dbm(), -97.0, 3.0);
 }
 
-TEST(CoreAp, InitGrantsThroughFacade) {
-  AccessPoint ap = make_ap();
-  const auto msg = ap.handle_init(mac::ChannelRequest{1, 10e6, 0.0});
-  EXPECT_NE(std::get_if<mac::ChannelGrant>(&msg), nullptr);
-  EXPECT_EQ(ap.init().holders().size(), 1u);
-  EXPECT_TRUE(ap.release(1));
-  EXPECT_FALSE(ap.release(1));
-}
-
-TEST(CoreAp, ServeSideChannel) {
-  Rng rng(1);
-  AccessPoint ap = make_ap();
-  mac::SideChannel sc;
-  sc.node_to_ap(mac::ChannelRequest{1, 10e6, 0.0}, rng);
-  EXPECT_EQ(ap.serve(sc, rng), 1u);
-  EXPECT_EQ(sc.pending_at_node(), 1u);
-}
-
 TEST(CoreAp, ReceiveDecodesNodeTransmission) {
   Rng rng(2);
-  AccessPoint ap = make_ap();
-  Node node(1, {{1.0, 2.0}, 0.0});
-  const auto msg = ap.handle_init(mac::ChannelRequest{1, 10e6, 0.0});
-  node.configure(std::get<mac::ChannelGrant>(msg));
+  const AccessPoint ap = make_ap();
+  const Node node = granted_node();
 
   phy::Frame f;
   f.node_id = 1;
@@ -59,10 +48,8 @@ TEST(CoreAp, ReceiveDecodesNodeTransmission) {
 
 TEST(CoreAp, ReceiveRejectsNoise) {
   Rng rng(3);
-  AccessPoint ap = make_ap();
-  Node node(1, {{1.0, 2.0}, 0.0});
-  const auto msg = ap.handle_init(mac::ChannelRequest{1, 10e6, 0.0});
-  node.configure(std::get<mac::ChannelGrant>(msg));
+  const AccessPoint ap = make_ap();
+  const Node node = granted_node();
   const dsp::Cvec junk = dsp::awgn(4096, 1.0, rng);
   const Reception rec = ap.receive(junk, node.phy_config());
   EXPECT_FALSE(rec.frame.has_value());

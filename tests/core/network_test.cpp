@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -14,6 +15,10 @@ namespace {
 
 Network paper_network() {
   return Network(channel::Room(6.0, 4.0), channel::Pose{{5.5, 2.0}, kPi});
+}
+
+bool same_bits(const sim::OtamLink& a, const sim::OtamLink& b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 TEST(CoreNetwork, JoinConfiguresNode) {
@@ -64,6 +69,29 @@ TEST(CoreNetwork, MeasureMatchesPaperStyleSnr) {
   const sim::OtamLink fixed = net.measure_fixed_beam(*id);
   EXPECT_GT(otam.snr_db, 10.0);
   EXPECT_LE(otam.joint_ber, fixed.joint_ber + 1e-12);
+}
+
+TEST(CoreNetwork, MeasureFollowsRoomThroughCache) {
+  // measure() reads the simulator's cached links; every room or pose
+  // change must show up, bit-identical to a fresh trace.
+  Network net = paper_network();
+  const auto id = net.join({{1.0, 2.0}, 0.0}, 10e6);
+  ASSERT_TRUE(id);
+  const sim::OtamLink clear = net.measure(*id);
+
+  channel::park_blocker_on_los(net.room(), {1.0, 2.0}, {5.5, 2.0});
+  const sim::OtamLink blocked = net.measure(*id);
+  EXPECT_FALSE(same_bits(blocked, clear));
+  EXPECT_TRUE(same_bits(blocked, net.sim().link_uncached(*id)));
+  net.room().clear_blockers();
+  EXPECT_TRUE(same_bits(net.measure(*id), clear));
+
+  net.set_pose(*id, {{1.5, 1.0}, 0.3});
+  const sim::OtamLink moved = net.measure(*id);
+  EXPECT_FALSE(same_bits(moved, clear));
+  EXPECT_TRUE(same_bits(moved, net.sim().link_uncached(*id)));
+  net.set_pose(*id, {{1.0, 2.0}, 0.0});
+  EXPECT_TRUE(same_bits(net.measure(*id), clear));
 }
 
 TEST(CoreNetwork, LeaveFreesChannel) {

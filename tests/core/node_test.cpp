@@ -76,8 +76,7 @@ TEST(CoreNode, PoseManagement) {
   Node node(7, {{1.0, 2.0}, 0.5});
   EXPECT_EQ(node.id(), 7);
   EXPECT_DOUBLE_EQ(node.pose().orientation_rad, 0.5);
-  node.set_pose({{2.0, 3.0}, -0.5});
-  EXPECT_DOUBLE_EQ(node.pose().position.x, 2.0);
+  EXPECT_DOUBLE_EQ(node.pose().position.x, 1.0);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "mmx/common/units.hpp"
 #include "mmx/core/network.hpp"
 #include "mmx/dsp/noise.hpp"
+#include "mmx/mac/init_protocol.hpp"
 #include "mmx/phy/preamble.hpp"
 
 namespace mmx::core {
@@ -51,12 +52,18 @@ TEST(CodedSend, FecWinsOnMarginalLink) {
   EXPECT_GE(coded, plain);       // FEC never hurts here and usually helps
 }
 
+/// A node configured with a 10 Mbps grant from the AP's init protocol.
+Node granted_node() {
+  mac::InitProtocol init(mac::FdmAllocator(kIsmLowHz, kIsmHighHz, 1e6), rf::Vco{});
+  Node node(1, {{1.0, 2.0}, 0.0});
+  node.configure(std::get<mac::ChannelGrant>(init.handle(mac::ChannelRequest{1, 10e6, 0.0})));
+  return node;
+}
+
 TEST(StreamReceive, DecodesBackToBackFrames) {
   Rng rng(9);
-  AccessPoint ap{channel::Pose{{5.5, 2.0}, kPi}};
-  Node node(1, {{1.0, 2.0}, 0.0});
-  const auto grant = ap.handle_init(mac::ChannelRequest{1, 10e6, 0.0});
-  node.configure(std::get<mac::ChannelGrant>(grant));
+  const AccessPoint ap{channel::Pose{{5.5, 2.0}, kPi}};
+  const Node node = granted_node();
   const phy::OtamChannel ch{{2e-4, 0.0}, {2e-3, 0.0}};
 
   dsp::Cvec stream;
@@ -85,10 +92,8 @@ TEST(StreamReceive, DecodesBackToBackFrames) {
 
 TEST(StreamReceive, NoiseOnlyStreamYieldsNothing) {
   Rng rng(10);
-  AccessPoint ap{channel::Pose{{5.5, 2.0}, kPi}};
-  Node node(1, {{1.0, 2.0}, 0.0});
-  const auto grant = ap.handle_init(mac::ChannelRequest{1, 10e6, 0.0});
-  node.configure(std::get<mac::ChannelGrant>(grant));
+  const AccessPoint ap{channel::Pose{{5.5, 2.0}, kPi}};
+  const Node node = granted_node();
   const dsp::Cvec junk = dsp::awgn(node.phy_config().samples_per_symbol * 400, 1.0, rng);
   EXPECT_TRUE(ap.receive_stream(junk, node.phy_config()).empty());
 }
