@@ -20,18 +20,21 @@ constexpr std::uint64_t kFaultDomain = 0xFA171E57ULL;
 constexpr std::uint64_t kEventStreamBase = 16;
 
 void validate(const FaultConfig& c) {
+  // Each test is phrased to fail on NaN; an infinite rate would make
+  // llround() of the event count garbage.
   const auto nonneg = [](double v, const char* what) {
-    if (v < 0.0) throw std::invalid_argument(std::string("FaultConfig: ") + what + " must be >= 0");
+    if (!(std::isfinite(v) && v >= 0.0))
+      throw std::invalid_argument(std::string("FaultConfig: ") + what + " must be finite and >= 0");
   };
   nonneg(c.storm_rate_hz, "storm_rate_hz");
   nonneg(c.power_cycle_rate_hz, "power_cycle_rate_hz");
   nonneg(c.revoke_rate_hz, "revoke_rate_hz");
   nonneg(c.timeout_skew_frac, "timeout_skew_frac");
-  if (c.storm_duration_s <= 0.0 || c.power_cycle_down_s <= 0.0 || c.reap_timeout_s <= 0.0)
+  if (!(c.storm_duration_s > 0.0 && c.power_cycle_down_s > 0.0 && c.reap_timeout_s > 0.0))
     throw std::invalid_argument("FaultConfig: durations must be > 0");
-  if (c.storm_fraction < 0.0 || c.storm_fraction > 1.0 || c.ack_loss_frac < 0.0 ||
-      c.ack_loss_frac > 1.0 || c.ack_corrupt_frac < 0.0 || c.ack_corrupt_frac > 1.0 ||
-      c.storm_delivery_frac < 0.0 || c.storm_delivery_frac > 1.0 || c.timeout_skew_frac >= 1.0)
+  const auto in_unit = [](double v) { return v >= 0.0 && v <= 1.0; };
+  if (!(in_unit(c.storm_fraction) && in_unit(c.ack_loss_frac) && in_unit(c.ack_corrupt_frac) &&
+        in_unit(c.storm_delivery_frac) && c.timeout_skew_frac < 1.0))
     throw std::invalid_argument("FaultConfig: fractions must lie in [0, 1]");
   if (c.arq_giveups_to_rejoin < 0)
     throw std::invalid_argument("FaultConfig: arq_giveups_to_rejoin must be >= 0");

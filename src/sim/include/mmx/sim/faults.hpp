@@ -15,8 +15,8 @@
 //
 // The protocol-plane faults (ack loss/corruption, timeout skew) are not
 // plan events; they are per-frame draws the scenario takes from each
-// node's own stream, gated behind `p > 0` checks so a config with every
-// rate at zero replays the fault-free byte-stream exactly.
+// node's own stream, gated behind `p > 0` checks so a zero rate draws
+// nothing.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +31,8 @@
 namespace mmx::sim {
 
 struct FaultConfig {
-  /// Master switch. Off (the default) keeps the scenario byte-identical
-  /// to the pre-fault-layer code path: no extra Rng draws, no reaping.
+  /// Master switch. A disabled layer (the default) is FaultConfig{}: the
+  /// scenario ignores every other field and runs the zero-rate layer.
   bool enabled = false;
 
   // --- Blockage storms: a slice of links drops into deep fade ----------
@@ -69,9 +69,8 @@ struct FaultConfig {
   int arq_giveups_to_rejoin = 0;
   /// AP reaps associated nodes silent for this long (zombie grants).
   double reap_timeout_s = 0.5;
-  /// ARQ config for the things (retry backoff pacing). Only applied when
-  /// the fault layer is enabled; the default path keeps the legacy
-  /// default-constructed ArqConfig.
+  /// ARQ config for the things (retry backoff pacing). A disabled layer
+  /// uses FaultConfig{}'s, the default-constructed ArqConfig.
   mac::ArqConfig arq{};
 };
 

@@ -53,8 +53,9 @@ struct ScaleConfig {
   /// Worker threads for the batched cache refresh (0 = all cores).
   std::size_t refresh_threads = 1;
   /// Fault injection + recovery policy (docs/ROBUSTNESS.md). Disabled by
-  /// default, which keeps the scenario byte-identical to the fault-free
-  /// code path; `make_fault_storm()` is the pinned robustness-lane storm.
+  /// default; a disabled layer is FaultConfig{}, the zero-rate layer,
+  /// whatever its other fields say. `make_fault_storm()` is the pinned
+  /// robustness-lane storm.
   FaultConfig faults{};
   /// Overload-lane scenario knobs, active only while
   /// `sim.init.overload.enabled` is set (the single master switch — with
@@ -134,6 +135,12 @@ struct ScaleReport {
 
 class ScaleScenario {
  public:
+  /// Throws std::invalid_argument, naming the field, for a config that
+  /// would hang or silently do nothing: zero nodes; non-finite or
+  /// non-positive intervals, duration_s, node_rate_bps or frame_bits; a
+  /// negative or non-finite join_window_s; fractions outside [0, 1]; a
+  /// reap timeout that does not exceed measure_interval_s (the layer's
+  /// reap_timeout_s, or FaultConfig{}'s when the layer is disabled).
   explicit ScaleScenario(ScaleConfig cfg = make_scale_config());
 
   /// Run the full scenario. Deterministic: same (config, seed) gives a

@@ -120,10 +120,16 @@ std::vector<std::uint16_t> NetworkSimulator::reap_inactive(double now_s,
                                                            double silence_timeout_s) {
   if (silence_timeout_s <= 0.0)
     throw std::invalid_argument("NetworkSimulator: silence_timeout_s must be > 0");
+  // One pass over the flat table, in id order. A node never noted is
+  // skipped without a lookup; every noted node that has gone silent pays
+  // one holder lookup per call, so a caller should note holders only.
   std::vector<std::uint16_t> reaped;
-  for (const auto& [id, holder] : init_.holders()) {
-    const double last_active_s = node(id).last_active_s;
-    if (last_active_s >= 0.0 && now_s - last_active_s >= silence_timeout_s) reaped.push_back(id);
+  for (std::size_t id = 0; id < nodes_.size(); ++id) {
+    if (!nodes_[id].present) continue;
+    const double last_active_s = nodes_[id].state.last_active_s;
+    if (last_active_s >= 0.0 && now_s - last_active_s >= silence_timeout_s &&
+        init_.holders().contains(static_cast<std::uint16_t>(id)))
+      reaped.push_back(static_cast<std::uint16_t>(id));
   }
   for (const std::uint16_t id : reaped) remove_node(id);
   MMX_OBS_COUNT("sim.ap.reaped", reaped.size());

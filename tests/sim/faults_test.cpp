@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 
 #include "mmx/sim/faults.hpp"
 #include "mmx/sim/scale_scenario.hpp"
@@ -99,6 +100,17 @@ TEST(FaultPlan, RejectsInvalidConfigs) {
   bad = make_fault_storm();
   bad.timeout_skew_frac = 1.0;
   EXPECT_THROW(compile(bad), std::invalid_argument);
+  // NaN slips past a plain `< 0` test; an infinite rate would make the
+  // event count garbage.
+  bad = make_fault_storm();
+  bad.power_cycle_rate_hz = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(compile(bad), std::invalid_argument);
+  bad = make_fault_storm();
+  bad.revoke_rate_hz = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(compile(bad), std::invalid_argument);
+  bad = make_fault_storm();
+  bad.ack_loss_frac = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(compile(bad), std::invalid_argument);
   EXPECT_THROW(FaultPlan::compile(make_fault_storm(), 0.0, 0), std::invalid_argument);
 }
 
@@ -113,6 +125,23 @@ TEST(FaultScenario, DisabledLayerEqualsZeroRateEnabledLayer) {
   zeroed.faults.enabled = true;
   const ScaleReport a = ScaleScenario(off).run(21);
   const ScaleReport b = ScaleScenario(zeroed).run(21);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(b.faults, FaultStats{});
+}
+
+TEST(FaultScenario, DisabledKnobsAreInert) {
+  // Every rate and knob set EXCEPT the master switch — the reaper timeout
+  // even below one round, which an enabled layer would reject: the run
+  // must equal one with FaultConfig{}. A disabled layer is the zero-rate
+  // layer, whatever its other fields say.
+  ScaleConfig plain = faulty_config();
+  plain.faults = FaultConfig{};
+  ScaleConfig knobs = plain;
+  knobs.faults = make_fault_storm();
+  knobs.faults.enabled = false;
+  knobs.faults.reap_timeout_s = plain.measure_interval_s / 2.0;
+  const ScaleReport a = ScaleScenario(plain).run(21);
+  const ScaleReport b = ScaleScenario(knobs).run(21);
   EXPECT_EQ(a, b);
   EXPECT_EQ(b.faults, FaultStats{});
 }

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 #include "mmx/sim/faults.hpp"
 #include "mmx/sim/scale_scenario.hpp"
@@ -87,6 +89,15 @@ TEST(OverloadLane, ComposesWithFaultStorm) {
   cfg.refresh_threads = 8;
   const ScaleReport threaded = ScaleScenario(cfg).run(11);
   EXPECT_TRUE(serial == threaded);
+}
+
+TEST(OverloadLane, MakeOverloadConfigRejectsNonFiniteOrNonPositive) {
+  // NaN and inf pass a plain `<= 0` test, and llround() of either yields
+  // a garbage population.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(), kInf, -kInf})
+    EXPECT_THROW(make_overload_config(bad), std::invalid_argument) << bad;
+  EXPECT_GT(make_overload_config(0.5).nodes, 0u);
 }
 
 TEST(OverloadLane, DisabledKnobsAreInert) {

@@ -5,6 +5,13 @@
 // seed-deterministic accounting.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
+#include "mmx/common/rng.hpp"
 #include "mmx/sim/scale_scenario.hpp"
 
 namespace mmx::sim {
@@ -118,6 +125,151 @@ TEST(ScaleScenario, NarrowBandDeniesAndRetriesKeepThingsResident) {
   // by the post-join-window rounds, as above).
   EXPECT_LE(r.link_evals, r.measure_rounds * cfg.nodes);
   EXPECT_GT(r.link_evals, r.measure_rounds * cfg.nodes / 2);
+}
+
+// Expects the constructor to reject `cfg` with an invalid_argument whose
+// message names `field`.
+void expect_rejected(const ScaleConfig& cfg, const std::string& field) {
+  try {
+    const ScaleScenario scenario(cfg);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(ScaleScenarioConfig, RejectsNonFiniteNegativeOrOverOneFractions) {
+  // A negative fraction would cast a negative llround() to size_t and
+  // spin the churn loop ~2^64 times.
+  for (const double bad : {-0.01, kNaN, kInf, 1.5}) {
+    ScaleConfig cfg = small_config();
+    cfg.move_fraction = bad;
+    expect_rejected(cfg, "move_fraction");
+    cfg = small_config();
+    cfg.leave_fraction = bad;
+    expect_rejected(cfg, "leave_fraction");
+  }
+}
+
+TEST(ScaleScenarioConfig, RejectsNonFiniteOrNonPositiveIntervals) {
+  // A NaN interval passes a plain `<= 0` check and schedules no rounds.
+  for (const double bad : {0.0, -0.125, kNaN, kInf}) {
+    ScaleConfig cfg = small_config();
+    cfg.measure_interval_s = bad;
+    expect_rejected(cfg, "measure_interval_s");
+    cfg = small_config();
+    cfg.churn_interval_s = bad;
+    expect_rejected(cfg, "churn_interval_s");
+  }
+}
+
+TEST(ScaleScenarioConfig, RejectsNonFiniteOrNonPositiveDuration) {
+  for (const double bad : {0.0, -1.0, kNaN, kInf}) {
+    ScaleConfig cfg = small_config();
+    cfg.duration_s = bad;
+    expect_rejected(cfg, "duration_s");
+  }
+}
+
+TEST(ScaleScenarioConfig, RejectsNonFiniteOrNonPositiveNodeRate) {
+  for (const double bad : {0.0, -0.5e6, kNaN, kInf}) {
+    ScaleConfig cfg = small_config();
+    cfg.node_rate_bps = bad;
+    expect_rejected(cfg, "node_rate_bps");
+  }
+}
+
+TEST(ScaleScenarioConfig, RejectsNonFiniteOrNonPositiveFrameBits) {
+  for (const double bad : {0.0, -1000.0, kNaN, kInf}) {
+    ScaleConfig cfg = small_config();
+    cfg.frame_bits = bad;
+    expect_rejected(cfg, "frame_bits");
+  }
+}
+
+TEST(ScaleScenarioConfig, RejectsNegativeOrNonFiniteJoinWindow) {
+  for (const double bad : {-0.5, kNaN, kInf}) {
+    ScaleConfig cfg = small_config();
+    cfg.join_window_s = bad;
+    expect_rejected(cfg, "join_window_s");
+  }
+  // Everyone arriving at t = 0 is a legal storm.
+  ScaleConfig burst = small_config(20);
+  burst.join_window_s = 0.0;
+  const ScaleReport r = ScaleScenario(burst).run(1);
+  EXPECT_GE(r.joins, burst.nodes);
+  EXPECT_EQ(r.joins, r.granted + r.denied);
+}
+
+TEST(ScaleScenarioConfig, RejectsAReaperNoSlowerThanOneRound) {
+  // A polled thing is heard once per round: a reap timeout at or below
+  // the round length would reclaim healthy grants every round.
+  ScaleConfig cfg = small_config();
+  cfg.faults = make_fault_storm();
+  cfg.faults.reap_timeout_s = cfg.measure_interval_s;
+  expect_rejected(cfg, "faults.reap_timeout_s");
+  // A disabled layer ignores its knobs, this one included.
+  cfg.faults.enabled = false;
+  EXPECT_NO_THROW(ScaleScenario{cfg});
+  // But it is FaultConfig{}, whose reaper runs on the default timeout: a
+  // round that long is rejected with the layer off as well.
+  cfg.measure_interval_s = FaultConfig{}.reap_timeout_s;
+  expect_rejected(cfg, "faults.reap_timeout_s");
+}
+
+TEST(ScaleScenarioConfig, RandomConfigsCompleteOrThrowTyped) {
+  // Small randomized configs, invalid values included: each one either
+  // throws std::invalid_argument or completes with coherent accounting.
+  const auto pick = [](Rng& rng, double lo, double hi) {
+    const int roll = rng.uniform_int(0, 29);  // one value in ten is invalid
+    if (roll == 0) return kNaN;
+    if (roll == 1) return -rng.uniform(lo, hi);
+    if (roll == 2) return rng.chance(0.5) ? 0.0 : kInf;
+    return rng.uniform(lo, hi);
+  };
+  std::size_t completed = 0;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    ScaleConfig cfg = make_scale_config(static_cast<std::size_t>(rng.uniform_int(1, 10)));
+    cfg.sim.band_high_hz = cfg.sim.band_low_hz + rng.uniform(2e6, 20e6);  // some denies
+    cfg.duration_s = pick(rng, 0.1, 2.0);
+    cfg.join_window_s = pick(rng, 0.0, 1.0);
+    cfg.churn_interval_s = pick(rng, 0.05, 0.5);
+    cfg.measure_interval_s = pick(rng, 0.01, 0.25);
+    cfg.move_fraction = pick(rng, 0.0, 1.0);
+    cfg.leave_fraction = pick(rng, 0.0, 1.0);
+    if (rng.chance(0.5)) {
+      cfg.faults = make_fault_storm();
+      cfg.faults.reap_timeout_s = pick(rng, 0.05, 1.0);
+      cfg.faults.power_cycle_rate_hz = pick(rng, 0.0, 8.0);
+      cfg.faults.storm_fraction = rng.uniform(0.0, 1.2);  // > 1 is invalid
+    }
+    if (rng.chance(0.5)) {
+      cfg.sim.init.overload.enabled = true;
+      cfg.sim.init.overload.min_rate_bps = cfg.node_rate_bps / 4.0;
+      cfg.sim.init.overload.shedding = rng.chance(0.5);
+      cfg.high_priority_period = static_cast<std::size_t>(rng.uniform_int(0, 3));
+    }
+    ScaleReport r;
+    try {
+      r = ScaleScenario(cfg).run(seed);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+      continue;
+    }
+    ++completed;
+    EXPECT_EQ(r.joins, r.granted + r.denied) << "seed " << seed;
+    EXPECT_EQ(r.overload.invariant_violations, 0u) << "seed " << seed;
+    EXPECT_GE(r.delivery_ratio, 0.0) << "seed " << seed;
+    EXPECT_LE(r.delivery_ratio, 1.0) << "seed " << seed;
+  }
+  // Both outcomes must actually be exercised.
+  EXPECT_GT(completed, 5u);
+  EXPECT_GT(rejected, 5u);
 }
 
 }  // namespace
