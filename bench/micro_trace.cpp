@@ -4,7 +4,8 @@
 //
 // Two kernel sets are selectable with --kernels:
 //   fast  the production path: compiled RoomPlan, tabulated AP images,
-//         batched trace_batch_into, caller-owned PathList workspace
+//         batched trace_batch_into with corridor windows, caller-owned
+//         PathList workspace
 //   ref   channel::ref::RayTracer::trace — the frozen bit-exact oracle
 //         (allocating one vector per call, deriving every image inline)
 //
@@ -21,9 +22,10 @@
 // Stages:
 //   refill   the sim's cache-refill inner loop at its pinned config
 //            (1 bounce, 60 dB): 10k nodes against one AP in a 12 m x 8 m
-//            room with 3 human blockers, in 64-node blocks, one
-//            blockers-on gains trace + one blockers-off corridor trace
-//            per node — exactly NetworkSimulator::refill_block's shape
+//            room with 3 human blockers, in 64-node blocks, each node's
+//            blockers-on gains paths + blockers-off corridor paths —
+//            exactly NetworkSimulator::refill_block's shape (one batched
+//            call per block for fast; two reference traces per node)
 //   trace    single-pair trace_into, random endpoints, 1 bounce
 //   bounce2  single-pair trace, 2 bounces (image-of-image heavy)
 //   dense    48 blockers (grid broad phase on), 2 bounces
@@ -104,8 +106,9 @@ const std::vector<Vec2>& refill_nodes() {
   return nodes;
 }
 
-// The sim's refill inner loop: per 64-node block, one batched gains trace
-// (blockers applied) and one batched corridor trace (blockers off).
+// The sim's refill inner loop: per 64-node block, one batched trace that
+// yields the gains paths (blockers applied) and the corridor paths
+// (blockers off).
 // Checksums accumulate per-stream in node order, so ref and fast sum the
 // same doubles in the same sequence — bitwise-equal results.
 double trial_refill(bool fast) {
@@ -123,8 +126,7 @@ double trial_refill(bool fast) {
       const std::span<std::uint32_t> o1(offs.data(), n + 1);
       const std::span<std::uint32_t> o2(offs.data() + n + 1, n + 1);
       ws.clear();
-      // The fused refill kernel: gains + corridors from one pass.
-      f.plan.trace_batch_dual_into(kAp, block, f.ap_images, ws, o1, o2, kMaxExcessDb, 1);
+      f.plan.trace_batch_into(kAp, block, f.ap_images, ws, o1, o2, kMaxExcessDb, 1);
       for (std::size_t i = 0; i < n; ++i) {
         for (const channel::Path& p : ws.slice(o1[i], o1[i + 1])) acc_gains += path_checksum(p);
         for (const channel::Path& p : ws.slice(o2[i], o2[i + 1])) acc_corr += path_checksum(p);
@@ -154,7 +156,7 @@ double trial_single(bool fast, Rng& rng, Fixture& f, int max_bounces) {
       thread_local channel::PathList ws;
       ws.clear();
       for (const channel::Path& p :
-           f.plan.trace_into(tx, rx, ws, kMaxExcessDb, max_bounces, true))
+           f.plan.trace_into(tx, rx, ws, kMaxExcessDb, max_bounces))
         acc += path_checksum(p);
     } else {
       for (const channel::Path& p : f.tracer.trace(tx, rx, kMaxExcessDb, max_bounces, true))

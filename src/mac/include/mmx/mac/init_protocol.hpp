@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "mmx/mac/allocator.hpp"
-#include "mmx/mac/sdm.hpp"
 #include "mmx/mac/side_channel.hpp"
 #include "mmx/rf/vco.hpp"
 

@@ -13,13 +13,12 @@
 //   - A blocker add/move/clear invalidates exactly the entries whose
 //     wall-only path corridors the old or new disc touches. Blockers
 //     attenuate paths but never create or bend them, so the blocker-free
-//     corridor set (RoomPlan traces with apply_blockers = false) is a
-//     sound superset of every path a blocker configuration can influence:
-//     a disc that misses all corridors provably leaves the node's gains
-//     bit-identical, and the entry is revalidated for free. Invalidated
-//     entries are marked stale rather than erased: their corridors depend
-//     only on walls and pose (both unchanged), so a refill re-traces the
-//     gains and keeps the corridors — one trace, not two.
+//     corridor set (a corridor window of RoomPlan::trace_batch_into) is
+//     a sound superset of every path a blocker configuration can
+//     influence: a disc that misses all corridors provably leaves the
+//     node's gains bit-identical, and the entry is revalidated for free.
+//     Invalidated entries are marked stale rather than erased; a refill
+//     re-traces their gains and corridors in one geometric pass.
 //
 // Cached results are therefore bit-identical to uncached ones — the same
 // guarantee the parallel sweep engine gives (docs/PARALLELISM.md), pinned
@@ -78,8 +77,7 @@ class LinkCache {
     OtamLink fixed{};                  ///< memoized evaluate_fixed_beam result
     bool has_otam = false;
     bool has_fixed = false;
-    /// Gains invalidated by a blocker delta. The corridors are still
-    /// valid (walls and pose unchanged), so a refill may reuse them.
+    /// Gains invalidated by a blocker delta.
     bool stale = false;
   };
 
@@ -89,20 +87,14 @@ class LinkCache {
   void reconcile(const channel::Room& room);
 
   /// Valid entry for (id, pose) or a freshly filled one: `fill` runs only
-  /// on a miss (absent, stale, or computed at another pose), while the
-  /// old entry is still stored, so it can find() a stale entry's
-  /// still-valid corridors. Counts one hit or one miss. Call reconcile()
-  /// first.
+  /// on a miss (absent, stale, or computed at another pose). Counts one
+  /// hit or one miss. Call reconcile() first.
   Entry& ensure(std::uint16_t id, const channel::Pose& pose,
                 const std::function<Entry()>& fill);
 
   /// True if a lookup for (id, pose) would hit. No stats side effects —
   /// this is the batched-refresh probe.
   bool valid(std::uint16_t id, const channel::Pose& pose) const;
-
-  /// The entry stored for `id` (stale or not), nullptr if absent. No
-  /// stats side effects; read-only, safe to call from refill workers.
-  const Entry* find(std::uint16_t id) const;
 
   /// Commit a batch-computed entry (counts toward `stats().refills`).
   void store_refill(std::uint16_t id, Entry entry);
@@ -114,9 +106,9 @@ class LinkCache {
   const LinkCacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  /// Wall-only path corridors node -> AP, from a path set RoomPlan traced
-  /// with apply_blockers = false. The trace must use the same
-  /// max_excess_loss_db and max_bounces as the gains trace, so the
+  /// Wall-only path corridors node -> AP, from a blocker-free path set
+  /// (a corridor window of RoomPlan::trace_batch_into). The trace must use
+  /// the same max_excess_loss_db and max_bounces as the gains, so the
   /// corridor set stays a superset of the real path set.
   static std::vector<Corridor> corridors_from_paths(std::span<const channel::Path> paths,
                                                     Vec2 node_position, Vec2 ap_position);

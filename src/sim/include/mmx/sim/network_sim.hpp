@@ -62,7 +62,9 @@ class NetworkSimulator {
   NetworkSimulator(channel::Room room, channel::Pose ap_pose, SimConfig cfg = {});
 
   /// Register a node: runs the §7a initialization (FDM, then SDM).
-  /// Returns the node id, or nullopt if the AP denied the request.
+  /// Returns the node id, or nullopt if the AP denied the request. A pose
+  /// outside the room or on the AP position throws std::invalid_argument
+  /// before any id is issued (so does every call that places a node).
   std::optional<std::uint16_t> add_node(const channel::Pose& pose, double rate_bps);
 
   /// Outcome of an admission attempt (the overload-aware add_node).
@@ -208,6 +210,9 @@ class NetworkSimulator {
   };
 
   const NodeState& node(std::uint16_t id) const;
+  /// Throws std::invalid_argument for a node position outside the room or
+  /// on the AP. Callers run it before any state changes.
+  void check_node_position(Vec2 position) const;
   /// Next never-issued id. Ids are not recycled, so once all 65535 are
   /// spent this throws std::overflow_error instead of wrapping onto an id
   /// that may still hold a grant.
@@ -218,11 +223,11 @@ class NetworkSimulator {
   /// during a parallel refresh — refresh_cache primes it serially and
   /// hands workers the const reference.
   const TraceContext& trace_context() const;
-  /// Batched refill of one job block: one trace_batch_into for the gains
-  /// (blockers applied) and one for the corridors of jobs that cannot
-  /// reuse a stale prior's, amortizing the AP image table per block.
-  /// refresh_cache fans blocks of it over workers; a lazy miss in
-  /// cache_entry refills a one-job block.
+  /// Batched refill of one job block: one trace_batch_into yields every
+  /// job's gains (blockers applied) and corridor window (blocker-free),
+  /// amortizing the AP image table per block; each job builds its
+  /// corridors from its own window. refresh_cache fans blocks of it over
+  /// workers; a lazy miss in cache_entry refills a one-job block.
   std::vector<LinkCache::Entry> refill_block(const TraceContext& ctx,
                                              std::span<const RefillJob> jobs) const;
   LinkCache::Entry& cache_entry(std::uint16_t id, const NodeState& n) const;

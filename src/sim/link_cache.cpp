@@ -112,11 +112,6 @@ bool LinkCache::valid(std::uint16_t id, const channel::Pose& pose) const {
          slots_[id].entry.pose == pose;
 }
 
-const LinkCache::Entry* LinkCache::find(std::uint16_t id) const {
-  if (id >= slots_.size() || !slots_[id].present) return nullptr;
-  return &slots_[id].entry;
-}
-
 void LinkCache::store_refill(std::uint16_t id, Entry entry) {
   ++stats_.refills;
   if (id >= slots_.size()) slots_.resize(id + 1);

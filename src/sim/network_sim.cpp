@@ -54,8 +54,7 @@ std::optional<std::uint16_t> NetworkSimulator::add_node(const channel::Pose& pos
 
 NetworkSimulator::Admission NetworkSimulator::admit(const channel::Pose& pose,
                                                     double rate_bps, std::uint8_t priority) {
-  if (!room_.contains(pose.position))
-    throw std::invalid_argument("NetworkSimulator: node outside the room");
+  check_node_position(pose.position);
   const std::uint16_t id = issue_id();
   // Bearing at registration: AP-frame azimuth of the direct path.
   const double bearing =
@@ -81,11 +80,18 @@ std::vector<std::pair<std::uint16_t, double>> NetworkSimulator::promote_demoted(
 std::vector<mac::ChannelGrant> NetworkSimulator::drain_retunes() { return init_.take_retunes(); }
 
 std::uint16_t NetworkSimulator::add_tracked_node(const channel::Pose& pose) {
-  if (!room_.contains(pose.position))
-    throw std::invalid_argument("NetworkSimulator: node outside the room");
+  check_node_position(pose.position);
   const std::uint16_t id = issue_id();
   store_node(id, NodeState{pose});
   return id;
+}
+
+void NetworkSimulator::check_node_position(Vec2 position) const {
+  if (!room_.contains(position))
+    throw std::invalid_argument("NetworkSimulator: node outside the room");
+  // A node on the AP has no path to trace: every refill would throw.
+  if (position == ap_pose_.position)
+    throw std::invalid_argument("NetworkSimulator: node on the AP position");
 }
 
 std::uint16_t NetworkSimulator::issue_id() {
@@ -143,8 +149,7 @@ bool NetworkSimulator::revoke_grant(std::uint16_t id) {
 }
 
 void NetworkSimulator::set_node_pose(std::uint16_t id, const channel::Pose& pose) {
-  if (!room_.contains(pose.position))
-    throw std::invalid_argument("NetworkSimulator: node outside the room");
+  check_node_position(pose.position);
   if (id >= nodes_.size() || !nodes_[id].present)
     throw std::out_of_range("NetworkSimulator: unknown node");
   if (nodes_[id].state.pose == pose) return;
@@ -181,62 +186,23 @@ std::vector<LinkCache::Entry> NetworkSimulator::refill_block(
   channel::PathList& ws = tls_path_list();
   thread_local std::vector<Vec2> txs;
   thread_local std::vector<std::uint32_t> offs;
-  thread_local std::vector<std::uint32_t> wall_offs;
-  thread_local std::vector<std::size_t> need_corridors;  // job indices
-  thread_local std::vector<std::size_t> gains_only;      // job indices
+  thread_local std::vector<std::uint32_t> corridor_offs;
   ws.clear();
-  need_corridors.clear();
-  gains_only.clear();
+  txs.clear();
+  for (const RefillJob& job : jobs) txs.push_back(job.pose.position);
+  offs.resize(jobs.size() + 1);
+  corridor_offs.resize(jobs.size() + 1);
+  ctx.plan.trace_batch_into(ap_pose_.position, txs, ctx.ap_images, ws, offs, corridor_offs,
+                            kTraceMaxExcessLossDb, kTraceMaxBounces);
 
-  // Partition: a stale same-pose prior keeps valid corridors (walls and
-  // pose decide them, and both are unchanged), so those jobs only need
-  // the gains trace; everyone else takes the fused dual trace that
-  // produces gains and corridors from one geometric pass per node.
   std::vector<LinkCache::Entry> out(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     out[i].pose = jobs[i].pose;
-    // Concurrent reads of the cache are safe here: nothing mutates it
-    // until the runner has joined and store_refill commits.
-    const LinkCache::Entry* prior = cache_.find(jobs[i].id);
-    if (prior != nullptr && prior->pose == jobs[i].pose) {
-      out[i].corridors = prior->corridors;
-      gains_only.push_back(i);
-    } else {
-      need_corridors.push_back(i);
-    }
-  }
-
-  if (!need_corridors.empty()) {
-    txs.clear();
-    for (const std::size_t i : need_corridors) txs.push_back(jobs[i].pose.position);
-    offs.resize(txs.size() + 1);
-    wall_offs.resize(txs.size() + 1);
-    ctx.plan.trace_batch_dual_into(ap_pose_.position, txs, ctx.ap_images, ws, offs, wall_offs,
-                                   kTraceMaxExcessLossDb, kTraceMaxBounces);
-    for (std::size_t k = 0; k < need_corridors.size(); ++k) {
-      const std::size_t i = need_corridors[k];
-      out[i].gains =
-          channel::compute_beam_gains(ws.slice(offs[k], offs[k + 1]), jobs[i].pose, beams_,
-                                      ap_pose_, ap_antenna_, cfg_.freq_hz);
-      out[i].corridors = LinkCache::corridors_from_paths(
-          ws.slice(wall_offs[k], wall_offs[k + 1]), jobs[i].pose.position, ap_pose_.position);
-    }
-  }
-
-  if (!gains_only.empty()) {
-    txs.clear();
-    for (const std::size_t i : gains_only) txs.push_back(jobs[i].pose.position);
-    ws.clear();  // the dual pass's slices were consumed above
-    offs.resize(txs.size() + 1);
-    ctx.plan.trace_batch_into(ap_pose_.position, txs, ctx.ap_images, ws, offs,
-                              kTraceMaxExcessLossDb, kTraceMaxBounces,
-                              /*apply_blockers=*/true);
-    for (std::size_t k = 0; k < gains_only.size(); ++k) {
-      const std::size_t i = gains_only[k];
-      out[i].gains =
-          channel::compute_beam_gains(ws.slice(offs[k], offs[k + 1]), jobs[i].pose, beams_,
-                                      ap_pose_, ap_antenna_, cfg_.freq_hz);
-    }
+    out[i].gains = channel::compute_beam_gains(ws.slice(offs[i], offs[i + 1]), jobs[i].pose,
+                                               beams_, ap_pose_, ap_antenna_, cfg_.freq_hz);
+    out[i].corridors =
+        LinkCache::corridors_from_paths(ws.slice(corridor_offs[i], corridor_offs[i + 1]),
+                                        jobs[i].pose.position, ap_pose_.position);
   }
   return out;
 }

@@ -93,6 +93,17 @@ TEST(Tma, DirectionsHashToDistinctHarmonics) {
   EXPECT_GT(tma.demux_sir_db(dirs, harm), 15.0);
 }
 
+TEST(Tma, CloseBearingsDegradeDemuxSir) {
+  // Two sources steered apart (harmonics 0 and 2 at their own steered
+  // angles) separate cleanly; two sources 0.03 rad apart on neighbouring
+  // harmonics 0 and 1 leak into each other and cost >= 10 dB of SIR.
+  auto tma = TimeModulatedArray::progressive(TmaSpec{}, 0.125, 0.45);
+  const std::vector<double> apart{tma.steered_angle(0), tma.steered_angle(2)};
+  const std::vector<double> close{0.0, 0.03};
+  EXPECT_GT(tma.demux_sir_db(apart, std::vector<int>{0, 2}),
+            tma.demux_sir_db(close, std::vector<int>{0, 1}) + 10.0);
+}
+
 TEST(Tma, UnwantedCopies20To30DbDown) {
   // Paper §7b: "only one copy has significant amplitude and the rest are
   // negligible (20-30 dB weaker)". Check leakage of a steered source

@@ -69,10 +69,15 @@ Room random_room(Rng& rng, double& w, double& h) {
 // point equality. Half the cases force the grid on (grid_min_blockers =
 // 0, small cells) so the broad phase is exercised even at low blocker
 // counts; the other half run the default config (flat SoA scan below 8
-// blockers).
+// blockers). A quarter of the draws compare the reference's blocker-free
+// trace against the corridor window of a one-node batch trace, which is
+// how the plan produces that set.
 TEST(RoomPlanProperty, BitIdenticalToReferenceTracer) {
   constexpr int kCases = 12000;
   PathList ws;
+  ImageTable images;
+  std::vector<std::uint32_t> offsets(2);
+  std::vector<std::uint32_t> corridor_offsets(2);
   for (int c = 0; c < kCases; ++c) {
     Rng rng = Rng::stream(0x700fULL, static_cast<std::uint64_t>(c));
     double w = 0.0;
@@ -95,8 +100,15 @@ TEST(RoomPlanProperty, BitIdenticalToReferenceTracer) {
 
     const auto ref = tracer.trace(tx, rx, max_excess_loss_db, max_bounces, apply_blockers);
     ws.clear();
-    const auto fast = plan.trace_into(tx, rx, ws, max_excess_loss_db, max_bounces,
-                                      apply_blockers);
+    std::span<const Path> fast;
+    if (apply_blockers) {
+      fast = plan.trace_into(tx, rx, ws, max_excess_loss_db, max_bounces);
+    } else {
+      plan.build_images(rx, max_bounces, images);
+      plan.trace_batch_into(rx, {&tx, 1}, images, ws, offsets, corridor_offsets,
+                            max_excess_loss_db, max_bounces);
+      fast = ws.slice(corridor_offsets[0], corridor_offsets[1]);
+    }
     ASSERT_TRUE(paths_equal(ref, fast)) << "case " << c << " bounces " << max_bounces
                                         << " blockers " << room.blockers().size()
                                         << " grid " << plan.grid_enabled();
@@ -116,37 +128,38 @@ TEST(RoomPlanProperty, BatchMatchesSingleAndReference) {
   const Vec2 ap = random_point(rng, w, h);
 
   for (const int max_bounces : {1, 2}) {
-    for (const bool apply_blockers : {true, false}) {
-      ImageTable images;
-      plan.build_images(ap, max_bounces, images);
-      std::vector<Vec2> nodes;
-      for (int i = 0; i < 200; ++i) nodes.push_back(random_point(rng, w, h));
+    ImageTable images;
+    plan.build_images(ap, max_bounces, images);
+    std::vector<Vec2> nodes;
+    for (int i = 0; i < 400; ++i) nodes.push_back(random_point(rng, w, h));
 
-      PathList ws;
-      std::vector<std::uint32_t> offsets(nodes.size() + 1);
-      const auto all = plan.trace_batch_into(ap, nodes, images, ws, offsets, 60.0, max_bounces,
-                                             apply_blockers);
-      EXPECT_EQ(all.size(), ws.size());
-      EXPECT_EQ(offsets.front(), 0u);
-      EXPECT_EQ(offsets.back(), ws.size());
+    PathList ws;
+    std::vector<std::uint32_t> offsets(nodes.size() + 1);
+    std::vector<std::uint32_t> corridor_offsets(nodes.size() + 1);
+    const auto all = plan.trace_batch_into(ap, nodes, images, ws, offsets, corridor_offsets, 60.0,
+                                           max_bounces);
+    EXPECT_EQ(all.size(), ws.size());
+    EXPECT_EQ(offsets.front(), 0u);
+    EXPECT_EQ(corridor_offsets.back(), ws.size());
 
-      PathList single;
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const auto ref = tracer.trace(nodes[i], ap, 60.0, max_bounces, apply_blockers);
-        ASSERT_TRUE(paths_equal(ref, ws.slice(offsets[i], offsets[i + 1])))
-            << "node " << i << " bounces " << max_bounces;
-        single.clear();
-        const auto one =
-            plan.trace_into(nodes[i], ap, single, 60.0, max_bounces, apply_blockers);
-        ASSERT_TRUE(paths_equal(one, ws.slice(offsets[i], offsets[i + 1]))) << "node " << i;
-      }
+    PathList single;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const auto ref = tracer.trace(nodes[i], ap, 60.0, max_bounces, true);
+      ASSERT_TRUE(paths_equal(ref, ws.slice(offsets[i], offsets[i + 1])))
+          << "node " << i << " bounces " << max_bounces;
+      single.clear();
+      const auto one = plan.trace_into(nodes[i], ap, single, 60.0, max_bounces);
+      ASSERT_TRUE(paths_equal(one, ws.slice(offsets[i], offsets[i + 1]))) << "node " << i;
+      ASSERT_TRUE(paths_equal(tracer.trace(nodes[i], ap, 60.0, max_bounces, false),
+                              ws.slice(corridor_offsets[i], corridor_offsets[i + 1])))
+          << "corridor node " << i << " bounces " << max_bounces;
     }
   }
 }
 
-// The fused dual trace shares one geometric pass between the
-// blockers-applied and blocker-free results; both windows must still be
-// bit-identical to separate reference runs.
+// One geometric pass yields the blockers-applied and blocker-free
+// (corridor) results; both windows must still be bit-identical to
+// separate reference runs.
 TEST(RoomPlanProperty, DualBatchMatchesTwoReferencePasses) {
   Rng rng(0xd0a1);
   double w = 0.0;
@@ -169,7 +182,7 @@ TEST(RoomPlanProperty, DualBatchMatchesTwoReferencePasses) {
       std::vector<std::uint32_t> on(nodes.size() + 1);
       std::vector<std::uint32_t> off(nodes.size() + 1);
       const auto all =
-          plan.trace_batch_dual_into(ap, nodes, images, ws, on, off, max_excess, max_bounces);
+          plan.trace_batch_into(ap, nodes, images, ws, on, off, max_excess, max_bounces);
       EXPECT_EQ(all.size(), ws.size());
       EXPECT_EQ(off.back(), ws.size());
       EXPECT_EQ(on.back(), off.front());  // off windows follow all on windows
@@ -232,7 +245,7 @@ TEST(RoomPlanGrid, BlockerSpanningManyCells) {
     if (rx == tx) rx.x += 0.25;
     const auto ref = tracer.trace(tx, rx, 200.0, 2, true);
     ws.clear();
-    const auto fast = plan.trace_into(tx, rx, ws, 200.0, 2, true);
+    const auto fast = plan.trace_into(tx, rx, ws, 200.0, 2);
     ASSERT_TRUE(paths_equal(ref, fast)) << "case " << c;
   }
 }
@@ -265,24 +278,36 @@ TEST(RoomPlan, ArgumentAndStalenessChecks) {
   plan.build_images({3.0, 2.0}, 1, images);
   std::vector<Vec2> nodes{{1.0, 1.0}};
   std::vector<std::uint32_t> offsets(2);
+  std::vector<std::uint32_t> corridor_offsets(2);
   // Wrong endpoint for the table.
-  EXPECT_THROW(plan.trace_batch_into({3.0, 2.1}, nodes, images, ws, offsets),
+  EXPECT_THROW(plan.trace_batch_into({3.0, 2.1}, nodes, images, ws, offsets, corridor_offsets),
                std::invalid_argument);
   // Table lacks the pair images a 2-bounce batch needs.
-  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, 60.0, 2),
-               std::invalid_argument);
+  EXPECT_THROW(
+      plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, corridor_offsets, 60.0, 2),
+      std::invalid_argument);
   // Wrong offsets size.
   std::vector<std::uint32_t> bad(1);
-  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, bad),
+  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, bad, corridor_offsets),
+               std::invalid_argument);
+  // Wrong corridor_offsets size: it too must be nodes.size() + 1.
+  std::vector<std::uint32_t> long_corridors(3);
+  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, {}),
+               std::invalid_argument);
+  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, bad),
+               std::invalid_argument);
+  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, long_corridors),
                std::invalid_argument);
   // Stale table: the room mutated after build_images.
   room.add_blocker(human_blocker({2.0, 2.0}));
   plan.rebuild(room);
-  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets),
+  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, corridor_offsets),
                std::invalid_argument);
   // Rebuilt table works again.
   plan.build_images({3.0, 2.0}, 1, images);
-  EXPECT_GT(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets).size(), 0u);
+  EXPECT_GT(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, corridor_offsets)
+                .size(),
+            0u);
 }
 
 TEST(RoomPlan, TracksRoomEpoch) {

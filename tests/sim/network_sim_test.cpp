@@ -122,6 +122,34 @@ TEST(NetworkSim, ValidatesPositions) {
                std::invalid_argument);
 }
 
+TEST(NetworkSim, NodeOnApPositionRejectedBeforeAnyStateChange) {
+  // A node on the AP has no path to trace, so every cache refill would
+  // throw; it must be refused before an id is issued or spectrum moves.
+  NetworkSimulator net = paper_testbed();
+  const auto id = net.add_node({{1.0, 2.0}, 0.0}, 10e6);
+  ASSERT_TRUE(id.has_value());
+  const Vec2 ap = net.ap_pose().position;
+  const auto allocations = net.init().allocator().allocations();
+
+  EXPECT_THROW(net.add_node({ap, 0.0}, 1e6), std::invalid_argument);
+  EXPECT_THROW(net.admit({ap, 0.0}, 1e6), std::invalid_argument);
+  EXPECT_THROW(net.add_tracked_node({ap, 0.0}), std::invalid_argument);
+  EXPECT_THROW(net.set_node_pose(*id, {ap, 0.0}), std::invalid_argument);
+  EXPECT_EQ(net.num_nodes(), 1u);
+  EXPECT_EQ(net.num_associated(), 1u);
+  EXPECT_EQ(net.init().allocator().allocations(), allocations);
+  EXPECT_EQ(net.node_pose(*id).position, (Vec2{1.0, 2.0}));
+
+  // The cache still refills, and the next id is the one a rejected call
+  // would otherwise have taken.
+  EXPECT_EQ(net.refresh_cache(2), 1u);
+  EXPECT_EQ(net.link(*id).snr_db, net.link_uncached(*id).snr_db);
+  const auto next = net.add_node({{2.0, 2.0}, 0.0}, 1e6);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(*next, *id + 1);
+  EXPECT_EQ(net.refresh_cache(2), 1u);
+}
+
 // Association is read from the AP's holder table, not kept beside it:
 // is_associated, num_associated and reap_inactive must agree with
 // init().holders() through every grant-changing call.

@@ -12,10 +12,10 @@ namespace mmx::test {
 
 inline std::vector<channel::Path> trace_paths(const channel::Room& room, Vec2 tx, Vec2 rx,
                                               double max_excess_loss_db = 60.0,
-                                              int max_bounces = 1, bool apply_blockers = true) {
+                                              int max_bounces = 1) {
   channel::PathList ws;
-  const auto paths = channel::RoomPlan(room).trace_into(tx, rx, ws, max_excess_loss_db,
-                                                         max_bounces, apply_blockers);
+  const auto paths =
+      channel::RoomPlan(room).trace_into(tx, rx, ws, max_excess_loss_db, max_bounces);
   return {paths.begin(), paths.end()};
 }
 
