@@ -8,7 +8,7 @@
 // Parallel sweep: placements are drawn in one serial pass over the root
 // Rng — the exact draw order of the original serial loop, so the default
 // `--trials 30` reproduces the historical figure bit-for-bit — and the
-// per-placement ray trace + mode comparison fans across the pool.
+// per-placement ray trace + mode comparison fans across the workers.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>

@@ -1,5 +1,6 @@
 #include "harness.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,9 +36,12 @@ namespace {
 }
 
 std::uint64_t parse_u64(const char* prog, const char* flag, const char* value) {
+  // strtoull accepts a leading '-' and wraps it (-1 -> 2^64-1), and
+  // saturates out-of-range input with ERANGE: reject both.
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
+  if (end == value || *end != '\0' || errno == ERANGE || std::strchr(value, '-') != nullptr) {
     std::fprintf(stderr, "%s: %s expects a non-negative integer, got '%s'\n", prog, flag, value);
     std::exit(2);
   }

@@ -4,7 +4,7 @@
 // this sweep answers the deployment question behind it — over thousands
 // of random placements and orientations, what fraction of the apartment
 // does one hub cover, and how does the concrete-and-metal core carve it
-// up? Trials fan across the sweep engine's work-stealing pool, so the
+// up? Trials fan across the sweep engine's worker threads, so the
 // answer is the same at any `--threads` (and scales to "paint the whole
 // floor plan" trial counts).
 #include <cstdio>

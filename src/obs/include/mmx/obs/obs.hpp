@@ -65,16 +65,12 @@ class Counter {
 };
 
 /// Instantaneous level (queue depth, resident population) with a
-/// high-water mark. set()/add() are relaxed; max tracking is a CAS loop
+/// high-water mark. set() is relaxed; max tracking is a CAS loop
 /// (rare: only on new highs).
 class Gauge {
  public:
   void set(std::int64_t v) {
     v_.store(v, std::memory_order_relaxed);
-    raise_max(v);
-  }
-  void add(std::int64_t d) {
-    const std::int64_t v = v_.fetch_add(d, std::memory_order_relaxed) + d;
     raise_max(v);
   }
   std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
@@ -198,15 +194,6 @@ class Registry {
     }                                                                      \
   } while (0)
 
-#define MMX_OBS_GAUGE_ADD(name, d)                                         \
-  do {                                                                     \
-    if (::mmx::obs::enabled()) {                                           \
-      static ::mmx::obs::Gauge& MMX_OBS_CAT(mmx_obs_g_, __LINE__) =        \
-          ::mmx::obs::Registry::global().gauge(name);                      \
-      MMX_OBS_CAT(mmx_obs_g_, __LINE__).add(static_cast<std::int64_t>(d)); \
-    }                                                                      \
-  } while (0)
-
 #define MMX_OBS_RECORD(name, v)                                               \
   do {                                                                        \
     if (::mmx::obs::enabled()) {                                              \
@@ -222,7 +209,6 @@ class Registry {
 // while never evaluating them.
 #define MMX_OBS_COUNT(name, n) ((void)sizeof(n))
 #define MMX_OBS_GAUGE_SET(name, v) ((void)sizeof(v))
-#define MMX_OBS_GAUGE_ADD(name, d) ((void)sizeof(d))
 #define MMX_OBS_RECORD(name, v) ((void)sizeof(v))
 
 #endif  // MMX_OBS_ENABLED

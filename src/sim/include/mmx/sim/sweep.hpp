@@ -2,8 +2,9 @@
 //
 // A sweep is N independent trials of a pure function
 //   T trial(std::size_t index, Rng& rng)
-// fanned across a work-stealing pool. Two guarantees make the parallel
-// run bit-identical to the serial one at any thread count:
+// split into contiguous chunks that the calling thread and its helper
+// threads claim from one shared atomic counter. Two guarantees make the
+// parallel run bit-identical to the serial one at any thread count:
 //
 //   1. Seeding — trial i draws from Rng::stream(seed, i), a counter-based
 //      derivation that is a pure function of (root seed, trial index):
@@ -16,10 +17,10 @@
 // docs/PARALLELISM.md walks through the scheme and how to add a sweep.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -27,7 +28,6 @@
 
 #include "mmx/common/rng.hpp"
 #include "mmx/obs/trace.hpp"
-#include "mmx/sim/thread_pool.hpp"
 
 namespace mmx::sim {
 
@@ -98,36 +98,15 @@ class SweepRunner {
     // sees one key produced by two runs. Generations are deterministic
     // because sweeps are launched serially from the driving thread.
     const std::uint64_t trace_run = next_trace_run() << 40;
-    if (threads_ <= 1 || count <= 1) {
-      for (std::size_t i = 0; i < count; ++i) {
+    for_each_chunk(count, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        // Trial spans are keyed on the trial index, so the merged trace
+        // is schedule-independent (docs/OBSERVABILITY.md).
         MMX_OBS_SPAN_IF(config_.trace_trials, "sweep.trial", trace_run | i);
         Rng rng = Rng::stream(config_.seed, i);
         out.trials[i] = fn(i, rng);
       }
-    } else {
-      // Contiguous chunks (~8 per worker) amortize queue traffic for
-      // microsecond-scale trials while leaving enough tasks to steal.
-      // Chunking cannot change results: trial i still draws from stream
-      // i and writes slot i no matter which chunk carries it.
-      const std::size_t chunk = std::max<std::size_t>(1, count / (threads_ * 8));
-      ThreadPool pool(threads_);
-      for (std::size_t begin = 0; begin < count; begin += chunk) {
-        const std::size_t end = std::min(count, begin + chunk);
-        MMX_OBS_GAUGE_ADD("sweep.queue_depth", 1);
-        pool.submit([&out, &fn, this, begin, end, trace_run] {
-          (void)trace_run;
-          // Trial spans are keyed on the trial index, so the merged
-          // trace is schedule-independent (docs/OBSERVABILITY.md).
-          MMX_OBS_GAUGE_ADD("sweep.queue_depth", -1);
-          for (std::size_t i = begin; i < end; ++i) {
-            MMX_OBS_SPAN_IF(config_.trace_trials, "sweep.trial", trace_run | i);
-            Rng rng = Rng::stream(config_.seed, i);
-            out.trials[i] = fn(i, rng);
-          }
-        });
-      }
-      pool.wait_idle();
-    }
+    });
     out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     out.trials_per_s = out.wall_s > 0.0 ? static_cast<double>(count) / out.wall_s : 0.0;
     return out;
@@ -136,6 +115,13 @@ class SweepRunner {
  private:
   /// Monotonic per-process sweep-launch counter (trace span key prefix).
   static std::uint64_t next_trace_run();
+
+  /// Call `body(begin, end)` over contiguous chunks covering [0, count):
+  /// inline when single-threaded, else on the calling thread plus helper
+  /// threads that claim chunks from one atomic counter. Rethrows the
+  /// first exception a chunk threw, after every worker has joined.
+  void for_each_chunk(std::size_t count,
+                      const std::function<void(std::size_t, std::size_t)>& body) const;
 
   SweepConfig config_;
   std::size_t threads_;

@@ -7,8 +7,11 @@
 
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mmx/baseline/fixed_beam.hpp"
@@ -18,7 +21,6 @@
 #include "mmx/common/units.hpp"
 #include "mmx/phy/ber.hpp"
 #include "mmx/sim/sweep.hpp"
-#include "mmx/sim/thread_pool.hpp"
 #include "trace_paths.hpp"
 
 namespace mmx::sim {
@@ -30,40 +32,6 @@ bool bit_identical(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
   if (a.empty()) return true;
   return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  pool.submit([&count] { ++count; });
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, RethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([] { throw std::runtime_error("trial exploded"); });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The pool stays usable after the error is delivered.
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
 }
 
 TEST(RngStream, IsAPureFunctionOfSeedAndIndex) {
@@ -144,6 +112,21 @@ TEST(SweepRunner, CommitsResultsInTrialOrder) {
   EXPECT_TRUE(bit_identical(result.trials, expected));
 }
 
+TEST(SweepRunner, RunsEveryItemOncePerMapCall) {
+  SweepConfig cfg;
+  cfg.threads = 4;
+  SweepRunner runner(cfg);
+  for (int call = 0; call < 2; ++call) {
+    std::vector<std::atomic<int>> runs(1000);
+    runner.map(runs.size(), [&runs](std::size_t i, Rng&) {
+      return runs[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      ASSERT_EQ(runs[i].load(), 1) << "call " << call << ", item " << i;
+    }
+  }
+}
+
 TEST(SweepRunner, PropagatesTrialExceptions) {
   SweepConfig cfg;
   cfg.trials = 64;
@@ -154,6 +137,49 @@ TEST(SweepRunner, PropagatesTrialExceptions) {
                  return 0.0;
                }),
                std::runtime_error);
+}
+
+TEST(SweepRunner, RethrowsFirstChunkException) {
+  SweepConfig cfg;
+  cfg.threads = 2;
+  SweepRunner runner(cfg);
+  // Every chunk throws; map() delivers one of them after all workers join.
+  EXPECT_THROW(runner.map(8, [](std::size_t, Rng&) -> int {
+                 throw std::runtime_error("trial exploded");
+               }),
+               std::runtime_error);
+  // The runner stays usable after the error is delivered.
+  std::atomic<int> count{0};
+  runner.map(1, [&count](std::size_t, Rng&) { return ++count; });
+  EXPECT_EQ(count.load(), 1);
+}
+
+/// This process's thread count from /proc/self/status, if readable.
+std::optional<int> process_threads() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return std::nullopt;
+}
+
+TEST(SweepRunner, SpawnsNoMoreWorkersThanChunks) {
+  const std::optional<int> before = process_threads();
+  if (!before) GTEST_SKIP() << "/proc/self/status has no Threads: line";
+  SweepConfig cfg;
+  cfg.threads = 16;
+  SweepRunner runner(cfg);
+  // Two items make two chunks: the calling thread plus one helper. Compare
+  // with the count before the call so runtime threads (sanitizers) cancel.
+  std::atomic<int> peak{0};
+  runner.map(2, [&peak](std::size_t, Rng&) {
+    const int now = process_threads().value_or(0);
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    return 0;
+  });
+  EXPECT_LE(peak.load() - *before, 1);
 }
 
 // --- Fig. 11 equivalence ---------------------------------------------------
