@@ -82,8 +82,10 @@ int main(int argc, char** argv) {
               rep.granted, rep.denied, rep.leaves, rep.moves);
   std::printf("  rounds %zu  link evals %zu  crowd updates %zu\n", rep.measure_rounds,
               rep.link_evals, rep.blocker_updates);
-  std::printf("  cache: refills %zu  hit rate %.3f  revalidated %llu  invalidated %llu\n",
-              rep.cache_refills, rep.cache.hit_rate(),
+  std::printf("  cache: refills %zu (repriced %llu)  hit rate %.3f  revalidated %llu"
+              "  invalidated %llu\n",
+              rep.cache_refills, static_cast<unsigned long long>(rep.cache.repriced),
+              rep.cache.hit_rate(),
               static_cast<unsigned long long>(rep.cache.revalidated),
               static_cast<unsigned long long>(rep.cache.invalidated));
   std::printf("  links: mean SNR %.1f dB  mean joint BER %.2e  mean rate %.2f Mbps\n",
@@ -149,6 +151,7 @@ int main(int argc, char** argv) {
   report.add_scalar("leaves", static_cast<double>(rep.leaves));
   report.add_scalar("moves", static_cast<double>(rep.moves));
   report.add_scalar("cache_refills", static_cast<double>(rep.cache_refills));
+  report.add_scalar("cache_repriced", static_cast<double>(rep.cache.repriced));
   report.add_scalar("cache_hit_rate", rep.cache.hit_rate());
   report.add_scalar("mean_snr_db", rep.mean_snr_db);
   report.add_scalar("mean_joint_ber", rep.mean_joint_ber);

@@ -23,12 +23,14 @@
 // contract and the broad-phase conservativeness argument.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "mmx/channel/path.hpp"
 #include "mmx/channel/room.hpp"
+#include "mmx/channel/uniform_grid.hpp"
 
 namespace mmx::channel {
 
@@ -42,6 +44,16 @@ struct ImageTable {
   int max_bounces = 0;
   std::vector<Vec2> wall_image;  ///< mirror_w(rx), one per wall
   std::vector<Vec2> pair_image;  ///< mirror_wi(mirror_wj(rx)), index wi * walls + wj
+};
+
+/// The blocker-independent loss terms of one traced path, the doubles
+/// the trace adds: the reflection-loss sum (0 for line of sight) and one
+/// transmission term per leg. A blocker-only reprice rebuilds the path's
+/// excess loss from these plus one RoomPlan::leg_blocker_loss_db per leg,
+/// in trace order.
+struct WallTerms {
+  double reflection_db = 0.0;
+  std::array<double, 3> leg_transmission_db{};  ///< per leg; unused legs stay 0
 };
 
 /// Caller-owned trace workspace: grown-once path storage plus the
@@ -130,6 +142,20 @@ class RoomPlan {
                                    double max_excess_loss_db = 60.0,
                                    int max_bounces = 1) const;
 
+  /// Blocker loss [dB] of one leg a -> b of a traced path: the term the
+  /// trace adds for that leg, from the same broad phase, in the same
+  /// ascending blocker order, at the same per-kind scale (full on a line
+  /// of sight, halved on a reflected leg). A blocker move leaves a path's
+  /// geometry and wall terms alone (paper §6.1), so re-adding these terms
+  /// to its WallTerms in trace order reprices it bit-identically
+  /// (docs/GEOMETRY.md, "Pricing a leg").
+  double leg_blocker_loss_db(Vec2 a, Vec2 b, PathKind kind, PathList& ws) const;
+
+  /// The wall terms of `path`, a path this plan traced from tx to rx:
+  /// the same transmission scans and reflection sum the trace ran, so the
+  /// same doubles. Blocker terms are not wall terms.
+  WallTerms wall_terms(const Path& path, Vec2 tx, Vec2 rx) const;
+
   /// Batched traces against the shared endpoint `ap`: for each i,
   /// appends the exact trace_into(nodes[i], ap, ...) path set, reusing
   /// `images` (build_images(ap, ...)) across the whole batch. Fills
@@ -183,8 +209,10 @@ class RoomPlan {
   double blocker_loss_db(Vec2 a, Vec2 b, int& crossings, double loss_scale,
                          PathList& ws) const;
   double transmission_loss_db(Vec2 a, Vec2 b, WallSkip skip) const;
-  int clamp_col(double x) const;
-  int clamp_row(double y) const;
+  /// Broad phase of blocker_loss_db: gathers into ws.cand_ the discs
+  /// registered in the cells a -> b can touch, once each; returns the
+  /// count. Kept out of line so the flat scan's frame stays small.
+  [[gnu::noinline]] std::size_t grid_candidates(Vec2 a, Vec2 b, PathList& ws) const;
 
   RoomPlanConfig cfg_{};
   std::uint64_t room_epoch_ = ~0ull;
@@ -204,11 +232,7 @@ class RoomPlan {
   /// candidates (false positives are filtered by the exact disc test;
   /// false negatives would break bit-identity and cannot happen).
   bool grid_on_ = false;
-  int grid_cols_ = 0;
-  int grid_rows_ = 0;
-  double cell_m_ = 0.0;
-  double grid_x0_ = 0.0;
-  double grid_y0_ = 0.0;
+  UniformGrid grid_;
   std::vector<std::uint32_t> cell_start_;
   std::vector<std::uint32_t> cell_items_;
 };

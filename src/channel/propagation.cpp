@@ -22,16 +22,30 @@ double atmospheric_loss_db(double distance_m, double freq_hz) {
   return db_per_km * distance_m / 1000.0;
 }
 
+double spreading_loss_db(double distance_m, double freq_hz) {
+  return free_space_loss_db(distance_m, freq_hz) + atmospheric_loss_db(distance_m, freq_hz);
+}
+
 double path_loss_db(double distance_m, double freq_hz, double extra_db) {
   if (extra_db < 0.0) throw std::invalid_argument("path_loss_db: extra loss must be >= 0");
-  return free_space_loss_db(distance_m, freq_hz) + atmospheric_loss_db(distance_m, freq_hz) +
-         extra_db;
+  return spreading_loss_db(distance_m, freq_hz) + extra_db;
+}
+
+std::complex<double> path_phasor(double distance_m, double freq_hz) {
+  const double phase = -wavenumber(freq_hz) * distance_m;
+  return {std::cos(phase), std::sin(phase)};
 }
 
 std::complex<double> path_gain(double distance_m, double freq_hz, double extra_db) {
-  const double amp = db_to_amp(-path_loss_db(distance_m, freq_hz, extra_db));
-  const double phase = -wavenumber(freq_hz) * distance_m;
-  return amp * std::complex<double>{std::cos(phase), std::sin(phase)};
+  return path_gain_from(spreading_loss_db(distance_m, freq_hz), path_phasor(distance_m, freq_hz),
+                        extra_db);
+}
+
+std::complex<double> path_gain_from(double spreading_db, std::complex<double> phasor,
+                                    double extra_db) {
+  if (extra_db < 0.0) throw std::invalid_argument("path_loss_db: extra loss must be >= 0");
+  // The same sum path_loss_db forms: (free space + atmospheric) + extra.
+  return db_to_amp(-(spreading_db + extra_db)) * phasor;
 }
 
 }  // namespace mmx::channel

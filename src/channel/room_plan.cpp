@@ -11,13 +11,6 @@ namespace {
 // body loss (3-D elevation spread routes part of the Fresnel zone around a
 // standing blocker); LoS takes the full loss.
 constexpr double kReflectedBlockageFraction = 0.5;
-
-// Conservativeness margin for the broad phase, in metres. Registration
-// and query both inflate their AABBs/windows by this much, so the ~1e-13
-// rounding of the cell-interpolation arithmetic can only ever ADD cells
-// to the walk — a disc the exact test would hit is always among the
-// candidates, which is what keeps the fast path bit-identical.
-constexpr double kGridSlackM = 1e-9;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -91,8 +84,6 @@ void RoomPlan::rebuild(const Room& room) {
 
   // --- Broad-phase grid over the wall bounding box ----------------------
   grid_on_ = false;
-  grid_cols_ = grid_rows_ = 0;
-  cell_m_ = 0.0;
   cell_start_.clear();
   cell_items_.clear();
   if (n < cfg_.grid_min_blockers || walls_.empty()) return;
@@ -111,69 +102,26 @@ void RoomPlan::rebuild(const Room& room) {
   const double spany = maxy - miny;
   if (spanx <= 0.0 || spany <= 0.0) return;  // degenerate (collinear walls): flat scan
 
-  double cell =
-      cfg_.grid_cell_m > 0.0 ? cfg_.grid_cell_m : std::max(0.5, std::min(spanx, spany) / 8.0);
-  // Bound the table at ~1M cells whatever the configured cell size.
-  cell = std::max({cell, spanx / 1024.0, spany / 1024.0});
-  grid_x0_ = minx;
-  grid_y0_ = miny;
-  cell_m_ = cell;
-  grid_cols_ = std::max(1, static_cast<int>(std::ceil(spanx / cell)));
-  grid_rows_ = std::max(1, static_cast<int>(std::ceil(spany / cell)));
-  const std::size_t cells =
-      static_cast<std::size_t>(grid_cols_) * static_cast<std::size_t>(grid_rows_);
+  grid_ = UniformGrid(Vec2{minx, miny}, Vec2{maxx, maxy}, cfg_.grid_cell_m);
+  const std::size_t cells = grid_.cells();
 
   // CSR pack: count, prefix-sum, fill. Discs register in every cell their
   // slack-inflated AABB overlaps (clamped to the grid — out-of-range
   // geometry lands in border cells, matching the clamped query walk).
   cell_start_.assign(cells + 1, 0);  // mmx-analyze: allow(hot-path-alloc) -- once per epoch
-  const auto cell_rect = [&](std::size_t i, int& c0, int& c1, int& r0, int& r1) {
-    c0 = clamp_col(bx_[i] - br_[i] - kGridSlackM);
-    c1 = clamp_col(bx_[i] + br_[i] + kGridSlackM);
-    r0 = clamp_row(by_[i] - br_[i] - kGridSlackM);
-    r1 = clamp_row(by_[i] + br_[i] + kGridSlackM);
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    int c0 = 0;
-    int c1 = 0;
-    int r0 = 0;
-    int r1 = 0;
-    cell_rect(i, c0, c1, r0, r1);
-    for (int r = r0; r <= r1; ++r)
-      for (int c = c0; c <= c1; ++c)
-        ++cell_start_[static_cast<std::size_t>(r) * static_cast<std::size_t>(grid_cols_) +
-                      static_cast<std::size_t>(c) + 1];
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    grid_.for_each_disc_cell(Vec2{bx_[i], by_[i]}, br_[i],
+                             [&](std::size_t cell_ix) { ++cell_start_[cell_ix + 1]; });
   for (std::size_t c = 1; c <= cells; ++c) cell_start_[c] += cell_start_[c - 1];
   cell_items_.resize(  // mmx-analyze: allow(hot-path-alloc) -- once per epoch
       cell_start_[cells]);
   std::vector<std::uint32_t> cursor(  // mmx-analyze: allow(hot-path-alloc) -- once per epoch
       cell_start_.begin(), cell_start_.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    int c0 = 0;
-    int c1 = 0;
-    int r0 = 0;
-    int r1 = 0;
-    cell_rect(i, c0, c1, r0, r1);
-    for (int r = r0; r <= r1; ++r)
-      for (int c = c0; c <= c1; ++c) {
-        const std::size_t cell_ix =
-            static_cast<std::size_t>(r) * static_cast<std::size_t>(grid_cols_) +
-            static_cast<std::size_t>(c);
-        cell_items_[cursor[cell_ix]++] = static_cast<std::uint32_t>(i);
-      }
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    grid_.for_each_disc_cell(Vec2{bx_[i], by_[i]}, br_[i], [&](std::size_t cell_ix) {
+      cell_items_[cursor[cell_ix]++] = static_cast<std::uint32_t>(i);
+    });
   grid_on_ = true;
-}
-
-int RoomPlan::clamp_col(double x) const {
-  const int c = static_cast<int>(std::floor((x - grid_x0_) / cell_m_));
-  return std::clamp(c, 0, grid_cols_ - 1);
-}
-
-int RoomPlan::clamp_row(double y) const {
-  const int r = static_cast<int>(std::floor((y - grid_y0_) / cell_m_));
-  return std::clamp(r, 0, grid_rows_ - 1);
 }
 
 std::size_t RoomPlan::max_paths(int max_bounces) const {
@@ -241,45 +189,7 @@ double RoomPlan::blocker_loss_db(Vec2 a, Vec2 b, int& crossings, double loss_sca
     return loss;
   }
 
-  // Grid walk: per column of the segment's x-range, the linearly
-  // interpolated (t-clamped, slack-inflated) y-window picks the rows the
-  // segment can touch; stamps deduplicate discs spanning several cells.
-  const std::uint32_t q = ws.next_query();
-  std::size_t ncand = 0;
-  const double dx = b.x - a.x;
-  const double dy = b.y - a.y;
-  const int c0 = clamp_col(minx);
-  const int c1 = clamp_col(maxx);
-  for (int c = c0; c <= c1; ++c) {
-    double t0 = 0.0;
-    double t1 = 1.0;
-    if (dx != 0.0) {
-      const double cx0 = grid_x0_ + cell_m_ * static_cast<double>(c);
-      double ta = (cx0 - kGridSlackM - a.x) / dx;
-      double tb = (cx0 + cell_m_ + kGridSlackM - a.x) / dx;
-      if (ta > tb) std::swap(ta, tb);
-      // Clamping to [0, 1] keeps edge columns covering any segment
-      // overhang beyond the grid (the walk itself is clamped too).
-      t0 = std::clamp(ta, 0.0, 1.0);
-      t1 = std::clamp(tb, 0.0, 1.0);
-    }
-    const double ya = a.y + dy * t0;
-    const double yb = a.y + dy * t1;
-    const int r0 = clamp_row(std::min(ya, yb) - kGridSlackM);
-    const int r1 = clamp_row(std::max(ya, yb) + kGridSlackM);
-    for (int r = r0; r <= r1; ++r) {
-      const std::size_t cell_ix = static_cast<std::size_t>(r) *
-                                      static_cast<std::size_t>(grid_cols_) +
-                                  static_cast<std::size_t>(c);
-      const std::uint32_t kend = cell_start_[cell_ix + 1];
-      for (std::uint32_t k = cell_start_[cell_ix]; k < kend; ++k) {
-        const std::uint32_t i = cell_items_[k];
-        if (ws.stamp_[i] == q) continue;
-        ws.stamp_[i] = q;
-        ws.cand_[ncand++] = i;
-      }
-    }
-  }
+  const std::size_t ncand = grid_candidates(a, b, ws);
 
   // Ascending blocker index: the dB accumulation (and crossing count)
   // must run in the reference loop's order to produce the same bits.
@@ -303,6 +213,23 @@ double RoomPlan::blocker_loss_db(Vec2 a, Vec2 b, int& crossings, double loss_sca
     }
   }
   return loss;
+}
+
+std::size_t RoomPlan::grid_candidates(Vec2 a, Vec2 b, PathList& ws) const {
+  // Grid walk over the cells the segment can touch; stamps deduplicate
+  // discs spanning several cells.
+  const std::uint32_t q = ws.next_query();
+  std::size_t ncand = 0;
+  grid_.for_each_segment_cell(a, b, [&](std::size_t cell_ix) {
+    const std::uint32_t kend = cell_start_[cell_ix + 1];
+    for (std::uint32_t k = cell_start_[cell_ix]; k < kend; ++k) {
+      const std::uint32_t i = cell_items_[k];
+      if (ws.stamp_[i] == q) continue;
+      ws.stamp_[i] = q;
+      ws.cand_[ncand++] = i;
+    }
+  });
+  return ncand;
 }
 
 void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& out,
@@ -464,6 +391,39 @@ std::span<const Path> RoomPlan::trace_into(Vec2 tx, Vec2 rx, PathList& out,
   build_images(rx, max_bounces, out.images_);
   trace_one(tx, rx, out.images_, out, max_excess_loss_db, max_bounces, nullptr);
   return out.slice(begin, out.size());
+}
+
+double RoomPlan::leg_blocker_loss_db(Vec2 a, Vec2 b, PathKind kind, PathList& ws) const {
+  if (!compiled()) throw std::logic_error("RoomPlan: leg_blocker_loss_db before rebuild()");
+  ws.ensure_scratch(bx_.size());
+  int crossings = 0;
+  return blocker_loss_db(a, b, crossings,
+                         kind == PathKind::kLineOfSight ? 1.0 : kReflectedBlockageFraction, ws);
+}
+
+WallTerms RoomPlan::wall_terms(const Path& path, Vec2 tx, Vec2 rx) const {
+  if (!compiled()) throw std::logic_error("RoomPlan: wall_terms before rebuild()");
+  // trace_one's scans, leg by leg, with the same skip masks.
+  switch (path.kind) {
+    case PathKind::kLineOfSight:
+      return {0.0, {transmission_loss_db(tx, rx, WallSkip{}), 0.0, 0.0}};
+    case PathKind::kReflected: {
+      const int w = path.wall_index;
+      return {walls_[static_cast<std::size_t>(w)].reflection_loss_db,
+              {transmission_loss_db(tx, path.via, WallSkip{w}),
+               transmission_loss_db(path.via, rx, WallSkip{w}), 0.0}};
+    }
+    case PathKind::kDoubleReflected: {
+      const int wi = path.wall_index;
+      const int wj = path.wall_index2;
+      return {walls_[static_cast<std::size_t>(wi)].reflection_loss_db +
+                  walls_[static_cast<std::size_t>(wj)].reflection_loss_db,
+              {transmission_loss_db(tx, path.via, WallSkip{wi}),
+               transmission_loss_db(path.via, path.via2, WallSkip{wi, wj}),
+               transmission_loss_db(path.via2, rx, WallSkip{wj})}};
+    }
+  }
+  throw std::logic_error("RoomPlan: unknown path kind");
 }
 
 std::span<const Path> RoomPlan::trace_batch_into(Vec2 ap, std::span<const Vec2> nodes,

@@ -8,17 +8,23 @@
 //
 //   - A pose change invalidates that node and nobody else (entries store
 //     the pose they were computed at; a mismatch is a miss).
-//   - A structural change (new reflector/partition) drops everything —
-//     walls reshape every path.
-//   - A blocker add/move/clear invalidates exactly the entries whose
-//     wall-only path corridors the old or new disc touches. Blockers
-//     attenuate paths but never create or bend them, so the blocker-free
-//     corridor set (a corridor window of RoomPlan::trace_batch_into) is
-//     a sound superset of every path a blocker configuration can
-//     influence: a disc that misses all corridors provably leaves the
-//     node's gains bit-identical, and the entry is revalidated for free.
-//     Invalidated entries are marked stale rather than erased; a refill
-//     re-traces their gains and corridors in one geometric pass.
+//   - A structural change (the wall count changed: a new reflector or
+//     partition) drops everything — walls reshape every path.
+//   - Any blocker add, remove, move or loss change is a dirty-disc delta.
+//     It marks stale exactly the entries whose wall-only path legs the
+//     old or new disc touches. Blockers attenuate paths but never create
+//     or bend them, so the blocker-free path set an entry keeps is a
+//     sound superset of every path any blocker configuration can produce:
+//     a disc that misses all of its legs provably leaves the node's gains
+//     bit-identical, and the entry is revalidated for free. A uniform grid
+//     over the room indexes every entry's legs, so a disc runs the exact
+//     test only on the entries registered in the cells it overlaps.
+//   - A stale entry keeps its paths, and its refill reprices them in
+//     place: one RoomPlan::leg_blocker_loss_db per leg, added to the kept
+//     wall terms in the trace's order, then the trace's cull and gain
+//     sum. A blocker changes a path's loss, not its geometry (paper
+//     §6.1), so the reprice is exact and skips the trace, the antenna
+//     patterns and the spreading loss.
 //
 // Cached results are therefore bit-identical to uncached ones — the same
 // guarantee the parallel sweep engine gives (docs/PARALLELISM.md), pinned
@@ -26,13 +32,13 @@
 #pragma once
 
 #include <array>
+#include <complex>
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "mmx/channel/beam_channel.hpp"
 #include "mmx/channel/room.hpp"
+#include "mmx/channel/uniform_grid.hpp"
 #include "mmx/sim/link_budget.hpp"
 
 namespace mmx::sim {
@@ -47,8 +53,10 @@ struct LinkCacheStats {
   std::uint64_t hits = 0;         ///< lookups served from a valid entry
   std::uint64_t misses = 0;       ///< lookups that had to recompute
   std::uint64_t refills = 0;      ///< entries filled by batched refresh
+  std::uint64_t repriced = 0;     ///< refills that kept their paths (no trace)
   std::uint64_t revalidated = 0;  ///< entries kept across a geometry epoch
   std::uint64_t invalidated = 0;  ///< entries dropped (geometry or pose)
+  std::uint64_t corridor_tests = 0;  ///< exact leg-disc tests in reconcile()
 
   double hit_rate() const {
     const std::uint64_t total = hits + misses;
@@ -56,71 +64,111 @@ struct LinkCacheStats {
   }
 
   /// Add these totals onto the global obs counters (`link_cache.hits`,
-  /// `.misses`, `.refills`, `.revalidated`, `.invalidated`). No-op when
-  /// collection is disabled.
+  /// `.misses`, `.refills`, `.repriced`, `.revalidated`, `.invalidated`,
+  /// `.corridor_tests`). No-op when collection is disabled.
   void publish_obs() const;
 };
 
 class LinkCache {
  public:
-  /// Waypoints of one wall-only propagation path: tx [, via [, via2]], rx.
-  struct Corridor {
-    std::array<Vec2, 4> waypoint{};
-    int count = 0;
+  /// One blocker-free path node -> AP, with every term a blocker reprice
+  /// keeps. Its ends are the entry's pose and the cache's AP position; a
+  /// path has one leg (line of sight) or two (via one reflection point).
+  struct PathRecord {
+    Vec2 via{};                 ///< reflection point (reflected paths)
+    double reflection_db = 0.0;  ///< reflection-loss sum; 0 on a line of sight
+    std::array<double, 2> leg_transmission_db{};  ///< partition loss per leg
+    std::complex<double> beam0_field;  ///< node Beam 0 field at departure
+    std::complex<double> beam1_field;  ///< node Beam 1 field at departure
+    double ap_amp = 0.0;        ///< AP element amplitude at arrival
+    std::complex<double> phasor;  ///< exp(-jkL), channel::path_phasor
+    double spreading_db = 0.0;  ///< free-space + atmospheric loss
+    bool reflected = false;
   };
 
   struct Entry {
-    channel::Pose pose;                ///< node pose the entry was computed at
-    channel::BeamGains gains{};        ///< ray-traced per-beam channel gains
-    std::vector<Corridor> corridors;   ///< wall-only path superset (see header)
-    OtamLink otam{};                   ///< memoized evaluate_otam result
-    OtamLink fixed{};                  ///< memoized evaluate_fixed_beam result
+    channel::Pose pose;               ///< node pose the entry was computed at
+    channel::BeamGains gains{};       ///< ray-traced per-beam channel gains
+    std::vector<PathRecord> paths;    ///< blocker-free path set (see header)
+    OtamLink otam{};                  ///< memoized evaluate_otam result
+    OtamLink fixed{};                 ///< memoized evaluate_fixed_beam result
     bool has_otam = false;
     bool has_fixed = false;
-    /// Gains invalidated by a blocker delta.
+    /// Gains invalidated by a blocker delta; the paths stay valid.
     bool stale = false;
   };
 
+  /// `ap_position` is the far end of every cached path.
+  explicit LinkCache(Vec2 ap_position) : ap_(ap_position) {}
+
   /// Bring the cache in sync with `room`'s current epoch: no-op when the
-  /// epoch is unchanged, otherwise drop exactly the entries the geometry
-  /// delta can affect (see file header for the coherence argument).
-  void reconcile(const channel::Room& room);
+  /// epoch is unchanged, otherwise drop or mark stale exactly the entries
+  /// the geometry delta can affect (see file header).
+  void reconcile(const channel::Room& room) {
+    if (primed_ && room.epoch() == seen_epoch_) return;
+    reconcile_delta(room);
+  }
 
-  /// Valid entry for (id, pose) or a freshly filled one: `fill` runs only
-  /// on a miss (absent, stale, or computed at another pose). Counts one
-  /// hit or one miss. Call reconcile() first.
-  Entry& ensure(std::uint16_t id, const channel::Pose& pose,
-                const std::function<Entry()>& fill);
+  /// Valid entry for (id, pose), counting one hit; otherwise one miss,
+  /// and `fill(entry, reprice)` brings the slot up to date in place.
+  /// `reprice` is true when the entry is stale at the same pose, so its
+  /// paths stand and only their blocker terms need pricing; false means
+  /// a trace must rebuild entry.paths (entry.pose is already set).
+  /// Call reconcile() first.
+  template <typename Fill>
+  Entry& ensure(std::uint16_t id, const channel::Pose& pose, Fill&& fill) {
+    if (id < slots_.size()) {
+      Slot& slot = slots_[id];
+      if (slot.present && !slot.entry.stale && slot.entry.pose == pose) {
+        ++stats_.hits;
+        return slot.entry;
+      }
+    }
+    ++stats_.misses;
+    const bool reprice = open_refill(id, pose);
+    Entry& entry = slots_[id].entry;
+    fill(entry, reprice);
+    close_refill(id, reprice);
+    return entry;
+  }
 
-  /// True if a lookup for (id, pose) would hit. No stats side effects —
-  /// this is the batched-refresh probe.
-  bool valid(std::uint16_t id, const channel::Pose& pose) const;
+  /// True if a lookup for (id, pose) would hit. No stats side effects.
+  bool valid(std::uint16_t id, const channel::Pose& pose) const {
+    return id < slots_.size() && slots_[id].present && !slots_[id].entry.stale &&
+           slots_[id].entry.pose == pose;
+  }
 
-  /// Commit a batch-computed entry (counts toward `stats().refills`).
-  void store_refill(std::uint16_t id, Entry entry);
+  /// Batched in-place refill, in three steps. open_refill (serial) readies
+  /// `id`'s slot for `pose` and says whether its paths can be repriced
+  /// (as for ensure's fill). The caller then fills entry(id), on any
+  /// thread, one thread per id; opening may grow the slot table, so take
+  /// entry references only after the last open_refill. commit_refill
+  /// (serial) counts one refill (and one repriced) and re-indexes the
+  /// legs of traced paths.
+  bool open_refill(std::uint16_t id, const channel::Pose& pose);
+  Entry& entry(std::uint16_t id) { return slots_[id].entry; }
+  void commit_refill(std::uint16_t id, bool repriced);
+
+  /// Ascending, unique ids that may have lost a valid entry since the
+  /// last call: entries reconcile() marked stale or dropped, erased
+  /// entries, and ids passed to note_new(). Every id that is resident but
+  /// not valid() is among them, so a batched refresh never scans the
+  /// whole table.
+  std::vector<std::uint16_t> take_pending();
+  /// A new resident id: it has no entry yet.
+  void note_new(std::uint16_t id) { queue(id); }
 
   void erase(std::uint16_t id);
-  void clear();
 
   std::size_t size() const { return live_; }
   const LinkCacheStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
-
-  /// Wall-only path corridors node -> AP, from a blocker-free path set
-  /// (a corridor window of RoomPlan::trace_batch_into). The trace must use
-  /// the same max_excess_loss_db and max_bounces as the gains, so the
-  /// corridor set stays a superset of the real path set.
-  static std::vector<Corridor> corridors_from_paths(std::span<const channel::Path> paths,
-                                                    Vec2 node_position, Vec2 ap_position);
 
  private:
   struct DirtyDisc {
     Vec2 center;
     double radius = 0.0;
   };
-
-  static bool touches(const std::vector<Corridor>& corridors, const DirtyDisc& disc);
-  void snapshot(const channel::Room& room);
 
   /// One slot per node id. Ids are issued densely by NetworkSimulator, so
   /// flat indexed storage makes the hit path one bounds check + one array
@@ -129,9 +177,44 @@ class LinkCache {
   struct Slot {
     Entry entry;
     bool present = false;
+    bool queued = false;     ///< id is in pending_
+    std::uint32_t seen = 0;  ///< last dirty-disc query that gathered it
+    std::uint32_t cells = 0;  ///< cell lists its current legs were added to
   };
+
+  void reconcile_delta(const channel::Room& room);
+  void snapshot(const channel::Room& room);
+  /// Drop every entry (a structural change), queueing its id.
+  void drop_all();
+  void close_refill(std::uint16_t id, bool repriced);
+  void queue(std::uint16_t id);
+  bool touches(const Entry& entry, const DirtyDisc& disc);
+  /// List `id` in the cells its entry's legs cross.
+  void index(std::uint16_t id);
+  /// Retire `id`'s listings. They stay in the cells as garbage: a listed
+  /// id costs at most one extra exact test, and reconcile() rebuilds the
+  /// index once garbage outweighs live listings.
+  void unindex(std::uint16_t id);
+  void rebuild_index();
+  template <typename Fn>
+  void for_each_leg_cell(const Entry& entry, Fn&& fn);
+
+  Vec2 ap_;
   std::vector<Slot> slots_;
-  std::size_t live_ = 0;  ///< number of present slots
+  std::size_t live_ = 0;   ///< number of present slots
+  std::size_t stale_ = 0;  ///< number of present, stale slots
+  std::vector<std::uint16_t> pending_;
+  /// Leg index over the room's wall box: cell c lists every present
+  /// entry with a leg through it, plus retired listings (garbage_ of
+  /// them, against listed_ live ones). cell_walk_ deduplicates the cells
+  /// of one entry's walk; Slot::seen the entries of one disc query.
+  channel::UniformGrid grid_;
+  std::vector<std::vector<std::uint16_t>> cell_ids_;
+  std::size_t listed_ = 0;
+  std::size_t garbage_ = 0;
+  std::vector<std::uint32_t> cell_walk_;
+  std::uint32_t walk_ = 0;
+  std::uint32_t query_ = 0;
   bool primed_ = false;  ///< snapshot taken at least once
   std::uint64_t seen_epoch_ = 0;
   std::size_t seen_walls_ = 0;

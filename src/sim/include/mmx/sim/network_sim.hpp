@@ -144,11 +144,12 @@ class NetworkSimulator {
   /// Fixed-beam ASK baseline ("without OTAM", §9.2 scenario 1). Memoized.
   OtamLink fixed_beam_link(std::uint16_t id) const;
 
-  /// Batched cache (re)fill: recomputes every stale entry, fanned across
-  /// `threads` workers (0 = one per hardware thread) via the SweepRunner
-  /// engine — results are bit-identical to a serial refresh at any thread
-  /// count. Returns the number of entries recomputed. No-op when the
-  /// cache is disabled.
+  /// Batched cache (re)fill: recomputes every entry that is not valid,
+  /// in place, fanned across `threads` workers (0 = one per hardware
+  /// thread) via the SweepRunner engine — results are bit-identical to a
+  /// serial refresh at any thread count. An entry a blocker delta made
+  /// stale is repriced without a trace. Returns the number of entries
+  /// recomputed. No-op when the cache is disabled.
   std::size_t refresh_cache(std::size_t threads = 0);
 
   const LinkCacheStats& cache_stats() const { return cache_.stats(); }
@@ -207,6 +208,9 @@ class NetworkSimulator {
   struct RefillJob {
     std::uint16_t id = 0;
     channel::Pose pose;
+    /// Stale at the same pose: keep the entry's paths, reprice them.
+    bool reprice = false;
+    LinkCache::Entry* entry = nullptr;  ///< the slot the refill writes
   };
 
   const NodeState& node(std::uint16_t id) const;
@@ -223,13 +227,13 @@ class NetworkSimulator {
   /// during a parallel refresh — refresh_cache primes it serially and
   /// hands workers the const reference.
   const TraceContext& trace_context() const;
-  /// Batched refill of one job block: one trace_batch_into yields every
-  /// job's gains (blockers applied) and corridor window (blocker-free),
-  /// amortizing the AP image table per block; each job builds its
-  /// corridors from its own window. refresh_cache fans blocks of it over
-  /// workers; a lazy miss in cache_entry refills a one-job block.
-  std::vector<LinkCache::Entry> refill_block(const TraceContext& ctx,
-                                             std::span<const RefillJob> jobs) const;
+  /// In-place refill of one job block. The jobs that need a trace share
+  /// one trace_batch_into, amortizing the AP image table per block, and
+  /// rebuild their paths from their corridor (blocker-free) windows.
+  /// Then every job prices its paths against the plan's blockers.
+  /// refresh_cache fans blocks of it over workers; a lazy miss in
+  /// cache_entry refills a one-job block.
+  void refill_block(const TraceContext& ctx, std::span<const RefillJob> jobs) const;
   LinkCache::Entry& cache_entry(std::uint16_t id, const NodeState& n) const;
 
   channel::Room room_;

@@ -1,6 +1,7 @@
 #include "mmx/sim/link_cache.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "mmx/obs/obs.hpp"
 
@@ -10,41 +11,132 @@ void LinkCacheStats::publish_obs() const {
   MMX_OBS_COUNT("link_cache.hits", hits);
   MMX_OBS_COUNT("link_cache.misses", misses);
   MMX_OBS_COUNT("link_cache.refills", refills);
+  MMX_OBS_COUNT("link_cache.repriced", repriced);
   MMX_OBS_COUNT("link_cache.revalidated", revalidated);
   MMX_OBS_COUNT("link_cache.invalidated", invalidated);
+  MMX_OBS_COUNT("link_cache.corridor_tests", corridor_tests);
 }
 
 void LinkCache::snapshot(const channel::Room& room) {
   seen_epoch_ = room.epoch();
-  seen_walls_ = room.walls().size();
   seen_blockers_ = room.blockers();
+  if (primed_ && room.walls().size() == seen_walls_) return;
+  // First snapshot, or the walls changed: lay the leg index over the
+  // walls' bounding box, which holds every node, AP and reflection point.
+  seen_walls_ = room.walls().size();
+  Vec2 lo = room.walls().front().segment.a;
+  Vec2 hi = lo;
+  for (const channel::Wall& w : room.walls())
+    for (const Vec2 p : {w.segment.a, w.segment.b}) {
+      lo = {std::min(lo.x, p.x), std::min(lo.y, p.y)};
+      hi = {std::max(hi.x, p.x), std::max(hi.y, p.y)};
+    }
+  grid_ = channel::UniformGrid(lo, hi, 0.0);
+  cell_ids_.assign(grid_.cells(), {});
+  cell_walk_.assign(grid_.cells(), 0u);
+  walk_ = 0;
   primed_ = true;
 }
 
-bool LinkCache::touches(const std::vector<Corridor>& corridors, const DirtyDisc& disc) {
-  for (const Corridor& c : corridors) {
-    for (int i = 0; i + 1 < c.count; ++i) {
-      if (segment_hits_disc(c.waypoint[static_cast<std::size_t>(i)],
-                            c.waypoint[static_cast<std::size_t>(i + 1)], disc.center,
-                            disc.radius))
-        return true;
+void LinkCache::queue(std::uint16_t id) {
+  if (id >= slots_.size()) slots_.resize(id + 1);
+  if (slots_[id].queued) return;
+  slots_[id].queued = true;
+  pending_.push_back(id);
+}
+
+std::vector<std::uint16_t> LinkCache::take_pending() {
+  std::vector<std::uint16_t> out;
+  out.swap(pending_);
+  for (const std::uint16_t id : out) slots_[id].queued = false;
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+template <typename Fn>
+void LinkCache::for_each_leg_cell(const Entry& entry, Fn&& fn) {
+  const Vec2 node = entry.pose.position;
+  for (const PathRecord& p : entry.paths) {
+    if (p.reflected) {
+      grid_.for_each_segment_cell(node, p.via, fn);
+      grid_.for_each_segment_cell(p.via, ap_, fn);
+    } else {
+      grid_.for_each_segment_cell(node, ap_, fn);
     }
+  }
+}
+
+void LinkCache::index(std::uint16_t id) {
+  if (!primed_) throw std::logic_error("LinkCache: reconcile() before the first fill");
+  if (++walk_ == 0) {
+    std::fill(cell_walk_.begin(), cell_walk_.end(), 0u);
+    walk_ = 1;
+  }
+  std::uint32_t cells = 0;
+  for_each_leg_cell(slots_[id].entry, [&](std::size_t cell) {
+    if (cell_walk_[cell] == walk_) return;
+    cell_walk_[cell] = walk_;
+    cell_ids_[cell].push_back(id);
+    ++cells;
+  });
+  slots_[id].cells = cells;
+  listed_ += cells;
+}
+
+void LinkCache::unindex(std::uint16_t id) {
+  Slot& slot = slots_[id];
+  listed_ -= slot.cells;
+  garbage_ += slot.cells;
+  slot.cells = 0;
+}
+
+void LinkCache::rebuild_index() {
+  for (std::vector<std::uint16_t>& ids : cell_ids_) ids.clear();
+  listed_ = 0;
+  garbage_ = 0;
+  for (std::size_t id = 0; id < slots_.size(); ++id) {
+    slots_[id].cells = 0;
+    if (slots_[id].present) index(static_cast<std::uint16_t>(id));
+  }
+}
+
+bool LinkCache::touches(const Entry& entry, const DirtyDisc& disc) {
+  const Vec2 node = entry.pose.position;
+  const auto hits = [&](Vec2 a, Vec2 b) {
+    ++stats_.corridor_tests;
+    return segment_hits_disc(a, b, disc.center, disc.radius);
+  };
+  for (const PathRecord& p : entry.paths) {
+    if (p.reflected ? hits(node, p.via) || hits(p.via, ap_) : hits(node, ap_)) return true;
   }
   return false;
 }
 
-void LinkCache::reconcile(const channel::Room& room) {
+void LinkCache::drop_all() {
+  for (std::size_t id = 0; id < slots_.size(); ++id) {
+    Slot& slot = slots_[id];
+    slot.cells = 0;
+    if (!slot.present) continue;
+    slot.entry = Entry{};
+    slot.present = false;
+    queue(static_cast<std::uint16_t>(id));
+  }
+  for (std::vector<std::uint16_t>& ids : cell_ids_) ids.clear();
+  listed_ = 0;
+  garbage_ = 0;
+  stats_.invalidated += live_;
+  live_ = 0;
+  stale_ = 0;
+}
+
+void LinkCache::reconcile_delta(const channel::Room& room) {
   if (!primed_) {
     snapshot(room);
     return;
   }
-  if (room.epoch() == seen_epoch_) return;
-
   if (room.walls().size() != seen_walls_) {
     // Structural change: every path may have moved.
-    stats_.invalidated += live_;
-    slots_.clear();
-    live_ = 0;
+    drop_all();
     snapshot(room);
     return;
   }
@@ -66,91 +158,90 @@ void LinkCache::reconcile(const channel::Room& room) {
   for (std::size_t i = common; i < seen_blockers_.size(); ++i)
     dirty.push_back({seen_blockers_[i].center, seen_blockers_[i].radius});
 
-  for (Slot& slot : slots_) {
-    if (!slot.present) continue;
-    Entry& entry = slot.entry;
-    if (entry.stale) continue;  // already invalid; nothing new to learn
-    bool drop = false;
-    for (const DirtyDisc& disc : dirty) {
-      if (touches(entry.corridors, disc)) {
-        drop = true;
-        break;
+  // Each disc gathers the entries listed in the cells it overlaps (the
+  // grid is conservative: an entry with a leg the disc touches is always
+  // among them) and runs the exact test on each fresh one once. Retired
+  // listings only add candidates, until they outnumber the live ones.
+  if (garbage_ > listed_) rebuild_index();
+  const std::size_t fresh = live_ - stale_;
+  std::size_t dropped = 0;
+  for (const DirtyDisc& disc : dirty) {
+    if (++query_ == 0) {
+      for (Slot& slot : slots_) slot.seen = 0;
+      query_ = 1;
+    }
+    grid_.for_each_disc_cell(disc.center, disc.radius, [&](std::size_t cell) {
+      for (const std::uint16_t id : cell_ids_[cell]) {
+        Slot& slot = slots_[id];
+        if (slot.seen == query_) continue;
+        slot.seen = query_;
+        if (!slot.present || slot.entry.stale || !touches(slot.entry, disc)) continue;
+        // The paths stay (walls and pose unchanged); only gains are dirty.
+        slot.entry.stale = true;
+        slot.entry.has_otam = false;
+        slot.entry.has_fixed = false;
+        ++stale_;
+        ++dropped;
+        queue(id);
       }
-    }
-    if (drop) {
-      // Corridors stay (walls and pose unchanged); only gains are dirty.
-      entry.stale = true;
-      entry.has_otam = false;
-      entry.has_fixed = false;
-      ++stats_.invalidated;
-    } else {
-      ++stats_.revalidated;
-    }
+    });
   }
+  stats_.invalidated += dropped;
+  stats_.revalidated += fresh - dropped;
   snapshot(room);
 }
 
-LinkCache::Entry& LinkCache::ensure(std::uint16_t id, const channel::Pose& pose,
-                                    const std::function<Entry()>& fill) {
+bool LinkCache::open_refill(std::uint16_t id, const channel::Pose& pose) {
   if (id >= slots_.size()) slots_.resize(id + 1);
   Slot& slot = slots_[id];
-  if (slot.present && !slot.entry.stale && slot.entry.pose == pose) {
-    ++stats_.hits;
-    return slot.entry;
+  Entry& entry = slot.entry;
+  if (slot.present && entry.stale && entry.pose == pose) return true;
+  if (slot.present) {
+    // A trace replaces the paths: the slot is absent until the commit,
+    // so a fill that throws leaves no entry behind.
+    if (entry.stale)
+      --stale_;
+    else
+      ++stats_.invalidated;  // pose moved under a live entry
+    unindex(id);
+    slot.present = false;
+    --live_;
   }
-  ++stats_.misses;
-  if (slot.present && !slot.entry.stale && slot.entry.pose != pose)
-    ++stats_.invalidated;  // pose moved under a live entry
-  slot.entry = fill();
-  if (!slot.present) ++live_;
-  slot.present = true;
-  return slot.entry;
+  entry.pose = pose;
+  entry.stale = false;
+  entry.has_otam = false;
+  entry.has_fixed = false;
+  return false;
 }
 
-bool LinkCache::valid(std::uint16_t id, const channel::Pose& pose) const {
-  return id < slots_.size() && slots_[id].present && !slots_[id].entry.stale &&
-         slots_[id].entry.pose == pose;
-}
-
-void LinkCache::store_refill(std::uint16_t id, Entry entry) {
-  ++stats_.refills;
-  if (id >= slots_.size()) slots_.resize(id + 1);
+void LinkCache::close_refill(std::uint16_t id, bool repriced) {
   Slot& slot = slots_[id];
-  slot.entry = std::move(entry);
-  if (!slot.present) ++live_;
+  if (repriced) {
+    slot.entry.stale = false;
+    --stale_;
+    return;
+  }
   slot.present = true;
+  ++live_;
+  index(id);
+}
+
+void LinkCache::commit_refill(std::uint16_t id, bool repriced) {
+  ++stats_.refills;
+  if (repriced) ++stats_.repriced;
+  close_refill(id, repriced);
 }
 
 void LinkCache::erase(std::uint16_t id) {
   if (id >= slots_.size() || !slots_[id].present) return;
-  slots_[id] = Slot{};
+  Slot& slot = slots_[id];
+  unindex(id);
+  if (slot.entry.stale) --stale_;
+  slot.entry = Entry{};
+  slot.present = false;
   --live_;
   ++stats_.invalidated;
-}
-
-void LinkCache::clear() {
-  stats_.invalidated += live_;
-  slots_.clear();
-  live_ = 0;
-}
-
-std::vector<LinkCache::Corridor> LinkCache::corridors_from_paths(
-    std::span<const channel::Path> paths, Vec2 node_position, Vec2 ap_position) {
-  std::vector<Corridor> out;
-  out.reserve(paths.size());
-  for (const channel::Path& p : paths) {
-    Corridor c;
-    c.waypoint[0] = node_position;
-    c.count = 1;
-    if (p.kind != channel::PathKind::kLineOfSight) {
-      c.waypoint[static_cast<std::size_t>(c.count++)] = p.via;
-      if (p.kind == channel::PathKind::kDoubleReflected)
-        c.waypoint[static_cast<std::size_t>(c.count++)] = p.via2;
-    }
-    c.waypoint[static_cast<std::size_t>(c.count++)] = ap_position;
-    out.push_back(c);
-  }
-  return out;
+  queue(id);
 }
 
 }  // namespace mmx::sim

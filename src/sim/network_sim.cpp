@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "mmx/channel/propagation.hpp"
 #include "mmx/common/units.hpp"
 #include "mmx/obs/trace.hpp"
 #include "mmx/sim/sweep.hpp"
@@ -17,6 +18,7 @@ namespace {
 // so the cache's corridor set stays a superset of the real path set.
 constexpr double kTraceMaxExcessLossDb = 60.0;
 constexpr int kTraceMaxBounces = 1;
+static_assert(kTraceMaxBounces == 1, "LinkCache::PathRecord holds one reflection point");
 
 // Nodes per refill batch: big enough to amortize the per-batch image
 // table and workspace reuse, small enough that the SweepRunner still
@@ -29,6 +31,39 @@ channel::PathList& tls_path_list() {
   thread_local channel::PathList ws;
   return ws;
 }
+
+// The gains of `e`'s paths under the plan's blockers. Each path's loss is
+// summed in trace_one's order: the reflection sum (0 on a line of sight),
+// one blocker term per leg, one transmission term per leg. Then the same
+// cull (keep iff loss <= the bound) and the same accumulation as
+// compute_beam_gains, in path order. The blockers-applied paths are the
+// culled subset of the blocker-free ones, in the same order, so the gains
+// are the trace's bit for bit. The LoS sum starts 0.0 + blocker term,
+// where the trace starts at the term itself; a blocker term starts from
+// +0.0 and is never -0.0, so the two agree.
+channel::BeamGains price_paths(const channel::RoomPlan& plan, const LinkCache::Entry& e, Vec2 ap,
+                               channel::PathList& ws) {
+  const Vec2 node = e.pose.position;
+  channel::BeamGains g{};
+  for (const LinkCache::PathRecord& p : e.paths) {
+    double loss = p.reflection_db;
+    if (p.reflected) {
+      loss += plan.leg_blocker_loss_db(node, p.via, channel::PathKind::kReflected, ws);
+      loss += plan.leg_blocker_loss_db(p.via, ap, channel::PathKind::kReflected, ws);
+      loss += p.leg_transmission_db[0];
+      loss += p.leg_transmission_db[1];
+    } else {
+      loss += plan.leg_blocker_loss_db(node, ap, channel::PathKind::kLineOfSight, ws);
+      loss += p.leg_transmission_db[0];
+    }
+    if (!(loss <= kTraceMaxExcessLossDb)) continue;
+    const std::complex<double> a = channel::path_gain_from(p.spreading_db, p.phasor, loss) * p.ap_amp;
+    g.h0 += p.beam0_field * a;
+    g.h1 += p.beam1_field * a;
+    ++g.paths_used;
+  }
+  return g;
+}
 }  // namespace
 
 NetworkSimulator::NetworkSimulator(channel::Room room, channel::Pose ap_pose, SimConfig cfg)
@@ -40,7 +75,8 @@ NetworkSimulator::NetworkSimulator(channel::Room room, channel::Pose ap_pose, Si
       ap_antenna_(),
       tma_(antenna::TimeModulatedArray::progressive(cfg.tma, cfg.tma_delay_frac, cfg.tma_tau)),
       init_(mac::FdmAllocator(cfg.band_low_hz, cfg.band_high_hz, cfg.init.guard_hz),
-            rf::Vco(cfg.node_vco), cfg.init) {
+            rf::Vco(cfg.node_vco), cfg.init),
+      cache_(ap_pose.position) {
   if (!room_.contains(ap_pose.position))
     throw std::invalid_argument("NetworkSimulator: AP outside the room");
   if (cfg.band_low_hz >= cfg.band_high_hz)
@@ -106,6 +142,7 @@ void NetworkSimulator::store_node(std::uint16_t id, NodeState state) {
   if (id >= nodes_.size()) nodes_.resize(id + 1);
   nodes_[id] = NodeSlot{std::move(state), /*present=*/true};
   ++num_nodes_;
+  if (cfg_.link_cache) cache_.note_new(id);
 }
 
 void NetworkSimulator::remove_node(std::uint16_t id) {
@@ -181,39 +218,61 @@ const NetworkSimulator::TraceContext& NetworkSimulator::trace_context() const {
   return ctx_;
 }
 
-std::vector<LinkCache::Entry> NetworkSimulator::refill_block(
-    const TraceContext& ctx, std::span<const RefillJob> jobs) const {
+void NetworkSimulator::refill_block(const TraceContext& ctx,
+                                    std::span<const RefillJob> jobs) const {
   channel::PathList& ws = tls_path_list();
   thread_local std::vector<Vec2> txs;
   thread_local std::vector<std::uint32_t> offs;
   thread_local std::vector<std::uint32_t> corridor_offs;
   ws.clear();
   txs.clear();
-  for (const RefillJob& job : jobs) txs.push_back(job.pose.position);
-  offs.resize(jobs.size() + 1);
-  corridor_offs.resize(jobs.size() + 1);
-  ctx.plan.trace_batch_into(ap_pose_.position, txs, ctx.ap_images, ws, offs, corridor_offs,
-                            kTraceMaxExcessLossDb, kTraceMaxBounces);
-
-  std::vector<LinkCache::Entry> out(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    out[i].pose = jobs[i].pose;
-    out[i].gains = channel::compute_beam_gains(ws.slice(offs[i], offs[i + 1]), jobs[i].pose,
-                                               beams_, ap_pose_, ap_antenna_, cfg_.freq_hz);
-    out[i].corridors =
-        LinkCache::corridors_from_paths(ws.slice(corridor_offs[i], corridor_offs[i + 1]),
-                                        jobs[i].pose.position, ap_pose_.position);
+  for (const RefillJob& job : jobs)
+    if (!job.reprice) txs.push_back(job.pose.position);
+  if (!txs.empty()) {
+    offs.resize(txs.size() + 1);
+    corridor_offs.resize(txs.size() + 1);
+    ctx.plan.trace_batch_into(ap_pose_.position, txs, ctx.ap_images, ws, offs, corridor_offs,
+                              kTraceMaxExcessLossDb, kTraceMaxBounces);
   }
-  return out;
+
+  std::size_t traced = 0;
+  for (const RefillJob& job : jobs) {
+    LinkCache::Entry& e = *job.entry;
+    if (!job.reprice) {
+      // Keep every blocker-free path with the terms a reprice reuses: its
+      // wall terms, both beams' pattern fields, the AP element amplitude
+      // and the distance terms of path_gain.
+      const auto paths = ws.slice(corridor_offs[traced], corridor_offs[traced + 1]);
+      ++traced;
+      e.paths.clear();
+      e.paths.reserve(paths.size());
+      for (const channel::Path& p : paths) {
+        const double dep = wrap_angle(p.departure_rad - job.pose.orientation_rad);
+        const double arr = wrap_angle(p.arrival_rad - ap_pose_.orientation_rad);
+        const channel::WallTerms terms =
+            ctx.plan.wall_terms(p, job.pose.position, ap_pose_.position);
+        LinkCache::PathRecord& r = e.paths.emplace_back();
+        r.via = p.via;
+        r.reflection_db = terms.reflection_db;
+        r.leg_transmission_db = {terms.leg_transmission_db[0], terms.leg_transmission_db[1]};
+        r.beam0_field = beams_.field(0, dep);
+        r.beam1_field = beams_.field(1, dep);
+        r.ap_amp = ap_antenna_.amplitude(arr);
+        r.phasor = channel::path_phasor(p.length_m, cfg_.freq_hz);
+        r.spreading_db = channel::spreading_loss_db(p.length_m, cfg_.freq_hz);
+        r.reflected = p.kind == channel::PathKind::kReflected;
+      }
+    }
+    e.gains = price_paths(ctx.plan, e, ap_pose_.position, ws);
+  }
 }
 
 LinkCache::Entry& NetworkSimulator::cache_entry(std::uint16_t id, const NodeState& n) const {
   cache_.reconcile(room_);
-  // A miss is a one-job batched refill. Two captures keep the fill
-  // callable inside std::function's inline buffer: no allocation on a hit.
-  const RefillJob job{id, n.pose};
-  return cache_.ensure(id, n.pose, [this, &job] {
-    return std::move(refill_block(trace_context(), {&job, 1}).front());
+  // A miss is a one-job refill; the hit path never builds the fill.
+  return cache_.ensure(id, n.pose, [&](LinkCache::Entry& e, bool reprice) {
+    const RefillJob job{id, n.pose, reprice, &e};
+    refill_block(trace_context(), {&job, 1});
   });
 }
 
@@ -257,39 +316,42 @@ std::size_t NetworkSimulator::refresh_cache(std::size_t threads) {
   if (!cfg_.link_cache) return 0;
   MMX_OBS_SPAN("sim.refresh_cache", refresh_gen_++);
   cache_.reconcile(room_);
-  std::vector<RefillJob> stale;
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    if (!nodes_[id].present) continue;
+  // The cache names every id that may lack a valid entry, ascending: the
+  // jobs commit in id order without a scan of the whole node table.
+  std::vector<RefillJob> jobs;
+  for (const std::uint16_t id : cache_.take_pending()) {
+    if (id >= nodes_.size() || !nodes_[id].present) continue;
     const channel::Pose& pose = nodes_[id].state.pose;
-    if (!cache_.valid(static_cast<std::uint16_t>(id), pose))
-      stale.push_back({static_cast<std::uint16_t>(id), pose});
+    if (!cache_.valid(id, pose)) jobs.push_back({id, pose});
   }
-  if (stale.empty()) return 0;
+  if (jobs.empty()) return 0;
 
   // Compile the plan + AP image table once, serially: the parallel
-  // workers below only read it.
+  // workers below only read it. Open every slot before taking entry
+  // pointers, since opening may grow the cache's slot table.
   const TraceContext& ctx = trace_context();
+  for (RefillJob& job : jobs) job.reprice = cache_.open_refill(job.id, job.pose);
+  for (RefillJob& job : jobs) job.entry = &cache_.entry(job.id);
 
   // Fan block refills over the sweep engine: each entry is a pure
-  // function of (pose, room), so any schedule commits identical bits; the
-  // runner's trial-order commit then makes the whole refresh
-  // order-independent. Blocks (not single nodes) are the work unit so
-  // each worker amortizes the batched trace across kRefillBlock nodes.
-  // trace_trials off: refills are sub-microsecond and this batch already
-  // sits inside the sim.refresh_cache span above — per-item spans here
-  // would dominate the observability budget on the scale lane.
-  const std::size_t blocks = (stale.size() + kRefillBlock - 1) / kRefillBlock;
+  // function of (pose, room) written to its own slot, so any schedule
+  // leaves identical bits, and the commit below runs in job order.
+  // Blocks (not single nodes) are the work unit so each worker amortizes
+  // the batched trace across kRefillBlock nodes. trace_trials off:
+  // refills are sub-microsecond and this batch already sits inside the
+  // sim.refresh_cache span above — per-item spans here would dominate the
+  // observability budget on the scale lane.
+  const std::size_t blocks = (jobs.size() + kRefillBlock - 1) / kRefillBlock;
   SweepRunner runner(
       SweepConfig{.trials = blocks, .threads = threads, .seed = 0, .trace_trials = false});
-  const std::span<const RefillJob> all(stale);
-  auto filled = runner.map(blocks, [&](std::size_t b, Rng& /*rng*/) {
+  const std::span<const RefillJob> all(jobs);
+  runner.map(blocks, [&](std::size_t b, Rng& /*rng*/) {
     const std::size_t lo = b * kRefillBlock;
-    return refill_block(ctx, all.subspan(lo, std::min(kRefillBlock, stale.size() - lo)));
+    refill_block(ctx, all.subspan(lo, std::min(kRefillBlock, jobs.size() - lo)));
+    return 0;
   });
-  std::size_t next = 0;
-  for (std::vector<LinkCache::Entry>& block : filled.trials)
-    for (LinkCache::Entry& e : block) cache_.store_refill(stale[next++].id, std::move(e));
-  return stale.size();
+  for (const RefillJob& job : jobs) cache_.commit_refill(job.id, job.reprice);
+  return jobs.size();
 }
 
 const mac::ChannelGrant& NetworkSimulator::grant(std::uint16_t id) const {

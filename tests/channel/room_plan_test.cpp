@@ -199,6 +199,71 @@ TEST(RoomPlanProperty, DualBatchMatchesTwoReferencePasses) {
   }
 }
 
+// Repricing a traced path after a blocker move: each corridor path's wall
+// terms plus one leg_blocker_loss_db per leg, summed in trace order and
+// culled at the bound, rebuild the blockers-applied window exactly — the
+// same paths in the same order with the same excess-loss doubles. Heavy
+// blockers (up to 70 dB) push paths across the cull; the grid runs forced
+// on in half the rooms.
+TEST(RoomPlanProperty, LegPricingRebuildsTracedLoss) {
+  Rng rng(0x1e9);
+  for (int c = 0; c < 40; ++c) {
+    double w = 0.0;
+    double h = 0.0;
+    Room room = random_room(rng, w, h);
+    for (int b = rng.uniform_int(0, 12); b > 0; --b)
+      room.add_blocker({random_point(rng, w, h), rng.uniform(0.1, 0.6), rng.uniform(0.0, 70.0)});
+    RoomPlanConfig cfg;
+    if (c % 2 == 1) {
+      cfg.grid_min_blockers = 0;
+      cfg.grid_cell_m = rng.uniform(0.2, 1.5);
+    }
+    const RoomPlan plan(room, cfg);
+    const Vec2 ap = random_point(rng, w, h);
+    const int max_bounces = c % 4 < 2 ? 1 : 2;
+    const double max_excess = rng.chance(0.5) ? 60.0 : rng.uniform(10.0, 40.0);
+    ImageTable images;
+    plan.build_images(ap, max_bounces, images);
+    std::vector<Vec2> nodes;
+    for (int i = 0; i < 20; ++i) nodes.push_back(random_point(rng, w, h));
+    PathList ws;
+    std::vector<std::uint32_t> on(nodes.size() + 1);
+    std::vector<std::uint32_t> off(nodes.size() + 1);
+    plan.trace_batch_into(ap, nodes, images, ws, on, off, max_excess, max_bounces);
+
+    PathList scratch;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      std::vector<Path> repriced;
+      for (const Path& p : ws.slice(off[i], off[i + 1])) {
+        const WallTerms t = plan.wall_terms(p, nodes[i], ap);
+        const Vec2 via[4] = {nodes[i], p.via, p.via2, ap};
+        const int legs = p.kind == PathKind::kLineOfSight ? 1
+                         : p.kind == PathKind::kReflected ? 2
+                                                          : 3;
+        double loss = t.reflection_db;
+        for (int l = 0; l < legs; ++l) {
+          const Vec2 a = l == 0 ? nodes[i] : via[l];
+          const Vec2 b = l == legs - 1 ? ap : via[l + 1];
+          loss += plan.leg_blocker_loss_db(a, b, p.kind, scratch);
+        }
+        for (int l = 0; l < legs; ++l) loss += t.leg_transmission_db[static_cast<std::size_t>(l)];
+        if (!(loss <= max_excess)) continue;
+        Path q = p;
+        q.excess_loss_db = loss;
+        repriced.push_back(q);
+      }
+      const auto traced = ws.slice(on[i], on[i + 1]);
+      ASSERT_EQ(repriced.size(), traced.size()) << "room " << c << " node " << i;
+      for (std::size_t k = 0; k < traced.size(); ++k) {
+        EXPECT_EQ(repriced[k].kind, traced[k].kind);
+        EXPECT_EQ(repriced[k].length_m, traced[k].length_m);
+        EXPECT_EQ(repriced[k].excess_loss_db, traced[k].excess_loss_db)
+            << "room " << c << " node " << i << " path " << k;
+      }
+    }
+  }
+}
+
 // Grid edge cases the column-walk must survive: a segment running exactly
 // along a cell boundary, a disc spanning many cells, and a disc centred
 // on a grid line. The invariant is always the same — bit-identity with

@@ -3,9 +3,14 @@
 // invalidate entries a mutation provably cannot affect.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "mmx/channel/room.hpp"
+#include "mmx/channel/room_plan.hpp"
+#include "mmx/common/rng.hpp"
 #include "mmx/sim/link_cache.hpp"
 #include "mmx/sim/network_sim.hpp"
 #include "ref_ray_tracer.hpp"
@@ -243,6 +248,266 @@ TEST(LinkCache, RemovedNodeDropsItsEntry) {
   f.sim.reset_cache_stats();
   (void)f.sim.link(f.b);
   EXPECT_EQ(f.sim.cache_stats().misses, 1u);  // B was never queried before
+}
+
+// --- Property tests: random rooms under random blocker churn -------------
+
+Vec2 random_point(Rng& rng, double w, double h) {
+  return {rng.uniform(0.05, w - 0.05), rng.uniform(0.05, h - 0.05)};
+}
+
+// A random room with reflectors and partitions whose transmission losses
+// (drywall 7 dB .. metal 60 dB) put non-zero per-leg terms on many paths
+// and push some of them against the 60 dB cull.
+channel::Room random_room(Rng& rng, double& w, double& h) {
+  w = rng.uniform(4.0, 14.0);
+  h = rng.uniform(3.0, 10.0);
+  channel::Room room(w, h);
+  const int reflectors = rng.uniform_int(0, 2);
+  for (int r = 0; r < reflectors; ++r) {
+    const Vec2 a = random_point(rng, w, h);
+    const Vec2 d = unit_vector(rng.uniform(0.0, 6.283)) * rng.uniform(0.3, 2.5);
+    room.add_reflector({a, a + d}, rng.chance(0.5) ? channel::metal() : channel::wood_furniture());
+  }
+  const int partitions = rng.uniform_int(1, 3);
+  for (int r = 0; r < partitions; ++r) {
+    const Vec2 a = random_point(rng, w, h);
+    const Vec2 d = unit_vector(rng.uniform(0.0, 6.283)) * rng.uniform(0.5, 4.0);
+    const int m = rng.uniform_int(0, 3);
+    room.add_partition({a, a + d}, m == 0   ? channel::drywall()
+                                   : m == 1 ? channel::glass()
+                                   : m == 2 ? channel::concrete()
+                                            : channel::metal());
+  }
+  return room;
+}
+
+// Loss per blocker: mostly human-like, sometimes heavy enough that one
+// crossing alone pushes a path past the 60 dB cull.
+channel::Blocker random_blocker(Rng& rng, Vec2 center) {
+  return {center, rng.uniform(0.1, 0.6), rng.chance(0.3) ? rng.uniform(35.0, 70.0)
+                                                         : rng.uniform(5.0, 30.0)};
+}
+
+// A point on one of the blocker-free paths node -> ap: a disc parked
+// there crosses that path's leg.
+Vec2 point_on_a_leg(Rng& rng, const channel::Room& room, Vec2 node, Vec2 ap) {
+  const channel::RoomPlan plan(room);
+  channel::PathList ws;
+  channel::ImageTable images;
+  plan.build_images(ap, 1, images);
+  std::array<std::uint32_t, 2> offs{};
+  std::array<std::uint32_t, 2> corridor_offs{};
+  plan.trace_batch_into(ap, {&node, 1}, images, ws, offs, corridor_offs, 60.0, 1);
+  const auto paths = ws.slice(corridor_offs[0], corridor_offs[1]);
+  if (paths.empty()) return node;
+  const channel::Path& p =
+      paths[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(paths.size()) - 1))];
+  if (p.kind == channel::PathKind::kLineOfSight) return node + (ap - node) * rng.uniform(0.1, 0.9);
+  return rng.chance(0.5) ? node + (p.via - node) * rng.uniform(0.1, 0.9)
+                         : p.via + (ap - p.via) * rng.uniform(0.1, 0.9);
+}
+
+void expect_gains_equal(const channel::BeamGains& x, const channel::BeamGains& y) {
+  EXPECT_EQ(x.h0, y.h0);
+  EXPECT_EQ(x.h1, y.h1);
+  EXPECT_EQ(x.paths_used, y.paths_used);
+}
+
+// One blocker mutation: add (free or parked on a node's leg), move (free
+// or onto a leg), clear, or change one blocker's loss (clear + re-add,
+// the only way a Room expresses it).
+void mutate_blockers(Rng& rng, channel::Room& room, double w, double h, Vec2 node, Vec2 ap) {
+  const std::size_t n = room.blockers().size();
+  const int op = n == 0 ? 0 : rng.uniform_int(0, 9);
+  const Vec2 spot = rng.chance(0.5) ? point_on_a_leg(rng, room, node, ap) : random_point(rng, w, h);
+  if (op <= 2) {
+    room.add_blocker(random_blocker(rng, spot));
+  } else if (op <= 7) {
+    room.move_blocker(static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1)), spot);
+  } else if (op == 8) {
+    room.clear_blockers();
+  } else {
+    std::vector<channel::Blocker> blockers = room.blockers();
+    blockers[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(n) - 1))].loss_db =
+        rng.uniform(0.0, 70.0);
+    room.clear_blockers();
+    for (const channel::Blocker& b : blockers) room.add_blocker(b);
+  }
+}
+
+// Cached gains and links equal the uncached ones bit for bit, refreshed
+// on one worker and on four, under random blocker churn and node moves.
+// Only a node move re-traces: every blocker-stale entry is repriced, so
+// traced refills (refills - repriced) grow by exactly the moves.
+TEST(LinkCacheProperty, RepricedLinksMatchUncachedAtOneAndFourThreads) {
+  std::uint64_t repriced = 0;
+  for (int c = 0; c < 8; ++c) {
+    Rng rng = Rng::stream(0x11cac4eULL, static_cast<std::uint64_t>(c));
+    double w = 0.0;
+    double h = 0.0;
+    const channel::Room room = random_room(rng, w, h);
+    const channel::Pose ap{random_point(rng, w, h), rng.uniform(-3.0, 3.0)};
+    NetworkSimulator one(room, ap);
+    NetworkSimulator four(room, ap);
+    std::vector<std::uint16_t> ids;
+    for (int i = 0; i < 10; ++i) {
+      const channel::Pose pose{random_point(rng, w, h), rng.uniform(-3.0, 3.0)};
+      ids.push_back(one.add_tracked_node(pose));
+      ASSERT_EQ(four.add_tracked_node(pose), ids.back());
+    }
+    const std::size_t blockers = static_cast<std::size_t>(rng.uniform_int(0, 10));
+    for (std::size_t b = 0; b < blockers; ++b) {
+      const channel::Blocker blocker = random_blocker(rng, random_point(rng, w, h));
+      one.room().add_blocker(blocker);
+      four.room().add_blocker(blocker);
+    }
+    ASSERT_EQ(one.refresh_cache(1), ids.size());
+    ASSERT_EQ(four.refresh_cache(4), ids.size());
+    std::uint64_t traced = one.cache_stats().refills - one.cache_stats().repriced;
+
+    for (int step = 0; step < 30; ++step) {
+      std::set<std::uint16_t> moved;
+      if (rng.chance(0.2)) {
+        const std::uint16_t id = ids[static_cast<std::size_t>(rng.uniform_int(0, 9))];
+        const channel::Pose pose{random_point(rng, w, h), rng.uniform(-3.0, 3.0)};
+        if (pose.position != ap.position) {
+          one.set_node_pose(id, pose);
+          four.set_node_pose(id, pose);
+          moved.insert(id);
+        }
+      }
+      const Vec2 node = one.node_pose(ids[static_cast<std::size_t>(rng.uniform_int(0, 9))]).position;
+      Rng twin = rng;
+      mutate_blockers(rng, one.room(), w, h, node, ap.position);
+      mutate_blockers(twin, four.room(), w, h, node, ap.position);
+      ASSERT_EQ(one.room().blockers().size(), four.room().blockers().size());
+
+      ASSERT_EQ(one.refresh_cache(1), four.refresh_cache(4));
+      traced += moved.size();
+      EXPECT_EQ(one.cache_stats().refills - one.cache_stats().repriced, traced);
+      EXPECT_EQ(four.cache_stats().refills - four.cache_stats().repriced, traced);
+      for (const std::uint16_t id : ids) {
+        expect_gains_equal(one.gains(id), one.gains_uncached(id));
+        expect_gains_equal(four.gains(id), one.gains(id));
+        expect_links_equal(one.link(id), one.link_uncached(id));
+        expect_links_equal(four.link(id), one.link(id));
+      }
+      // Every read after a refresh hits.
+      EXPECT_EQ(one.cache_stats().misses, 0u);
+      EXPECT_EQ(four.cache_stats().misses, 0u);
+    }
+    repriced += one.cache_stats().repriced;
+  }
+  EXPECT_GT(repriced, 0u);  // the churn above really reached the reprice path
+}
+
+// A standalone cache filled with each node's blocker-free legs: after
+// every blocker mutation, reconcile()'s grid-indexed invalidation marks
+// stale exactly the entries a brute-force test of every dirty disc
+// against every leg finds, and counts them the same way. Node moves
+// (erase + refill elsewhere) and the garbage they leave in the index run
+// along.
+TEST(LinkCacheProperty, GridInvalidationEqualsBruteForce) {
+  for (int c = 0; c < 12; ++c) {
+    Rng rng = Rng::stream(0x9a1dULL, static_cast<std::uint64_t>(c));
+    double w = 0.0;
+    double h = 0.0;
+    channel::Room room = random_room(rng, w, h);
+    const Vec2 ap = random_point(rng, w, h);
+    const auto fill = [&](LinkCache::Entry& e) {
+      const channel::RoomPlan plan(room);
+      channel::PathList ws;
+      channel::ImageTable images;
+      plan.build_images(ap, 1, images);
+      std::array<std::uint32_t, 2> offs{};
+      std::array<std::uint32_t, 2> corridor_offs{};
+      const Vec2 node = e.pose.position;
+      plan.trace_batch_into(ap, {&node, 1}, images, ws, offs, corridor_offs, 60.0, 1);
+      e.paths.clear();
+      for (const channel::Path& p : ws.slice(corridor_offs[0], corridor_offs[1])) {
+        LinkCache::PathRecord& r = e.paths.emplace_back();
+        r.via = p.via;
+        r.reflected = p.kind == channel::PathKind::kReflected;
+      }
+    };
+    const auto legs_touch = [&](const LinkCache::Entry& e, const channel::Blocker& b) {
+      for (const LinkCache::PathRecord& p : e.paths) {
+        const bool hit = p.reflected ? segment_hits_disc(e.pose.position, p.via, b.center, b.radius) ||
+                                           segment_hits_disc(p.via, ap, b.center, b.radius)
+                                     : segment_hits_disc(e.pose.position, ap, b.center, b.radius);
+        if (hit) return true;
+      }
+      return false;
+    };
+
+    LinkCache cache(ap);
+    cache.reconcile(room);
+    std::vector<channel::Pose> poses;
+    for (std::uint16_t id = 0; id < 40; ++id) {
+      poses.push_back({random_point(rng, w, h), rng.uniform(-3.0, 3.0)});
+      cache.ensure(id, poses[id], [&](LinkCache::Entry& e, bool reprice) {
+        EXPECT_FALSE(reprice);
+        fill(e);
+      });
+    }
+
+    for (int step = 0; step < 40; ++step) {
+      // Move a few nodes: erase, then a traced fill at the new pose.
+      for (int m = rng.uniform_int(0, 3); m > 0; --m) {
+        const auto id = static_cast<std::uint16_t>(rng.uniform_int(0, 39));
+        cache.erase(id);
+        poses[id] = {random_point(rng, w, h), rng.uniform(-3.0, 3.0)};
+        cache.ensure(id, poses[id], [&](LinkCache::Entry& e, bool reprice) {
+          EXPECT_FALSE(reprice);
+          fill(e);
+        });
+      }
+
+      const std::vector<channel::Blocker> before = room.blockers();
+      const Vec2 node = poses[static_cast<std::size_t>(rng.uniform_int(0, 39))].position;
+      mutate_blockers(rng, room, w, h, node, ap);
+      // The dirty discs: old and new of every changed blocker, plus every
+      // added or removed one.
+      std::vector<channel::Blocker> dirty;
+      const auto& now = room.blockers();
+      for (std::size_t i = 0; i < std::max(before.size(), now.size()); ++i) {
+        const bool in_before = i < before.size();
+        const bool in_now = i < now.size();
+        if (in_before && in_now && before[i].center == now[i].center &&
+            before[i].radius == now[i].radius && before[i].loss_db == now[i].loss_db)
+          continue;
+        if (in_before) dirty.push_back(before[i]);
+        if (in_now) dirty.push_back(now[i]);
+      }
+      std::set<std::uint16_t> expected;
+      for (std::uint16_t id = 0; id < 40; ++id) {
+        LinkCache::Entry probe;
+        probe.pose = poses[id];
+        // Every entry is valid here, so its paths are the fill's.
+        fill(probe);
+        for (const channel::Blocker& b : dirty)
+          if (legs_touch(probe, b)) expected.insert(id);
+      }
+
+      const LinkCacheStats s0 = cache.stats();
+      (void)cache.take_pending();
+      cache.reconcile(room);
+      std::set<std::uint16_t> stale;
+      for (std::uint16_t id = 0; id < 40; ++id)
+        if (!cache.valid(id, poses[id])) stale.insert(id);
+      EXPECT_EQ(stale, expected) << "case " << c << " step " << step;
+      const std::vector<std::uint16_t> pending = cache.take_pending();
+      EXPECT_EQ(std::set<std::uint16_t>(pending.begin(), pending.end()), expected);
+      EXPECT_EQ(cache.stats().invalidated - s0.invalidated, expected.size());
+      EXPECT_EQ(cache.stats().revalidated - s0.revalidated, 40 - expected.size());
+      EXPECT_GE(cache.stats().corridor_tests - s0.corridor_tests, expected.size());
+
+      // Stale entries keep their paths: the refill is a reprice.
+      for (const std::uint16_t id : expected)
+        cache.ensure(id, poses[id], [&](LinkCache::Entry&, bool reprice) { EXPECT_TRUE(reprice); });
+    }
+  }
 }
 
 }  // namespace
