@@ -4,8 +4,8 @@
 //
 // Two kernel sets are selectable with --kernels:
 //   fast  the production path: compiled RoomPlan, tabulated AP images,
-//         batched trace_batch_into with corridor windows, caller-owned
-//         PathList workspace
+//         batched blocker-free trace_batch_into priced leg by leg,
+//         caller-owned PathList workspace
 //   ref   channel::ref::RayTracer::trace — the frozen bit-exact oracle
 //         (allocating one vector per call, deriving every image inline)
 //
@@ -23,9 +23,10 @@
 //   refill   the sim's cache-refill inner loop at its pinned config
 //            (1 bounce, 60 dB): 10k nodes against one AP in a 12 m x 8 m
 //            room with 3 human blockers, in 64-node blocks, each node's
-//            blockers-on gains paths + blockers-off corridor paths —
-//            exactly NetworkSimulator::refill_block's shape (one batched
-//            call per block for fast; two reference traces per node)
+//            blockers-off paths + blockers-on gains paths — exactly
+//            NetworkSimulator::refill_block's shape (for fast, one
+//            blocker-free batched call per block, then priced_loss_db
+//            per path; two reference traces per node)
 //   trace    single-pair trace_into, random endpoints, 1 bounce
 //   bounce2  single-pair trace, 2 bounces (image-of-image heavy)
 //   dense    48 blockers (grid broad phase on), 2 bounces
@@ -107,8 +108,8 @@ const std::vector<Vec2>& refill_nodes() {
 }
 
 // The sim's refill inner loop: per 64-node block, one batched trace that
-// yields the gains paths (blockers applied) and the corridor paths
-// (blockers off).
+// yields the blocker-free paths, each then priced against the blockers
+// and culled, which rebuilds the gains paths (blockers applied).
 // Checksums accumulate per-stream in node order, so ref and fast sum the
 // same doubles in the same sequence — bitwise-equal results.
 double trial_refill(bool fast) {
@@ -122,14 +123,18 @@ double trial_refill(bool fast) {
     for (std::size_t lo = 0; lo < nodes.size(); lo += kBlock) {
       const std::size_t n = std::min(kBlock, nodes.size() - lo);
       const std::span<const Vec2> block(nodes.data() + lo, n);
-      offs.resize(2 * (n + 1));
-      const std::span<std::uint32_t> o1(offs.data(), n + 1);
-      const std::span<std::uint32_t> o2(offs.data() + n + 1, n + 1);
+      offs.resize(n + 1);
       ws.clear();
-      f.plan.trace_batch_into(kAp, block, f.ap_images, ws, o1, o2, kMaxExcessDb, 1);
+      f.plan.trace_batch_into(kAp, block, f.ap_images, ws, offs, kMaxExcessDb, 1);
       for (std::size_t i = 0; i < n; ++i) {
-        for (const channel::Path& p : ws.slice(o1[i], o1[i + 1])) acc_gains += path_checksum(p);
-        for (const channel::Path& p : ws.slice(o2[i], o2[i + 1])) acc_corr += path_checksum(p);
+        for (channel::Path p : ws.slice(offs[i], offs[i + 1])) {
+          acc_corr += path_checksum(p);
+          const bool reflected = p.kind == channel::PathKind::kReflected;
+          const Vec2 corners[3] = {block[i], reflected ? p.via : kAp, kAp};
+          p.excess_loss_db = f.plan.priced_loss_db({corners, reflected ? 3u : 2u}, p.walls, ws,
+                                                   p.blocker_crossings);
+          if (p.excess_loss_db <= kMaxExcessDb) acc_gains += path_checksum(p);
+        }
       }
     }
   } else {

@@ -5,6 +5,7 @@
 // them.
 #pragma once
 
+#include <array>
 #include <complex>
 #include <span>
 
@@ -14,6 +15,15 @@ namespace mmx::channel {
 
 enum class PathKind { kLineOfSight, kReflected, kDoubleReflected };
 
+/// The blocker-free loss terms of one traced path, the doubles the trace
+/// adds: the reflection-loss sum (0 for line of sight) and one
+/// transmission term per leg. RoomPlan::priced_loss_db adds one blocker
+/// term per leg to them.
+struct WallTerms {
+  double reflection_db = 0.0;
+  std::array<double, 3> leg_transmission_db{};  ///< per leg; unused legs stay 0
+};
+
 struct Path {
   PathKind kind = PathKind::kLineOfSight;
   double length_m = 0.0;
@@ -22,7 +32,7 @@ struct Path {
   /// Arrival direction at the receiver: the direction the energy comes
   /// *from*, seen from the receiver (global frame angle).
   double arrival_rad = 0.0;
-  /// Loss beyond free space: reflection loss + blocker losses [dB].
+  /// Loss beyond free space: reflection + transmission + blocker losses [dB].
   double excess_loss_db = 0.0;
   /// Number of blockers the path crosses.
   int blocker_crossings = 0;
@@ -33,6 +43,8 @@ struct Path {
   /// Reflection points (first / second bounce).
   Vec2 via{};
   Vec2 via2{};
+  /// The wall terms of excess_loss_db (RoomPlan fills them; 0 elsewhere).
+  WallTerms walls{};
 };
 
 /// Complex amplitude gain of one path at `freq_hz` (isotropic ends).

@@ -1,7 +1,9 @@
 // The production ray tracer: a compiled, epoch-keyed room plan.
 //
 // Image-method tracing of LoS + single-bounce (+ ordered double-bounce)
-// paths with blocker and partition losses (path.hpp defines Path). A
+// paths with blocker and partition losses (path.hpp defines Path). The
+// traversal sums wall losses only; blocker losses are priced on top, leg
+// by leg, since a blocker changes a path's loss but not its geometry. A
 // RoomPlan compiles a Room snapshot once per Room::epoch() into flat,
 // cache-friendly tables, so the 10^4-node cache refills of the scale
 // lane (docs/SCALING.md) do not re-derive the room per trace:
@@ -23,7 +25,6 @@
 // contract and the broad-phase conservativeness argument.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -44,16 +45,6 @@ struct ImageTable {
   int max_bounces = 0;
   std::vector<Vec2> wall_image;  ///< mirror_w(rx), one per wall
   std::vector<Vec2> pair_image;  ///< mirror_wi(mirror_wj(rx)), index wi * walls + wj
-};
-
-/// The blocker-independent loss terms of one traced path, the doubles
-/// the trace adds: the reflection-loss sum (0 for line of sight) and one
-/// transmission term per leg. A blocker-only reprice rebuilds the path's
-/// excess loss from these plus one RoomPlan::leg_blocker_loss_db per leg,
-/// in trace order.
-struct WallTerms {
-  double reflection_db = 0.0;
-  std::array<double, 3> leg_transmission_db{};  ///< per leg; unused legs stay 0
 };
 
 /// Caller-owned trace workspace: grown-once path storage plus the
@@ -82,14 +73,10 @@ class PathList {
   Path& commit() { return storage_[count_++]; }
   void ensure_paths(std::size_t n);
   void ensure_scratch(std::size_t blockers);
-  void ensure_corridors(std::size_t n);
   std::uint32_t next_query();
 
   std::vector<Path> storage_;
   std::size_t count_ = 0;
-  /// Corridor staging: blocker-free paths buffered here during a batch
-  /// trace, then appended after the batch's blockers-applied block.
-  std::vector<Path> corridor_buf_;
   /// trace_into's image table (batch traces read a caller ImageTable).
   ImageTable images_;
   /// Broad-phase scratch: grid-gathered candidate blocker indices, and a
@@ -137,44 +124,42 @@ class RoomPlan {
   /// `max_bounces` == 2 — ordered double bounces (image-of-image method).
   /// Paths whose total excess loss exceeds `max_excess_loss_db` are
   /// dropped. Appends the path set to `out` and returns the appended
-  /// window.
+  /// window. It is the blocker-free trace, priced by priced_loss_db and
+  /// culled in place.
   std::span<const Path> trace_into(Vec2 tx, Vec2 rx, PathList& out,
                                    double max_excess_loss_db = 60.0,
                                    int max_bounces = 1) const;
 
-  /// Blocker loss [dB] of one leg a -> b of a traced path: the term the
-  /// trace adds for that leg, from the same broad phase, in the same
-  /// ascending blocker order, at the same per-kind scale (full on a line
-  /// of sight, halved on a reflected leg). A blocker move leaves a path's
-  /// geometry and wall terms alone (paper §6.1), so re-adding these terms
-  /// to its WallTerms in trace order reprices it bit-identically
-  /// (docs/GEOMETRY.md, "Pricing a leg").
-  double leg_blocker_loss_db(Vec2 a, Vec2 b, PathKind kind, PathList& ws) const;
+  /// Blocker loss [dB] of one leg a -> b of a traced path, the one place
+  /// a blocker term is computed: the broad phase, the ascending blocker
+  /// order, the per-kind scale (full on a line of sight, halved on a
+  /// reflected leg). Adds the discs the leg crosses to `crossings`.
+  double leg_blocker_loss_db(Vec2 a, Vec2 b, PathKind kind, PathList& ws, int& crossings) const;
 
-  /// The wall terms of `path`, a path this plan traced from tx to rx:
-  /// the same transmission scans and reflection sum the trace ran, so the
-  /// same doubles. Blocker terms are not wall terms.
-  WallTerms wall_terms(const Path& path, Vec2 tx, Vec2 rx) const;
+  /// Blockers-applied excess loss [dB] of a traced path whose legs join
+  /// `corners` (tx, its reflection points, rx; 2 to 4 points) and whose
+  /// blocker-free terms are `walls`: the reflection sum, then one
+  /// leg_blocker_loss_db per leg, then one transmission term per leg.
+  /// That is the reference tracer's order of additions, so the result is
+  /// its blockers-applied loss bit for bit. A blocker move leaves a
+  /// path's geometry and wall terms alone (paper §6.1), so this reprices
+  /// a kept path exactly (docs/GEOMETRY.md, "Pricing a leg").
+  double priced_loss_db(std::span<const Vec2> corners, const WallTerms& walls, PathList& ws,
+                        int& crossings) const;
 
-  /// Batched traces against the shared endpoint `ap`: for each i,
-  /// appends the exact trace_into(nodes[i], ap, ...) path set, reusing
-  /// `images` (build_images(ap, ...)) across the whole batch. Fills
-  /// `offsets` (size nodes.size() + 1) so node i's paths are
-  /// out.slice(offsets[i], offsets[i+1]).
-  ///
-  /// `corridor_offsets` (also nodes.size() + 1 slots) receives each
-  /// node's blocker-free (corridor) path set as well: the wall-only
-  /// superset a link cache uses to decide which nodes a blocker move can
-  /// affect (blockers attenuate paths but never create or bend them). It
-  /// comes from the same geometric pass — only the loss sums differ — and
-  /// its windows, out.slice(corridor_offsets[i], corridor_offsets[i+1]),
-  /// follow every blockers-applied window in storage. Returns the full
-  /// appended window. Mirrors are pure functions, so table lookups produce the
-  /// same bits as computing each image per trace.
+  /// Batched blocker-free traces against the shared endpoint `ap`: for
+  /// each i, appends the wall-only path set of nodes[i] -> ap, each path
+  /// carrying its WallTerms, reusing `images` (build_images(ap, ...))
+  /// across the whole batch. Fills `offsets` (size nodes.size() + 1) so
+  /// node i's paths are out.slice(offsets[i], offsets[i+1]); returns the
+  /// full appended window. Blockers attenuate paths but never create or
+  /// bend them, so this set is the superset a link cache keeps and
+  /// prices; trace_into(nodes[i], ap, ...) is its priced, culled subset.
+  /// Mirrors are pure functions, so table lookups produce the same bits
+  /// as computing each image per trace.
   std::span<const Path> trace_batch_into(Vec2 ap, std::span<const Vec2> nodes,
                                          const ImageTable& images, PathList& out,
                                          std::span<std::uint32_t> offsets,
-                                         std::span<std::uint32_t> corridor_offsets,
                                          double max_excess_loss_db = 60.0,
                                          int max_bounces = 1) const;
 
@@ -200,12 +185,10 @@ class RoomPlan {
   /// Upper bound on paths a single trace can append (LoS + one per wall
   /// + one per ordered wall pair when max_bounces >= 2).
   std::size_t max_paths(int max_bounces) const;
-  /// The one per-node traversal. Always appends the blockers-applied
-  /// path set to `out`; with a non-null `corridor_count` it also stages
-  /// the blocker-free set in out.corridor_buf_ from that index on.
+  /// The one per-node traversal: appends the blocker-free path set to
+  /// `out`, each path with its wall terms and its wall-only loss sum.
   void trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& out,
-                 double max_excess_loss_db, int max_bounces,
-                 std::size_t* corridor_count) const;
+                 double max_excess_loss_db, int max_bounces) const;
   double blocker_loss_db(Vec2 a, Vec2 b, int& crossings, double loss_scale,
                          PathList& ws) const;
   double transmission_loss_db(Vec2 a, Vec2 b, WallSkip skip) const;

@@ -1,6 +1,7 @@
 #include "mmx/channel/room_plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -28,11 +29,6 @@ void PathList::ensure_scratch(std::size_t blockers) {
   // next_query), so grown entries are correctly "not seen this query".
   if (stamp_.size() < blockers)
     stamp_.resize(blockers);  // mmx-analyze: allow(hot-path-alloc) -- amortized growth
-}
-
-void PathList::ensure_corridors(std::size_t n) {
-  if (corridor_buf_.size() < n)
-    corridor_buf_.resize(n);  // mmx-analyze: allow(hot-path-alloc) -- amortized workspace growth
 }
 
 std::uint32_t PathList::next_query() {
@@ -233,26 +229,15 @@ std::size_t RoomPlan::grid_candidates(Vec2 a, Vec2 b, PathList& ws) const {
 }
 
 void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& out,
-                         double max_excess_loss_db, int max_bounces,
-                         std::size_t* corridor_count) const {
-  // Mirrors the reference tracer statement-for-statement; only the image
-  // computation (tabulated), the blocker scan (broad-phased) and the
-  // path storage (workspace) differ — all bit-preserving substitutions.
-  //
-  // One geometric pass feeds two loss sums: `loss` (blockers applied)
-  // and `corridor` (blocker-free). Each adds its terms in the order of the
-  // reference's blockers-on / blockers-off run. The blockers-off run also
-  // adds 0.0 for each blocker term; skipping those cannot change
-  // a bit, because x + 0.0 == x for every x but -0.0, and the
-  // transmission term added next is never -0.0.
+                         double max_excess_loss_db, int max_bounces) const {
+  // Mirrors the reference tracer's blocker-free run statement-for-statement;
+  // only the image computation (tabulated) and the path storage
+  // (workspace) differ — both bit-preserving substitutions. That run adds
+  // 0.0 for each blocker term; skipping those cannot change a bit, because
+  // x + 0.0 == x for every x but -0.0, and the transmission term added
+  // next is never -0.0. Blocker terms are priced on top (priced_loss_db).
   const Vec2* wall_images = images.wall_image.data();
   const Vec2* pair_images = images.pair_image.data();
-  // Each emit site below is written out with a local counter: one shared
-  // emit lambda measured 10-15% slower on bench_micro_trace's refill stage
-  // (gcc 12 -O3, 4-core Xeon).
-  const bool stage = corridor_count != nullptr;
-  std::size_t staged = stage ? *corridor_count : 0;
-  Path* const corridor_buf = out.corridor_buf_.data();
 
   // --- Line of sight ---------------------------------------------------
   {
@@ -261,18 +246,9 @@ void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& o
     p.length_m = distance(tx, rx);
     p.departure_rad = (rx - tx).angle();
     p.arrival_rad = (tx - rx).angle();
-    int crossings = 0;
-    const double trans = transmission_loss_db(tx, rx, WallSkip{});
-    p.excess_loss_db = blocker_loss_db(tx, rx, crossings, 1.0, out);
-    p.excess_loss_db += trans;
-    p.blocker_crossings = crossings;
+    p.walls.leg_transmission_db[0] = transmission_loss_db(tx, rx, WallSkip{});
+    p.excess_loss_db = p.walls.leg_transmission_db[0];
     if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
-    if (stage && trans <= max_excess_loss_db) {
-      Path q = p;
-      q.excess_loss_db = trans;
-      q.blocker_crossings = 0;
-      corridor_buf[staged++] = q;
-    }
   }
 
   // --- Single-bounce reflections (image method) ------------------------
@@ -294,27 +270,15 @@ void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& o
     p.arrival_rad = (via - rx).angle();
     p.wall_index = static_cast<int>(w);
     p.via = via;
-    int crossings = 0;
     const int wall_id = static_cast<int>(w);
-    const double t1 = transmission_loss_db(tx, via, WallSkip{wall_id});
-    const double t2 = transmission_loss_db(via, rx, WallSkip{wall_id});
-    double loss = wall.reflection_loss_db;
-    loss += blocker_loss_db(tx, via, crossings, kReflectedBlockageFraction, out);
-    loss += blocker_loss_db(via, rx, crossings, kReflectedBlockageFraction, out);
-    loss += t1;
-    loss += t2;
-    double corridor = wall.reflection_loss_db;
-    corridor += t1;
-    corridor += t2;
+    p.walls = {wall.reflection_loss_db,
+               {transmission_loss_db(tx, via, WallSkip{wall_id}),
+                transmission_loss_db(via, rx, WallSkip{wall_id}), 0.0}};
+    double loss = p.walls.reflection_db;
+    loss += p.walls.leg_transmission_db[0];
+    loss += p.walls.leg_transmission_db[1];
     p.excess_loss_db = loss;
-    p.blocker_crossings = crossings;
     if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
-    if (stage && corridor <= max_excess_loss_db) {
-      Path q = p;
-      q.excess_loss_db = corridor;
-      q.blocker_crossings = 0;
-      corridor_buf[staged++] = q;
-    }
   }
 
   // --- Double bounces (image of image) ----------------------------------
@@ -346,36 +310,21 @@ void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& o
         p.wall_index2 = static_cast<int>(wj);
         p.via = p1;
         p.via2 = p2;
-        int crossings = 0;
         const int wid = static_cast<int>(wi);
         const int wjd = static_cast<int>(wj);
-        const double t1 = transmission_loss_db(tx, p1, WallSkip{wid});
-        const double t2 = transmission_loss_db(p1, p2, WallSkip{wid, wjd});
-        const double t3 = transmission_loss_db(p2, rx, WallSkip{wjd});
-        double loss = first.reflection_loss_db + second.reflection_loss_db;
-        loss += blocker_loss_db(tx, p1, crossings, kReflectedBlockageFraction, out);
-        loss += blocker_loss_db(p1, p2, crossings, kReflectedBlockageFraction, out);
-        loss += blocker_loss_db(p2, rx, crossings, kReflectedBlockageFraction, out);
-        loss += t1;
-        loss += t2;
-        loss += t3;
-        double corridor = first.reflection_loss_db + second.reflection_loss_db;
-        corridor += t1;
-        corridor += t2;
-        corridor += t3;
+        p.walls = {first.reflection_loss_db + second.reflection_loss_db,
+                   {transmission_loss_db(tx, p1, WallSkip{wid}),
+                    transmission_loss_db(p1, p2, WallSkip{wid, wjd}),
+                    transmission_loss_db(p2, rx, WallSkip{wjd})}};
+        double loss = p.walls.reflection_db;
+        loss += p.walls.leg_transmission_db[0];
+        loss += p.walls.leg_transmission_db[1];
+        loss += p.walls.leg_transmission_db[2];
         p.excess_loss_db = loss;
-        p.blocker_crossings = crossings;
         if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
-        if (stage && corridor <= max_excess_loss_db) {
-          Path q = p;
-          q.excess_loss_db = corridor;
-          q.blocker_crossings = 0;
-          corridor_buf[staged++] = q;
-        }
       }
     }
   }
-  if (stage) *corridor_count = staged;
 }
 
 std::span<const Path> RoomPlan::trace_into(Vec2 tx, Vec2 rx, PathList& out,
@@ -387,79 +336,74 @@ std::span<const Path> RoomPlan::trace_into(Vec2 tx, Vec2 rx, PathList& out,
 
   const std::size_t begin = out.size();
   out.ensure_paths(begin + max_paths(max_bounces));
-  out.ensure_scratch(bx_.size());
   build_images(rx, max_bounces, out.images_);
-  trace_one(tx, rx, out.images_, out, max_excess_loss_db, max_bounces, nullptr);
+  trace_one(tx, rx, out.images_, out, max_excess_loss_db, max_bounces);
+
+  // Price the blocker-free set and cull it in place. Blocker terms are
+  // never negative and rounding is monotonic, so every path the
+  // blockers-applied trace keeps is in that set, in the same order.
+  const std::size_t end = out.size();
+  out.count_ = begin;
+  for (std::size_t k = begin; k < end; ++k) {
+    Path p = out.storage_[k];
+    std::array<Vec2, 4> corners{tx, p.via, p.via2, rx};
+    const std::size_t legs = p.kind == PathKind::kLineOfSight ? 1
+                             : p.kind == PathKind::kReflected ? 2
+                                                              : 3;
+    corners[legs] = rx;
+    p.excess_loss_db = priced_loss_db({corners.data(), legs + 1}, p.walls, out,
+                                      p.blocker_crossings);
+    if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
+  }
   return out.slice(begin, out.size());
 }
 
-double RoomPlan::leg_blocker_loss_db(Vec2 a, Vec2 b, PathKind kind, PathList& ws) const {
+double RoomPlan::leg_blocker_loss_db(Vec2 a, Vec2 b, PathKind kind, PathList& ws,
+                                     int& crossings) const {
   if (!compiled()) throw std::logic_error("RoomPlan: leg_blocker_loss_db before rebuild()");
   ws.ensure_scratch(bx_.size());
-  int crossings = 0;
   return blocker_loss_db(a, b, crossings,
                          kind == PathKind::kLineOfSight ? 1.0 : kReflectedBlockageFraction, ws);
 }
 
-WallTerms RoomPlan::wall_terms(const Path& path, Vec2 tx, Vec2 rx) const {
-  if (!compiled()) throw std::logic_error("RoomPlan: wall_terms before rebuild()");
-  // trace_one's scans, leg by leg, with the same skip masks.
-  switch (path.kind) {
-    case PathKind::kLineOfSight:
-      return {0.0, {transmission_loss_db(tx, rx, WallSkip{}), 0.0, 0.0}};
-    case PathKind::kReflected: {
-      const int w = path.wall_index;
-      return {walls_[static_cast<std::size_t>(w)].reflection_loss_db,
-              {transmission_loss_db(tx, path.via, WallSkip{w}),
-               transmission_loss_db(path.via, rx, WallSkip{w}), 0.0}};
-    }
-    case PathKind::kDoubleReflected: {
-      const int wi = path.wall_index;
-      const int wj = path.wall_index2;
-      return {walls_[static_cast<std::size_t>(wi)].reflection_loss_db +
-                  walls_[static_cast<std::size_t>(wj)].reflection_loss_db,
-              {transmission_loss_db(tx, path.via, WallSkip{wi}),
-               transmission_loss_db(path.via, path.via2, WallSkip{wi, wj}),
-               transmission_loss_db(path.via2, rx, WallSkip{wj})}};
-    }
-  }
-  throw std::logic_error("RoomPlan: unknown path kind");
+double RoomPlan::priced_loss_db(std::span<const Vec2> corners, const WallTerms& walls,
+                                PathList& ws, int& crossings) const {
+  if (corners.size() < 2 || corners.size() > 4)
+    throw std::invalid_argument("RoomPlan: a path has 1 to 3 legs");
+  const std::size_t legs = corners.size() - 1;
+  const PathKind kind = legs == 1 ? PathKind::kLineOfSight : PathKind::kReflected;
+  // A line of sight starts 0.0 + blocker term where the reference starts
+  // at the term itself; a blocker term starts from +0.0 and is never
+  // -0.0, so the two agree.
+  double loss = walls.reflection_db;
+  for (std::size_t l = 0; l < legs; ++l)
+    loss += leg_blocker_loss_db(corners[l], corners[l + 1], kind, ws, crossings);
+  for (std::size_t l = 0; l < legs; ++l) loss += walls.leg_transmission_db[l];
+  return loss;
 }
 
 std::span<const Path> RoomPlan::trace_batch_into(Vec2 ap, std::span<const Vec2> nodes,
                                                  const ImageTable& images, PathList& out,
                                                  std::span<std::uint32_t> offsets,
-                                                 std::span<std::uint32_t> corridor_offsets,
                                                  double max_excess_loss_db,
                                                  int max_bounces) const {
   if (!compiled()) throw std::logic_error("RoomPlan: trace_batch_into before rebuild()");
   if (max_bounces < 1 || max_bounces > 2)
     throw std::invalid_argument("RoomPlan: max_bounces must be 1 or 2");
-  if (offsets.size() != nodes.size() + 1 || corridor_offsets.size() != nodes.size() + 1)
+  if (offsets.size() != nodes.size() + 1)
     throw std::invalid_argument("RoomPlan: offsets must have nodes.size() + 1 slots");
   if (images.room_epoch != room_epoch_ || !(images.rx == ap) ||
       images.max_bounces < max_bounces)
     throw std::invalid_argument("RoomPlan: ImageTable stale or built for another endpoint");
 
   const std::size_t begin = out.size();
-  const std::size_t batch_paths = nodes.size() * max_paths(max_bounces);
-  out.ensure_paths(begin + 2 * batch_paths);
-  out.ensure_scratch(bx_.size());
-  out.ensure_corridors(batch_paths);
-  std::size_t staged = 0;
+  out.ensure_paths(begin + nodes.size() * max_paths(max_bounces));
   offsets[0] = static_cast<std::uint32_t>(begin);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i] == ap) throw std::invalid_argument("RoomPlan: tx and rx coincide");
-    trace_one(nodes[i], ap, images, out, max_excess_loss_db, max_bounces, &staged);
+    trace_one(nodes[i], ap, images, out, max_excess_loss_db, max_bounces);
     offsets[i + 1] = static_cast<std::uint32_t>(out.size());
-    corridor_offsets[i + 1] = static_cast<std::uint32_t>(staged);
   }
-  // The staged corridor paths follow the whole blockers-applied block,
-  // so both window families index one contiguous storage.
-  const std::size_t base = out.size();
-  for (std::size_t k = 0; k < staged; ++k) out.commit() = out.corridor_buf_[k];
-  corridor_offsets[0] = 0;
-  for (std::uint32_t& o : corridor_offsets) o += static_cast<std::uint32_t>(base);
   return out.slice(begin, out.size());
 }
 

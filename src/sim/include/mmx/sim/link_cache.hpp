@@ -20,23 +20,23 @@
 //     over the room indexes every entry's legs, so a disc runs the exact
 //     test only on the entries registered in the cells it overlaps.
 //   - A stale entry keeps its paths, and its refill reprices them in
-//     place: one RoomPlan::leg_blocker_loss_db per leg, added to the kept
-//     wall terms in the trace's order, then the trace's cull and gain
-//     sum. A blocker changes a path's loss, not its geometry (paper
-//     §6.1), so the reprice is exact and skips the trace, the antenna
-//     patterns and the spreading loss.
+//     place: RoomPlan::priced_loss_db adds one blocker term per leg to
+//     the kept wall terms in the trace's order, then the trace's cull
+//     and gain sum follow. A blocker changes a path's loss, not its
+//     geometry (paper §6.1), so the reprice is exact and skips the
+//     trace, the antenna patterns and the spreading loss.
 //
 // Cached results are therefore bit-identical to uncached ones — the same
 // guarantee the parallel sweep engine gives (docs/PARALLELISM.md), pinned
 // by tests/sim/link_cache_test.cpp and docs/SCALING.md.
 #pragma once
 
-#include <array>
 #include <complex>
 #include <cstdint>
 #include <vector>
 
 #include "mmx/channel/beam_channel.hpp"
+#include "mmx/channel/path.hpp"
 #include "mmx/channel/room.hpp"
 #include "mmx/channel/uniform_grid.hpp"
 #include "mmx/sim/link_budget.hpp"
@@ -76,8 +76,7 @@ class LinkCache {
   /// path has one leg (line of sight) or two (via one reflection point).
   struct PathRecord {
     Vec2 via{};                 ///< reflection point (reflected paths)
-    double reflection_db = 0.0;  ///< reflection-loss sum; 0 on a line of sight
-    std::array<double, 2> leg_transmission_db{};  ///< partition loss per leg
+    channel::WallTerms walls;   ///< reflection sum and per-leg partition loss
     std::complex<double> beam0_field;  ///< node Beam 0 field at departure
     std::complex<double> beam1_field;  ///< node Beam 1 field at departure
     double ap_amp = 0.0;        ///< AP element amplitude at arrival

@@ -228,9 +228,9 @@ class NetworkSimulator {
   /// hands workers the const reference.
   const TraceContext& trace_context() const;
   /// In-place refill of one job block. The jobs that need a trace share
-  /// one trace_batch_into, amortizing the AP image table per block, and
-  /// rebuild their paths from their corridor (blocker-free) windows.
-  /// Then every job prices its paths against the plan's blockers.
+  /// one blocker-free trace_batch_into, amortizing the AP image table per
+  /// block, and keep each traced path with its wall terms. Then every job
+  /// prices its paths against the plan's blockers.
   /// refresh_cache fans blocks of it over workers; a lazy miss in
   /// cache_entry refills a one-job block.
   void refill_block(const TraceContext& ctx, std::span<const RefillJob> jobs) const;

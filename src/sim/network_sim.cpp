@@ -1,6 +1,7 @@
 #include "mmx/sim/network_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -14,8 +15,8 @@
 namespace mmx::sim {
 
 namespace {
-// Trace parameters behind gains(); the corridor traces use the same ones
-// so the cache's corridor set stays a superset of the real path set.
+// Trace parameters behind gains(); the cache's blocker-free traces use the
+// same ones, so the paths it keeps are a superset of the priced ones.
 constexpr double kTraceMaxExcessLossDb = 60.0;
 constexpr int kTraceMaxBounces = 1;
 static_assert(kTraceMaxBounces == 1, "LinkCache::PathRecord holds one reflection point");
@@ -32,30 +33,20 @@ channel::PathList& tls_path_list() {
   return ws;
 }
 
-// The gains of `e`'s paths under the plan's blockers. Each path's loss is
-// summed in trace_one's order: the reflection sum (0 on a line of sight),
-// one blocker term per leg, one transmission term per leg. Then the same
-// cull (keep iff loss <= the bound) and the same accumulation as
-// compute_beam_gains, in path order. The blockers-applied paths are the
-// culled subset of the blocker-free ones, in the same order, so the gains
-// are the trace's bit for bit. The LoS sum starts 0.0 + blocker term,
-// where the trace starts at the term itself; a blocker term starts from
-// +0.0 and is never -0.0, so the two agree.
+// The gains of `e`'s paths under the plan's blockers: each path priced by
+// RoomPlan::priced_loss_db, then trace_into's cull (keep iff loss <= the
+// bound) and compute_beam_gains' accumulation, in path order. The
+// blockers-applied paths are the culled subset of the blocker-free ones,
+// in the same order, so the gains are the trace's bit for bit.
 channel::BeamGains price_paths(const channel::RoomPlan& plan, const LinkCache::Entry& e, Vec2 ap,
                                channel::PathList& ws) {
   const Vec2 node = e.pose.position;
   channel::BeamGains g{};
   for (const LinkCache::PathRecord& p : e.paths) {
-    double loss = p.reflection_db;
-    if (p.reflected) {
-      loss += plan.leg_blocker_loss_db(node, p.via, channel::PathKind::kReflected, ws);
-      loss += plan.leg_blocker_loss_db(p.via, ap, channel::PathKind::kReflected, ws);
-      loss += p.leg_transmission_db[0];
-      loss += p.leg_transmission_db[1];
-    } else {
-      loss += plan.leg_blocker_loss_db(node, ap, channel::PathKind::kLineOfSight, ws);
-      loss += p.leg_transmission_db[0];
-    }
+    const std::array<Vec2, 3> corners{node, p.reflected ? p.via : ap, ap};
+    int crossings = 0;
+    const double loss =
+        plan.priced_loss_db({corners.data(), p.reflected ? 3u : 2u}, p.walls, ws, crossings);
     if (!(loss <= kTraceMaxExcessLossDb)) continue;
     const std::complex<double> a = channel::path_gain_from(p.spreading_db, p.phasor, loss) * p.ap_amp;
     g.h0 += p.beam0_field * a;
@@ -223,15 +214,13 @@ void NetworkSimulator::refill_block(const TraceContext& ctx,
   channel::PathList& ws = tls_path_list();
   thread_local std::vector<Vec2> txs;
   thread_local std::vector<std::uint32_t> offs;
-  thread_local std::vector<std::uint32_t> corridor_offs;
   ws.clear();
   txs.clear();
   for (const RefillJob& job : jobs)
     if (!job.reprice) txs.push_back(job.pose.position);
   if (!txs.empty()) {
     offs.resize(txs.size() + 1);
-    corridor_offs.resize(txs.size() + 1);
-    ctx.plan.trace_batch_into(ap_pose_.position, txs, ctx.ap_images, ws, offs, corridor_offs,
+    ctx.plan.trace_batch_into(ap_pose_.position, txs, ctx.ap_images, ws, offs,
                               kTraceMaxExcessLossDb, kTraceMaxBounces);
   }
 
@@ -242,19 +231,16 @@ void NetworkSimulator::refill_block(const TraceContext& ctx,
       // Keep every blocker-free path with the terms a reprice reuses: its
       // wall terms, both beams' pattern fields, the AP element amplitude
       // and the distance terms of path_gain.
-      const auto paths = ws.slice(corridor_offs[traced], corridor_offs[traced + 1]);
+      const auto paths = ws.slice(offs[traced], offs[traced + 1]);
       ++traced;
       e.paths.clear();
       e.paths.reserve(paths.size());
       for (const channel::Path& p : paths) {
         const double dep = wrap_angle(p.departure_rad - job.pose.orientation_rad);
         const double arr = wrap_angle(p.arrival_rad - ap_pose_.orientation_rad);
-        const channel::WallTerms terms =
-            ctx.plan.wall_terms(p, job.pose.position, ap_pose_.position);
         LinkCache::PathRecord& r = e.paths.emplace_back();
         r.via = p.via;
-        r.reflection_db = terms.reflection_db;
-        r.leg_transmission_db = {terms.leg_transmission_db[0], terms.leg_transmission_db[1]};
+        r.walls = p.walls;
         r.beam0_field = beams_.field(0, dep);
         r.beam1_field = beams_.field(1, dep);
         r.ap_amp = ap_antenna_.amplitude(arr);

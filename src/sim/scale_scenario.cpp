@@ -487,7 +487,7 @@ ScaleReport ScaleScenario::run(std::uint64_t seed) const {
       for (std::size_t i = 0; i < things.size(); ++i) {
         Thing& thing = things[i];
         if (!thing.holds_slot()) continue;  // dark: nothing to poll
-        const OtamLink l = c.use_cache ? sim.link(thing.id) : sim.link_uncached(thing.id);
+        const OtamLink l = sim.link(thing.id);
         ++rep.link_evals;
         snr_sum_db += l.snr_db;
         ber_sum += l.joint_ber;

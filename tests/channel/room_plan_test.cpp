@@ -64,20 +64,58 @@ Room random_room(Rng& rng, double& w, double& h) {
   return room;
 }
 
+// Up to 12 more blockers of up to 70 dB: one crossing alone can push a
+// path past the cull.
+void add_heavy_blockers(Rng& rng, Room& room, double w, double h) {
+  for (int b = rng.uniform_int(0, 12); b > 0; --b)
+    room.add_blocker({random_point(rng, w, h), rng.uniform(0.1, 0.6), rng.uniform(0.0, 70.0)});
+}
+
+// A blocker-free window priced leg by leg: each path's wall terms plus one
+// leg_blocker_loss_db per leg, summed in the reference order (reflection
+// sum, blocker terms, transmission terms), then culled at the bound.
+// Written out rather than calling priced_loss_db, so it checks that
+// function independently.
+std::vector<Path> price_window(const RoomPlan& plan, std::span<const Path> window, Vec2 tx,
+                               Vec2 rx, double max_excess, PathList& ws) {
+  std::vector<Path> out;
+  for (Path p : window) {
+    const Vec2 corners[4] = {tx, p.via, p.via2, rx};
+    const int legs = p.kind == PathKind::kLineOfSight ? 1
+                     : p.kind == PathKind::kReflected ? 2
+                                                      : 3;
+    double loss = p.walls.reflection_db;
+    int crossings = 0;
+    for (int l = 0; l < legs; ++l) {
+      const Vec2 b = l == legs - 1 ? rx : corners[l + 1];
+      loss += plan.leg_blocker_loss_db(corners[l], b, p.kind, ws, crossings);
+    }
+    for (int l = 0; l < legs; ++l) loss += p.walls.leg_transmission_db[static_cast<std::size_t>(l)];
+    if (!(loss <= max_excess)) continue;
+    p.excess_loss_db = loss;
+    p.blocker_crossings = crossings;
+    out.push_back(p);
+  }
+  return out;
+}
+
 // The headline property test: ~12k random (room, endpoints, knobs)
 // draws, reference and plan compared field-by-field with exact floating
 // point equality. Half the cases force the grid on (grid_min_blockers =
 // 0, small cells) so the broad phase is exercised even at low blocker
 // counts; the other half run the default config (flat SoA scan below 8
 // blockers). A quarter of the draws compare the reference's blocker-free
-// trace against the corridor window of a one-node batch trace, which is
-// how the plan produces that set.
+// trace against the window of a one-node batch trace, which is how the
+// plan produces that set. A heavy-blocker arm follows with its own draws:
+// 2 bounces, up to 12 more blockers of up to 70 dB, the grid forced on in
+// half, so trace_into's price-then-cull step drops paths the blocker-free
+// trace kept.
 TEST(RoomPlanProperty, BitIdenticalToReferenceTracer) {
   constexpr int kCases = 12000;
+  constexpr int kHeavyCases = 3000;
   PathList ws;
   ImageTable images;
   std::vector<std::uint32_t> offsets(2);
-  std::vector<std::uint32_t> corridor_offsets(2);
   for (int c = 0; c < kCases; ++c) {
     Rng rng = Rng::stream(0x700fULL, static_cast<std::uint64_t>(c));
     double w = 0.0;
@@ -105,13 +143,35 @@ TEST(RoomPlanProperty, BitIdenticalToReferenceTracer) {
       fast = plan.trace_into(tx, rx, ws, max_excess_loss_db, max_bounces);
     } else {
       plan.build_images(rx, max_bounces, images);
-      plan.trace_batch_into(rx, {&tx, 1}, images, ws, offsets, corridor_offsets,
-                            max_excess_loss_db, max_bounces);
-      fast = ws.slice(corridor_offsets[0], corridor_offsets[1]);
+      fast = plan.trace_batch_into(rx, {&tx, 1}, images, ws, offsets, max_excess_loss_db,
+                                   max_bounces);
     }
     ASSERT_TRUE(paths_equal(ref, fast)) << "case " << c << " bounces " << max_bounces
                                         << " blockers " << room.blockers().size()
                                         << " grid " << plan.grid_enabled();
+  }
+  for (int c = 0; c < kHeavyCases; ++c) {
+    Rng rng = Rng::stream(0x7e4bULL, static_cast<std::uint64_t>(c));
+    double w = 0.0;
+    double h = 0.0;
+    Room room = random_room(rng, w, h);
+    add_heavy_blockers(rng, room, w, h);
+    const ref::RayTracer tracer(room);
+    RoomPlanConfig cfg;
+    if (c % 2 == 1) {
+      cfg.grid_min_blockers = 0;
+      cfg.grid_cell_m = rng.uniform(0.2, 1.5);
+    }
+    const RoomPlan plan(room, cfg);
+    const Vec2 tx = random_point(rng, w, h);
+    Vec2 rx = random_point(rng, w, h);
+    if (rx == tx) rx.x += 0.25;
+    const double max_excess_loss_db = rng.chance(0.2) ? rng.uniform(5.0, 40.0) : 60.0;
+    ws.clear();
+    ASSERT_TRUE(paths_equal(tracer.trace(tx, rx, max_excess_loss_db, 2, true),
+                            plan.trace_into(tx, rx, ws, max_excess_loss_db, 2)))
+        << "heavy case " << c << " blockers " << room.blockers().size() << " grid "
+        << plan.grid_enabled();
   }
 }
 
@@ -135,31 +195,30 @@ TEST(RoomPlanProperty, BatchMatchesSingleAndReference) {
 
     PathList ws;
     std::vector<std::uint32_t> offsets(nodes.size() + 1);
-    std::vector<std::uint32_t> corridor_offsets(nodes.size() + 1);
-    const auto all = plan.trace_batch_into(ap, nodes, images, ws, offsets, corridor_offsets, 60.0,
-                                           max_bounces);
+    const auto all = plan.trace_batch_into(ap, nodes, images, ws, offsets, 60.0, max_bounces);
     EXPECT_EQ(all.size(), ws.size());
     EXPECT_EQ(offsets.front(), 0u);
-    EXPECT_EQ(corridor_offsets.back(), ws.size());
+    EXPECT_EQ(offsets.back(), ws.size());
 
     PathList single;
+    PathList scratch;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const auto window = ws.slice(offsets[i], offsets[i + 1]);
       const auto ref = tracer.trace(nodes[i], ap, 60.0, max_bounces, true);
-      ASSERT_TRUE(paths_equal(ref, ws.slice(offsets[i], offsets[i + 1])))
-          << "node " << i << " bounces " << max_bounces;
+      const auto priced = price_window(plan, window, nodes[i], ap, 60.0, scratch);
+      ASSERT_TRUE(paths_equal(ref, priced)) << "node " << i << " bounces " << max_bounces;
       single.clear();
       const auto one = plan.trace_into(nodes[i], ap, single, 60.0, max_bounces);
-      ASSERT_TRUE(paths_equal(one, ws.slice(offsets[i], offsets[i + 1]))) << "node " << i;
-      ASSERT_TRUE(paths_equal(tracer.trace(nodes[i], ap, 60.0, max_bounces, false),
-                              ws.slice(corridor_offsets[i], corridor_offsets[i + 1])))
-          << "corridor node " << i << " bounces " << max_bounces;
+      ASSERT_TRUE(paths_equal(one, priced)) << "node " << i;
+      ASSERT_TRUE(paths_equal(tracer.trace(nodes[i], ap, 60.0, max_bounces, false), window))
+          << "blocker-free node " << i << " bounces " << max_bounces;
     }
   }
 }
 
-// One geometric pass yields the blockers-applied and blocker-free
-// (corridor) results; both windows must still be bit-identical to
-// separate reference runs.
+// One batch yields the blocker-free windows; each window, and the same
+// window priced leg by leg, must be bit-identical to the reference's
+// blockers-off and blockers-on runs, crossing counts included.
 TEST(RoomPlanProperty, DualBatchMatchesTwoReferencePasses) {
   Rng rng(0xd0a1);
   double w = 0.0;
@@ -179,46 +238,47 @@ TEST(RoomPlanProperty, DualBatchMatchesTwoReferencePasses) {
       for (int i = 0; i < 150; ++i) nodes.push_back(random_point(rng, w, h));
 
       PathList ws;
-      std::vector<std::uint32_t> on(nodes.size() + 1);
+      PathList scratch;
       std::vector<std::uint32_t> off(nodes.size() + 1);
-      const auto all =
-          plan.trace_batch_into(ap, nodes, images, ws, on, off, max_excess, max_bounces);
+      const auto all = plan.trace_batch_into(ap, nodes, images, ws, off, max_excess, max_bounces);
       EXPECT_EQ(all.size(), ws.size());
       EXPECT_EQ(off.back(), ws.size());
-      EXPECT_EQ(on.back(), off.front());  // off windows follow all on windows
 
       for (std::size_t i = 0; i < nodes.size(); ++i) {
         const auto ref_on = tracer.trace(nodes[i], ap, max_excess, max_bounces, true);
         const auto ref_off = tracer.trace(nodes[i], ap, max_excess, max_bounces, false);
-        ASSERT_TRUE(paths_equal(ref_on, ws.slice(on[i], on[i + 1])))
+        const auto window = ws.slice(off[i], off[i + 1]);
+        ASSERT_TRUE(
+            paths_equal(ref_on, price_window(plan, window, nodes[i], ap, max_excess, scratch)))
             << "gains node " << i << " bounces " << max_bounces;
-        ASSERT_TRUE(paths_equal(ref_off, ws.slice(off[i], off[i + 1])))
-            << "corridor node " << i << " bounces " << max_bounces;
+        ASSERT_TRUE(paths_equal(ref_off, window))
+            << "blocker-free node " << i << " bounces " << max_bounces;
       }
     }
   }
 }
 
-// Repricing a traced path after a blocker move: each corridor path's wall
-// terms plus one leg_blocker_loss_db per leg, summed in trace order and
-// culled at the bound, rebuild the blockers-applied window exactly — the
-// same paths in the same order with the same excess-loss doubles. Heavy
-// blockers (up to 70 dB) push paths across the cull; the grid runs forced
-// on in half the rooms.
+// Repricing a traced path after a blocker move: each blocker-free path's
+// wall terms rebuild its traced (wall-only) loss, and priced_loss_db — the
+// sum trace_into and the link cache run — equals the leg-by-leg sum, so
+// the priced, culled window is the reference's blockers-on trace: the same
+// paths in the same order with the same excess-loss doubles and crossing
+// counts. Heavy blockers (up to 70 dB) push paths across the cull; the
+// grid runs forced on in half the rooms.
 TEST(RoomPlanProperty, LegPricingRebuildsTracedLoss) {
   Rng rng(0x1e9);
   for (int c = 0; c < 40; ++c) {
     double w = 0.0;
     double h = 0.0;
     Room room = random_room(rng, w, h);
-    for (int b = rng.uniform_int(0, 12); b > 0; --b)
-      room.add_blocker({random_point(rng, w, h), rng.uniform(0.1, 0.6), rng.uniform(0.0, 70.0)});
+    add_heavy_blockers(rng, room, w, h);
     RoomPlanConfig cfg;
     if (c % 2 == 1) {
       cfg.grid_min_blockers = 0;
       cfg.grid_cell_m = rng.uniform(0.2, 1.5);
     }
     const RoomPlan plan(room, cfg);
+    const ref::RayTracer tracer(room);
     const Vec2 ap = random_point(rng, w, h);
     const int max_bounces = c % 4 < 2 ? 1 : 2;
     const double max_excess = rng.chance(0.5) ? 60.0 : rng.uniform(10.0, 40.0);
@@ -227,39 +287,32 @@ TEST(RoomPlanProperty, LegPricingRebuildsTracedLoss) {
     std::vector<Vec2> nodes;
     for (int i = 0; i < 20; ++i) nodes.push_back(random_point(rng, w, h));
     PathList ws;
-    std::vector<std::uint32_t> on(nodes.size() + 1);
     std::vector<std::uint32_t> off(nodes.size() + 1);
-    plan.trace_batch_into(ap, nodes, images, ws, on, off, max_excess, max_bounces);
+    plan.trace_batch_into(ap, nodes, images, ws, off, max_excess, max_bounces);
 
     PathList scratch;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      std::vector<Path> repriced;
-      for (const Path& p : ws.slice(off[i], off[i + 1])) {
-        const WallTerms t = plan.wall_terms(p, nodes[i], ap);
-        const Vec2 via[4] = {nodes[i], p.via, p.via2, ap};
-        const int legs = p.kind == PathKind::kLineOfSight ? 1
-                         : p.kind == PathKind::kReflected ? 2
-                                                          : 3;
-        double loss = t.reflection_db;
-        for (int l = 0; l < legs; ++l) {
-          const Vec2 a = l == 0 ? nodes[i] : via[l];
-          const Vec2 b = l == legs - 1 ? ap : via[l + 1];
-          loss += plan.leg_blocker_loss_db(a, b, p.kind, scratch);
-        }
-        for (int l = 0; l < legs; ++l) loss += t.leg_transmission_db[static_cast<std::size_t>(l)];
-        if (!(loss <= max_excess)) continue;
-        Path q = p;
-        q.excess_loss_db = loss;
-        repriced.push_back(q);
+      const auto window = ws.slice(off[i], off[i + 1]);
+      for (const Path& p : window) {
+        double wall_only = p.walls.reflection_db;
+        for (const double t : p.walls.leg_transmission_db) wall_only += t;
+        EXPECT_EQ(wall_only, p.excess_loss_db) << "room " << c << " node " << i;
       }
-      const auto traced = ws.slice(on[i], on[i + 1]);
-      ASSERT_EQ(repriced.size(), traced.size()) << "room " << c << " node " << i;
-      for (std::size_t k = 0; k < traced.size(); ++k) {
-        EXPECT_EQ(repriced[k].kind, traced[k].kind);
-        EXPECT_EQ(repriced[k].length_m, traced[k].length_m);
-        EXPECT_EQ(repriced[k].excess_loss_db, traced[k].excess_loss_db)
-            << "room " << c << " node " << i << " path " << k;
+      const auto repriced = price_window(plan, window, nodes[i], ap, max_excess, scratch);
+      for (const Path& p : repriced) {
+        const Vec2 corners[4] = {nodes[i], p.via, p.via2, ap};
+        const std::size_t legs = p.kind == PathKind::kLineOfSight ? 1
+                                 : p.kind == PathKind::kReflected ? 2
+                                                                  : 3;
+        std::vector<Vec2> legs_corners(corners, corners + legs);
+        legs_corners.push_back(ap);
+        int crossings = 0;
+        EXPECT_EQ(plan.priced_loss_db(legs_corners, p.walls, scratch, crossings),
+                  p.excess_loss_db);
+        EXPECT_EQ(crossings, p.blocker_crossings);
       }
+      ASSERT_TRUE(paths_equal(tracer.trace(nodes[i], ap, max_excess, max_bounces, true), repriced))
+          << "room " << c << " node " << i;
     }
   }
 }
@@ -343,36 +396,31 @@ TEST(RoomPlan, ArgumentAndStalenessChecks) {
   plan.build_images({3.0, 2.0}, 1, images);
   std::vector<Vec2> nodes{{1.0, 1.0}};
   std::vector<std::uint32_t> offsets(2);
-  std::vector<std::uint32_t> corridor_offsets(2);
   // Wrong endpoint for the table.
-  EXPECT_THROW(plan.trace_batch_into({3.0, 2.1}, nodes, images, ws, offsets, corridor_offsets),
+  EXPECT_THROW(plan.trace_batch_into({3.0, 2.1}, nodes, images, ws, offsets),
                std::invalid_argument);
   // Table lacks the pair images a 2-bounce batch needs.
-  EXPECT_THROW(
-      plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, corridor_offsets, 60.0, 2),
-      std::invalid_argument);
-  // Wrong offsets size.
+  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, 60.0, 2),
+               std::invalid_argument);
+  // Wrong offsets size: it must be nodes.size() + 1.
   std::vector<std::uint32_t> bad(1);
-  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, bad, corridor_offsets),
+  std::vector<std::uint32_t> long_offsets(3);
+  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, bad), std::invalid_argument);
+  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, {}), std::invalid_argument);
+  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, long_offsets),
                std::invalid_argument);
-  // Wrong corridor_offsets size: it too must be nodes.size() + 1.
-  std::vector<std::uint32_t> long_corridors(3);
-  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, {}),
-               std::invalid_argument);
-  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, bad),
-               std::invalid_argument);
-  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, long_corridors),
-               std::invalid_argument);
+  // A priced path has 1 to 3 legs: 2 to 4 corners.
+  int crossings = 0;
+  const std::vector<Vec2> one_corner{{1.0, 1.0}};
+  EXPECT_THROW(plan.priced_loss_db(one_corner, WallTerms{}, ws, crossings), std::invalid_argument);
   // Stale table: the room mutated after build_images.
   room.add_blocker(human_blocker({2.0, 2.0}));
   plan.rebuild(room);
-  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, corridor_offsets),
+  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets),
                std::invalid_argument);
   // Rebuilt table works again.
   plan.build_images({3.0, 2.0}, 1, images);
-  EXPECT_GT(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, corridor_offsets)
-                .size(),
-            0u);
+  EXPECT_GT(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets).size(), 0u);
 }
 
 TEST(RoomPlan, TracksRoomEpoch) {

@@ -297,9 +297,7 @@ Vec2 point_on_a_leg(Rng& rng, const channel::Room& room, Vec2 node, Vec2 ap) {
   channel::ImageTable images;
   plan.build_images(ap, 1, images);
   std::array<std::uint32_t, 2> offs{};
-  std::array<std::uint32_t, 2> corridor_offs{};
-  plan.trace_batch_into(ap, {&node, 1}, images, ws, offs, corridor_offs, 60.0, 1);
-  const auto paths = ws.slice(corridor_offs[0], corridor_offs[1]);
+  const auto paths = plan.trace_batch_into(ap, {&node, 1}, images, ws, offs, 60.0, 1);
   if (paths.empty()) return node;
   const channel::Path& p =
       paths[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(paths.size()) - 1))];
@@ -421,11 +419,10 @@ TEST(LinkCacheProperty, GridInvalidationEqualsBruteForce) {
       channel::ImageTable images;
       plan.build_images(ap, 1, images);
       std::array<std::uint32_t, 2> offs{};
-      std::array<std::uint32_t, 2> corridor_offs{};
       const Vec2 node = e.pose.position;
-      plan.trace_batch_into(ap, {&node, 1}, images, ws, offs, corridor_offs, 60.0, 1);
       e.paths.clear();
-      for (const channel::Path& p : ws.slice(corridor_offs[0], corridor_offs[1])) {
+      for (const channel::Path& p :
+           plan.trace_batch_into(ap, {&node, 1}, images, ws, offs, 60.0, 1)) {
         LinkCache::PathRecord& r = e.paths.emplace_back();
         r.via = p.via;
         r.reflected = p.kind == channel::PathKind::kReflected;

@@ -12,6 +12,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mmx/baseline/fixed_beam.hpp"
@@ -164,6 +165,10 @@ std::optional<int> process_threads() {
 }
 
 TEST(SweepRunner, SpawnsNoMoreWorkersThanChunks) {
+  // Spawn and join one thread first: a sanitizer runtime may start its
+  // own background thread on the first thread creation, and it must be
+  // counted in `before`, not taken for a helper.
+  std::thread([] {}).join();
   const std::optional<int> before = process_threads();
   if (!before) GTEST_SKIP() << "/proc/self/status has no Threads: line";
   SweepConfig cfg;
