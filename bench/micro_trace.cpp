@@ -25,8 +25,9 @@
 //            room with 3 human blockers, in 64-node blocks, each node's
 //            blockers-off paths + blockers-on gains paths — exactly
 //            NetworkSimulator::refill_block's shape (for fast, one
-//            blocker-free batched call per block, then priced_loss_db
-//            per path; two reference traces per node)
+//            blocker-free batched call per block, then one
+//            leg_blocker_loss_db per leg and priced_loss_db per path;
+//            two reference traces per node)
 //   trace    single-pair trace_into, random endpoints, 1 bounce
 //   bounce2  single-pair trace, 2 bounces (image-of-image heavy)
 //   dense    48 blockers (grid broad phase on), 2 bounces
@@ -131,8 +132,12 @@ double trial_refill(bool fast) {
           acc_corr += path_checksum(p);
           const bool reflected = p.kind == channel::PathKind::kReflected;
           const Vec2 corners[3] = {block[i], reflected ? p.via : kAp, kAp};
-          p.excess_loss_db = f.plan.priced_loss_db({corners, reflected ? 3u : 2u}, p.walls, ws,
-                                                   p.blocker_crossings);
+          double blocker_db[2] = {};
+          for (std::size_t l = 0; l < (reflected ? 2u : 1u); ++l)
+            blocker_db[l] = f.plan.leg_blocker_loss_db(corners[l], corners[l + 1], p.kind, ws,
+                                                       p.blocker_crossings);
+          p.excess_loss_db =
+              channel::RoomPlan::priced_loss_db(p.walls, {blocker_db, reflected ? 2u : 1u});
           if (p.excess_loss_db <= kMaxExcessDb) acc_gains += path_checksum(p);
         }
       }

@@ -152,6 +152,7 @@ int main(int argc, char** argv) {
   report.add_scalar("moves", static_cast<double>(rep.moves));
   report.add_scalar("cache_refills", static_cast<double>(rep.cache_refills));
   report.add_scalar("cache_repriced", static_cast<double>(rep.cache.repriced));
+  report.add_scalar("cache_legs_reused", static_cast<double>(rep.cache.legs_reused));
   report.add_scalar("cache_hit_rate", rep.cache.hit_rate());
   report.add_scalar("mean_snr_db", rep.mean_snr_db);
   report.add_scalar("mean_joint_ber", rep.mean_joint_ber);

@@ -136,16 +136,16 @@ class RoomPlan {
   /// reflected leg). Adds the discs the leg crosses to `crossings`.
   double leg_blocker_loss_db(Vec2 a, Vec2 b, PathKind kind, PathList& ws, int& crossings) const;
 
-  /// Blockers-applied excess loss [dB] of a traced path whose legs join
-  /// `corners` (tx, its reflection points, rx; 2 to 4 points) and whose
-  /// blocker-free terms are `walls`: the reflection sum, then one
-  /// leg_blocker_loss_db per leg, then one transmission term per leg.
-  /// That is the reference tracer's order of additions, so the result is
-  /// its blockers-applied loss bit for bit. A blocker move leaves a
-  /// path's geometry and wall terms alone (paper §6.1), so this reprices
-  /// a kept path exactly (docs/GEOMETRY.md, "Pricing a leg").
-  double priced_loss_db(std::span<const Vec2> corners, const WallTerms& walls, PathList& ws,
-                        int& crossings) const;
+  /// Blockers-applied excess loss [dB] of a traced path with blocker-free
+  /// terms `walls` and one leg_blocker_loss_db term per leg (1 to 3, in
+  /// leg order): the reflection sum, then each leg's blocker term, then
+  /// each leg's transmission term. That is the reference tracer's order
+  /// of additions, so the result is its blockers-applied loss bit for
+  /// bit. A blocker move leaves a path's geometry and wall terms alone
+  /// (paper §6.1), and a leg no changed blocker touches keeps its term,
+  /// so this reprices a kept path exactly from whichever terms are
+  /// recomputed (docs/GEOMETRY.md, "Pricing a leg").
+  static double priced_loss_db(const WallTerms& walls, std::span<const double> leg_blocker_db);
 
   /// Batched blocker-free traces against the shared endpoint `ap`: for
   /// each i, appends the wall-only path set of nodes[i] -> ap, each path

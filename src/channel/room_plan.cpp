@@ -351,8 +351,11 @@ std::span<const Path> RoomPlan::trace_into(Vec2 tx, Vec2 rx, PathList& out,
                              : p.kind == PathKind::kReflected ? 2
                                                               : 3;
     corners[legs] = rx;
-    p.excess_loss_db = priced_loss_db({corners.data(), legs + 1}, p.walls, out,
-                                      p.blocker_crossings);
+    std::array<double, 3> blocker_db{};
+    for (std::size_t l = 0; l < legs; ++l)
+      blocker_db[l] =
+          leg_blocker_loss_db(corners[l], corners[l + 1], p.kind, out, p.blocker_crossings);
+    p.excess_loss_db = priced_loss_db(p.walls, {blocker_db.data(), legs});
     if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
   }
   return out.slice(begin, out.size());
@@ -366,19 +369,15 @@ double RoomPlan::leg_blocker_loss_db(Vec2 a, Vec2 b, PathKind kind, PathList& ws
                          kind == PathKind::kLineOfSight ? 1.0 : kReflectedBlockageFraction, ws);
 }
 
-double RoomPlan::priced_loss_db(std::span<const Vec2> corners, const WallTerms& walls,
-                                PathList& ws, int& crossings) const {
-  if (corners.size() < 2 || corners.size() > 4)
+double RoomPlan::priced_loss_db(const WallTerms& walls, std::span<const double> leg_blocker_db) {
+  if (leg_blocker_db.empty() || leg_blocker_db.size() > 3)
     throw std::invalid_argument("RoomPlan: a path has 1 to 3 legs");
-  const std::size_t legs = corners.size() - 1;
-  const PathKind kind = legs == 1 ? PathKind::kLineOfSight : PathKind::kReflected;
   // A line of sight starts 0.0 + blocker term where the reference starts
   // at the term itself; a blocker term starts from +0.0 and is never
   // -0.0, so the two agree.
   double loss = walls.reflection_db;
-  for (std::size_t l = 0; l < legs; ++l)
-    loss += leg_blocker_loss_db(corners[l], corners[l + 1], kind, ws, crossings);
-  for (std::size_t l = 0; l < legs; ++l) loss += walls.leg_transmission_db[l];
+  for (const double b : leg_blocker_db) loss += b;
+  for (std::size_t l = 0; l < leg_blocker_db.size(); ++l) loss += walls.leg_transmission_db[l];
   return loss;
 }
 

@@ -81,8 +81,6 @@ class Rng {
     return Rng(derive_seed(root_seed, index));
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
   double spare_ = 0.0;      // second variate of the last Marsaglia pair

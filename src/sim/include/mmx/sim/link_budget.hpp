@@ -56,12 +56,15 @@ class LinkBudget {
   OtamLink evaluate_fixed_beam(const channel::BeamGains& gains, double ask_floor = 0.1,
                                std::size_t n_avg = 8) const;
 
-  double noise_floor_dbm() const { return chain_.noise_floor_dbm(); }
+  double noise_floor_dbm() const { return noise_floor_dbm_; }
   const LinkBudgetSpec& spec() const { return spec_; }
 
  private:
   LinkBudgetSpec spec_;
-  rf::ReceiverChain chain_;
+  /// The receiver chain's noise floor [dBm] and its power [W]: fixed by
+  /// the spec, so computed once here rather than per evaluation.
+  double noise_floor_dbm_;
+  double noise_w_;
 };
 
 }  // namespace mmx::sim

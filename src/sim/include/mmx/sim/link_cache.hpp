@@ -10,29 +10,41 @@
 //     the pose they were computed at; a mismatch is a miss).
 //   - A structural change (the wall count changed: a new reflector or
 //     partition) drops everything — walls reshape every path.
-//   - Any blocker add, remove, move or loss change is a dirty-disc delta.
-//     It marks stale exactly the entries whose wall-only path legs the
-//     old or new disc touches. Blockers attenuate paths but never create
-//     or bend them, so the blocker-free path set an entry keeps is a
-//     sound superset of every path any blocker configuration can produce:
-//     a disc that misses all of its legs provably leaves the node's gains
-//     bit-identical, and the entry is revalidated for free. A uniform grid
-//     over the room indexes every entry's legs, so a disc runs the exact
-//     test only on the entries registered in the cells it overlaps.
+//   - Any blocker add, remove, move or loss change is a dirty-disc delta:
+//     the old and new disc of every blocker whose index-wise entry
+//     changed. Each wall-only path leg such a disc touches gets a dirty
+//     bit, ORed in across deltas (an entry already stale still collects
+//     the legs a later delta touches), and an entry with a dirty leg is
+//     stale. Blockers attenuate paths but never create or bend them, so
+//     the blocker-free path set an entry keeps is a sound superset of
+//     every path any blocker configuration can produce: an entry no disc
+//     touches provably keeps bit-identical gains and is revalidated for
+//     free. A uniform grid over the room indexes every entry's legs; a
+//     delta visits each entry listed in the cells its discs overlap once
+//     and tests each of its clean legs against every disc.
 //   - A stale entry keeps its paths, and its refill reprices them in
-//     place: RoomPlan::priced_loss_db adds one blocker term per leg to
-//     the kept wall terms in the trace's order, then the trace's cull
-//     and gain sum follow. A blocker changes a path's loss, not its
-//     geometry (paper §6.1), so the reprice is exact and skips the
-//     trace, the antenna patterns and the spreading loss.
+//     place. Only dirty legs are priced (RoomPlan::leg_blocker_loss_db);
+//     a clean leg keeps its stored blocker term, because no changed
+//     blocker touches it and every blocker whose index moved is in the
+//     delta, so the same blockers cross it in the same index order.
+//     RoomPlan::priced_loss_db re-adds the terms to the wall terms in the
+//     trace's order, then the trace's cull and gain follow; a path with
+//     no dirty leg keeps its stored cull and gain, and an entry whose
+//     gains come out bit-equal keeps its memoized links. A blocker
+//     changes a path's loss, not its geometry (paper §6.1), so the
+//     reprice is exact and skips the trace, the antenna patterns and the
+//     spreading loss.
 //
 // Cached results are therefore bit-identical to uncached ones — the same
 // guarantee the parallel sweep engine gives (docs/PARALLELISM.md), pinned
 // by tests/sim/link_cache_test.cpp and docs/SCALING.md.
 #pragma once
 
+#include <array>
 #include <complex>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "mmx/channel/beam_channel.hpp"
@@ -57,6 +69,8 @@ struct LinkCacheStats {
   std::uint64_t revalidated = 0;  ///< entries kept across a geometry epoch
   std::uint64_t invalidated = 0;  ///< entries dropped (geometry or pose)
   std::uint64_t corridor_tests = 0;  ///< exact leg-disc tests in reconcile()
+  std::uint64_t legs_priced = 0;  ///< blocker terms refills computed (traced or dirty legs)
+  std::uint64_t legs_reused = 0;  ///< clean legs whose term a reprice kept
 
   double hit_rate() const {
     const std::uint64_t total = hits + misses;
@@ -65,24 +79,37 @@ struct LinkCacheStats {
 
   /// Add these totals onto the global obs counters (`link_cache.hits`,
   /// `.misses`, `.refills`, `.repriced`, `.revalidated`, `.invalidated`,
-  /// `.corridor_tests`). No-op when collection is disabled.
+  /// `.corridor_tests`, `.legs_priced`, `.legs_reused`). No-op when
+  /// collection is disabled.
   void publish_obs() const;
 };
 
 class LinkCache {
  public:
+  static constexpr double kUnpricedDb = std::numeric_limits<double>::quiet_NaN();
+
   /// One blocker-free path node -> AP, with every term a blocker reprice
   /// keeps. Its ends are the entry's pose and the cache's AP position; a
   /// path has one leg (line of sight) or two (via one reflection point).
   struct PathRecord {
     Vec2 via{};                 ///< reflection point (reflected paths)
     channel::WallTerms walls;   ///< reflection sum and per-leg partition loss
+    /// Each leg's blocker term at the last pricing; NaN before the first.
+    std::array<double, 2> leg_blocker_db{kUnpricedDb, kUnpricedDb};
     std::complex<double> beam0_field;  ///< node Beam 0 field at departure
     std::complex<double> beam1_field;  ///< node Beam 1 field at departure
     double ap_amp = 0.0;        ///< AP element amplitude at arrival
     std::complex<double> phasor;  ///< exp(-jkL), channel::path_phasor
     double spreading_db = 0.0;  ///< free-space + atmospheric loss
+    /// Path gain times ap_amp at the last pricing (0 if culled).
+    std::complex<double> gain;
     bool reflected = false;
+    bool kept = false;  ///< passed the cull at the last pricing
+    /// Bit l: a dirty disc touched leg l since its term was priced.
+    /// reconcile() sets it; the fill prices the leg, the commit clears it.
+    std::uint8_t dirty_legs = 0;
+
+    unsigned legs() const { return reflected ? 2u : 1u; }
   };
 
   struct Entry {
@@ -91,9 +118,12 @@ class LinkCache {
     std::vector<PathRecord> paths;    ///< blocker-free path set (see header)
     OtamLink otam{};                  ///< memoized evaluate_otam result
     OtamLink fixed{};                 ///< memoized evaluate_fixed_beam result
+    /// The memos survive a reprice whose gains come out bit-equal; the
+    /// refill clears them otherwise.
     bool has_otam = false;
     bool has_fixed = false;
-    /// Gains invalidated by a blocker delta; the paths stay valid.
+    /// Gains invalidated by a blocker delta (some path has a dirty leg);
+    /// the paths stay valid.
     bool stale = false;
   };
 
@@ -111,7 +141,7 @@ class LinkCache {
   /// Valid entry for (id, pose), counting one hit; otherwise one miss,
   /// and `fill(entry, reprice)` brings the slot up to date in place.
   /// `reprice` is true when the entry is stale at the same pose, so its
-  /// paths stand and only their blocker terms need pricing; false means
+  /// paths stand and only their dirty legs need pricing; false means
   /// a trace must rebuild entry.paths (entry.pose is already set).
   /// Call reconcile() first.
   template <typename Fill>
@@ -142,11 +172,21 @@ class LinkCache {
   /// (as for ensure's fill). The caller then fills entry(id), on any
   /// thread, one thread per id; opening may grow the slot table, so take
   /// entry references only after the last open_refill. commit_refill
-  /// (serial) counts one refill (and one repriced) and re-indexes the
-  /// legs of traced paths.
+  /// (serial) counts one refill (and one repriced), clears the dirty
+  /// bits and re-indexes the legs of traced paths.
   bool open_refill(std::uint16_t id, const channel::Pose& pose);
   Entry& entry(std::uint16_t id) { return slots_[id].entry; }
   void commit_refill(std::uint16_t id, bool repriced);
+  /// Blocker terms fills computed and clean legs whose terms reprices
+  /// kept; the fills price, the cache only counts.
+  struct LegCounts {
+    std::uint64_t priced = 0;
+    std::uint64_t reused = 0;
+  };
+  void count_legs(const LegCounts& c) {
+    stats_.legs_priced += c.priced;
+    stats_.legs_reused += c.reused;
+  }
 
   /// Ascending, unique ids that may have lost a valid entry since the
   /// last call: entries reconcile() marked stale or dropped, erased
@@ -177,7 +217,7 @@ class LinkCache {
     Entry entry;
     bool present = false;
     bool queued = false;     ///< id is in pending_
-    std::uint32_t seen = 0;  ///< last dirty-disc query that gathered it
+    std::uint32_t seen = 0;  ///< last blocker delta that visited it
     std::uint32_t cells = 0;  ///< cell lists its current legs were added to
   };
 
@@ -187,7 +227,9 @@ class LinkCache {
   void drop_all();
   void close_refill(std::uint16_t id, bool repriced);
   void queue(std::uint16_t id);
-  bool touches(const Entry& entry, const DirtyDisc& disc);
+  /// OR a dirty bit into each clean leg of `entry` that a disc in
+  /// `dirty` touches; true if a bit was set.
+  bool mark_dirty_legs(Entry& entry, std::span<const DirtyDisc> dirty);
   /// List `id` in the cells its entry's legs cross.
   void index(std::uint16_t id);
   /// Retire `id`'s listings. They stay in the cells as garbage: a listed
@@ -206,7 +248,7 @@ class LinkCache {
   /// Leg index over the room's wall box: cell c lists every present
   /// entry with a leg through it, plus retired listings (garbage_ of
   /// them, against listed_ live ones). cell_walk_ deduplicates the cells
-  /// of one entry's walk; Slot::seen the entries of one disc query.
+  /// of one entry's walk; Slot::seen the entries of one delta's query.
   channel::UniformGrid grid_;
   std::vector<std::vector<std::uint16_t>> cell_ids_;
   std::size_t listed_ = 0;

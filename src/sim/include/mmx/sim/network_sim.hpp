@@ -229,11 +229,13 @@ class NetworkSimulator {
   const TraceContext& trace_context() const;
   /// In-place refill of one job block. The jobs that need a trace share
   /// one blocker-free trace_batch_into, amortizing the AP image table per
-  /// block, and keep each traced path with its wall terms. Then every job
-  /// prices its paths against the plan's blockers.
-  /// refresh_cache fans blocks of it over workers; a lazy miss in
-  /// cache_entry refills a one-job block.
-  void refill_block(const TraceContext& ctx, std::span<const RefillJob> jobs) const;
+  /// block, and keep each traced path with its wall terms, every leg
+  /// dirty. Then every job prices its dirty legs against the plan's
+  /// blockers. refresh_cache fans blocks of it over workers; a lazy miss
+  /// in cache_entry refills a one-job block. Returns the block's legs
+  /// priced and reused, for LinkCache::count_legs.
+  LinkCache::LegCounts refill_block(const TraceContext& ctx,
+                                    std::span<const RefillJob> jobs) const;
   LinkCache::Entry& cache_entry(std::uint16_t id, const NodeState& n) const;
 
   channel::Room room_;

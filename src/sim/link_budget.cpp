@@ -9,7 +9,10 @@
 
 namespace mmx::sim {
 
-LinkBudget::LinkBudget(LinkBudgetSpec spec) : spec_(spec), chain_(spec.receiver) {
+LinkBudget::LinkBudget(LinkBudgetSpec spec)
+    : spec_(spec),
+      noise_floor_dbm_(rf::ReceiverChain(spec.receiver).noise_floor_dbm()),
+      noise_w_(dbm_to_watt(noise_floor_dbm_)) {
   if (spec.implementation_loss_db < 0.0)
     throw std::invalid_argument("LinkBudget: implementation loss must be >= 0");
 }
@@ -21,7 +24,7 @@ double LinkBudget::rx_power_dbm(std::complex<double> h) const {
 }
 
 double LinkBudget::snr_db(std::complex<double> h) const {
-  return rx_power_dbm(h) - chain_.noise_floor_dbm();
+  return rx_power_dbm(h) - noise_floor_dbm_;
 }
 
 OtamLink LinkBudget::evaluate_otam(const channel::BeamGains& gains, const rf::SpdtSwitch& spdt,
@@ -35,15 +38,14 @@ OtamLink LinkBudget::evaluate_otam(const channel::BeamGains& gains, const rf::Sp
   OtamLink link{};
   link.rx1_dbm = rx_power_dbm(eff1);
   link.rx0_dbm = rx_power_dbm(eff0);
-  link.snr_db = std::max(link.rx1_dbm, link.rx0_dbm) - chain_.noise_floor_dbm();
+  link.snr_db = std::max(link.rx1_dbm, link.rx0_dbm) - noise_floor_dbm_;
   link.contrast_db = std::abs(link.rx1_dbm - link.rx0_dbm);
 
   // Convert to amplitude units normalized to 1 W reference for the BER
   // model: amplitudes sqrt(P), noise power from the floor.
   const double a1 = std::sqrt(dbm_to_watt(link.rx1_dbm));
   const double a0 = std::sqrt(dbm_to_watt(link.rx0_dbm));
-  const double noise_w = dbm_to_watt(chain_.noise_floor_dbm());
-  link.ask_ber = phy::ber_two_level(a1, a0, noise_w, n_avg);
+  link.ask_ber = phy::ber_two_level(a1, a0, noise_w_, n_avg);
   // FSK discriminates on the stronger tone's energy; per-symbol averaging
   // gives the same sqrt(n) benefit.
   const double snr_lin = db_to_lin(link.snr_db) * static_cast<double>(n_avg);
@@ -59,12 +61,11 @@ OtamLink LinkBudget::evaluate_fixed_beam(const channel::BeamGains& gains, double
   OtamLink link{};
   link.rx1_dbm = rx_power_dbm(gains.h1);
   link.rx0_dbm = rx_power_dbm(gains.h1 * ask_floor);
-  link.snr_db = link.rx1_dbm - chain_.noise_floor_dbm();
+  link.snr_db = link.rx1_dbm - noise_floor_dbm_;
   link.contrast_db = std::abs(link.rx1_dbm - link.rx0_dbm);
   const double a1 = std::sqrt(dbm_to_watt(link.rx1_dbm));
   const double a0 = std::sqrt(dbm_to_watt(link.rx0_dbm));
-  const double noise_w = dbm_to_watt(chain_.noise_floor_dbm());
-  link.ask_ber = phy::ber_two_level(a1, a0, noise_w, n_avg);
+  link.ask_ber = phy::ber_two_level(a1, a0, noise_w_, n_avg);
   // The baseline node modulates at the board: ASK only, no FSK fallback.
   link.fsk_ber = 0.5;
   link.joint_ber = std::min(0.5, link.ask_ber);

@@ -15,6 +15,8 @@ void LinkCacheStats::publish_obs() const {
   MMX_OBS_COUNT("link_cache.revalidated", revalidated);
   MMX_OBS_COUNT("link_cache.invalidated", invalidated);
   MMX_OBS_COUNT("link_cache.corridor_tests", corridor_tests);
+  MMX_OBS_COUNT("link_cache.legs_priced", legs_priced);
+  MMX_OBS_COUNT("link_cache.legs_reused", legs_reused);
 }
 
 void LinkCache::snapshot(const channel::Room& room) {
@@ -100,16 +102,34 @@ void LinkCache::rebuild_index() {
   }
 }
 
-bool LinkCache::touches(const Entry& entry, const DirtyDisc& disc) {
-  const Vec2 node = entry.pose.position;
-  const auto hits = [&](Vec2 a, Vec2 b) {
-    ++stats_.corridor_tests;
-    return segment_hits_disc(a, b, disc.center, disc.radius);
+bool LinkCache::mark_dirty_legs(Entry& entry, std::span<const DirtyDisc> dirty) {
+  const auto touched = [&](Vec2 a, Vec2 b) {
+    // RoomPlan's broad-phase reject: an exact hit puts the leg's closest
+    // point to the centre inside the disc's box, so the boxes overlap.
+    const double minx = std::min(a.x, b.x) - channel::kGridSlackM;
+    const double maxx = std::max(a.x, b.x) + channel::kGridSlackM;
+    const double miny = std::min(a.y, b.y) - channel::kGridSlackM;
+    const double maxy = std::max(a.y, b.y) + channel::kGridSlackM;
+    for (const DirtyDisc& d : dirty) {
+      if (d.center.x + d.radius < minx || d.center.x - d.radius > maxx ||
+          d.center.y + d.radius < miny || d.center.y - d.radius > maxy)
+        continue;
+      ++stats_.corridor_tests;
+      if (segment_hits_disc(a, b, d.center, d.radius)) return true;
+    }
+    return false;
   };
-  for (const PathRecord& p : entry.paths) {
-    if (p.reflected ? hits(node, p.via) || hits(p.via, ap_) : hits(node, ap_)) return true;
+  bool marked = false;
+  for (PathRecord& p : entry.paths) {
+    const std::array<Vec2, 3> corners{entry.pose.position, p.reflected ? p.via : ap_, ap_};
+    for (unsigned l = 0; l < p.legs(); ++l) {
+      const auto bit = static_cast<std::uint8_t>(1u << l);
+      if ((p.dirty_legs & bit) != 0 || !touched(corners[l], corners[l + 1])) continue;
+      p.dirty_legs |= bit;
+      marked = true;
+    }
   }
-  return false;
+  return marked;
 }
 
 void LinkCache::drop_all() {
@@ -143,43 +163,42 @@ void LinkCache::reconcile_delta(const channel::Room& room) {
 
   // Blocker delta: old and new discs of every changed blocker are the
   // only regions whose crossings (and hence losses) can have changed.
+  // Index-wise: a blocker whose index shifted counts as changed too.
   std::vector<DirtyDisc> dirty;
   const auto& now = room.blockers();
   const std::size_t common = std::min(now.size(), seen_blockers_.size());
   for (std::size_t i = 0; i < common; ++i) {
     const channel::Blocker& was = seen_blockers_[i];
-    if (was.center == now[i].center && was.radius == now[i].radius &&
-        was.loss_db == now[i].loss_db)
-      continue;
-    dirty.push_back({was.center, was.radius});
+    const bool same_disc = was.center == now[i].center && was.radius == now[i].radius;
+    if (same_disc && was.loss_db == now[i].loss_db) continue;
+    if (!same_disc) dirty.push_back({was.center, was.radius});
     dirty.push_back({now[i].center, now[i].radius});
   }
   for (std::size_t i = common; i < now.size(); ++i) dirty.push_back({now[i].center, now[i].radius});
   for (std::size_t i = common; i < seen_blockers_.size(); ++i)
     dirty.push_back({seen_blockers_[i].center, seen_blockers_[i].radius});
 
-  // Each disc gathers the entries listed in the cells it overlaps (the
-  // grid is conservative: an entry with a leg the disc touches is always
-  // among them) and runs the exact test on each fresh one once. Retired
-  // listings only add candidates, until they outnumber the live ones.
+  // The entries listed in the cells the discs overlap are the candidates
+  // (the grid is conservative: an entry with a leg a disc touches is
+  // always among them). Each is visited once per delta, stale or not, and
+  // its clean legs are tested against every disc. Retired listings only
+  // add candidates, until they outnumber the live ones.
   if (garbage_ > listed_) rebuild_index();
+  if (++query_ == 0) {
+    for (Slot& slot : slots_) slot.seen = 0;
+    query_ = 1;
+  }
   const std::size_t fresh = live_ - stale_;
   std::size_t dropped = 0;
   for (const DirtyDisc& disc : dirty) {
-    if (++query_ == 0) {
-      for (Slot& slot : slots_) slot.seen = 0;
-      query_ = 1;
-    }
     grid_.for_each_disc_cell(disc.center, disc.radius, [&](std::size_t cell) {
       for (const std::uint16_t id : cell_ids_[cell]) {
         Slot& slot = slots_[id];
         if (slot.seen == query_) continue;
         slot.seen = query_;
-        if (!slot.present || slot.entry.stale || !touches(slot.entry, disc)) continue;
+        if (!slot.present || !mark_dirty_legs(slot.entry, dirty) || slot.entry.stale) continue;
         // The paths stay (walls and pose unchanged); only gains are dirty.
         slot.entry.stale = true;
-        slot.entry.has_otam = false;
-        slot.entry.has_fixed = false;
         ++stale_;
         ++dropped;
         queue(id);
@@ -216,6 +235,8 @@ bool LinkCache::open_refill(std::uint16_t id, const channel::Pose& pose) {
 
 void LinkCache::close_refill(std::uint16_t id, bool repriced) {
   Slot& slot = slots_[id];
+  // The fill priced every dirty leg.
+  for (PathRecord& p : slot.entry.paths) p.dirty_legs = 0;
   if (repriced) {
     slot.entry.stale = false;
     --stale_;

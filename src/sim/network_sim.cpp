@@ -33,24 +33,50 @@ channel::PathList& tls_path_list() {
   return ws;
 }
 
-// The gains of `e`'s paths under the plan's blockers: each path priced by
-// RoomPlan::priced_loss_db, then trace_into's cull (keep iff loss <= the
-// bound) and compute_beam_gains' accumulation, in path order. The
-// blockers-applied paths are the culled subset of the blocker-free ones,
-// in the same order, so the gains are the trace's bit for bit.
-channel::BeamGains price_paths(const channel::RoomPlan& plan, const LinkCache::Entry& e, Vec2 ap,
-                               channel::PathList& ws) {
+// The gains of `e`'s paths under the plan's blockers. Each dirty leg gets
+// a fresh RoomPlan::leg_blocker_loss_db term; a clean leg keeps its
+// stored one (docs/SCALING.md, "Stale, not erased"). A path whose terms
+// moved is re-priced by RoomPlan::priced_loss_db, then trace_into's cull
+// (keep iff loss <= the bound) and path_gain; any other path keeps its
+// stored cull and gain. compute_beam_gains' accumulation then runs in
+// path order. The blockers-applied paths are the culled subset of the
+// blocker-free ones, in the same order, so the gains are the trace's bit
+// for bit. `counts` gains the legs priced and the clean legs reused.
+channel::BeamGains price_paths(const channel::RoomPlan& plan, LinkCache::Entry& e, Vec2 ap,
+                               channel::PathList& ws, LinkCache::LegCounts& counts) {
   const Vec2 node = e.pose.position;
   channel::BeamGains g{};
-  for (const LinkCache::PathRecord& p : e.paths) {
-    const std::array<Vec2, 3> corners{node, p.reflected ? p.via : ap, ap};
-    int crossings = 0;
-    const double loss =
-        plan.priced_loss_db({corners.data(), p.reflected ? 3u : 2u}, p.walls, ws, crossings);
-    if (!(loss <= kTraceMaxExcessLossDb)) continue;
-    const std::complex<double> a = channel::path_gain_from(p.spreading_db, p.phasor, loss) * p.ap_amp;
-    g.h0 += p.beam0_field * a;
-    g.h1 += p.beam1_field * a;
+  for (LinkCache::PathRecord& p : e.paths) {
+    const unsigned legs = p.legs();
+    if (p.dirty_legs != 0) {
+      const std::array<Vec2, 3> corners{node, p.reflected ? p.via : ap, ap};
+      const channel::PathKind kind =
+          p.reflected ? channel::PathKind::kReflected : channel::PathKind::kLineOfSight;
+      bool moved = false;
+      int crossings = 0;
+      for (unsigned l = 0; l < legs; ++l) {
+        if ((p.dirty_legs & (1u << l)) == 0) {
+          ++counts.reused;
+          continue;
+        }
+        const double b = plan.leg_blocker_loss_db(corners[l], corners[l + 1], kind, ws, crossings);
+        moved |= b != p.leg_blocker_db[l];  // always true for an unpriced NaN
+        p.leg_blocker_db[l] = b;
+        ++counts.priced;
+      }
+      if (moved) {
+        const double loss =
+            channel::RoomPlan::priced_loss_db(p.walls, {p.leg_blocker_db.data(), legs});
+        p.kept = loss <= kTraceMaxExcessLossDb;
+        p.gain = p.kept ? channel::path_gain_from(p.spreading_db, p.phasor, loss) * p.ap_amp
+                        : std::complex<double>{};
+      }
+    } else {
+      counts.reused += legs;
+    }
+    if (!p.kept) continue;
+    g.h0 += p.beam0_field * p.gain;
+    g.h1 += p.beam1_field * p.gain;
     ++g.paths_used;
   }
   return g;
@@ -209,8 +235,8 @@ const NetworkSimulator::TraceContext& NetworkSimulator::trace_context() const {
   return ctx_;
 }
 
-void NetworkSimulator::refill_block(const TraceContext& ctx,
-                                    std::span<const RefillJob> jobs) const {
+LinkCache::LegCounts NetworkSimulator::refill_block(const TraceContext& ctx,
+                                                   std::span<const RefillJob> jobs) const {
   channel::PathList& ws = tls_path_list();
   thread_local std::vector<Vec2> txs;
   thread_local std::vector<std::uint32_t> offs;
@@ -225,12 +251,13 @@ void NetworkSimulator::refill_block(const TraceContext& ctx,
   }
 
   std::size_t traced = 0;
+  LinkCache::LegCounts counts;
   for (const RefillJob& job : jobs) {
     LinkCache::Entry& e = *job.entry;
     if (!job.reprice) {
       // Keep every blocker-free path with the terms a reprice reuses: its
       // wall terms, both beams' pattern fields, the AP element amplitude
-      // and the distance terms of path_gain.
+      // and the distance terms of path_gain. Every leg starts dirty.
       const auto paths = ws.slice(offs[traced], offs[traced + 1]);
       ++traced;
       e.paths.clear();
@@ -247,10 +274,18 @@ void NetworkSimulator::refill_block(const TraceContext& ctx,
         r.phasor = channel::path_phasor(p.length_m, cfg_.freq_hz);
         r.spreading_db = channel::spreading_loss_db(p.length_m, cfg_.freq_hz);
         r.reflected = p.kind == channel::PathKind::kReflected;
+        r.dirty_legs = r.reflected ? 0b11 : 0b01;
       }
     }
-    e.gains = price_paths(ctx.plan, e, ap_pose_.position, ws);
+    const channel::BeamGains g = price_paths(ctx.plan, e, ap_pose_.position, ws, counts);
+    // The memoized links are functions of the gains alone.
+    if (!(g.h0 == e.gains.h0 && g.h1 == e.gains.h1 && g.paths_used == e.gains.paths_used)) {
+      e.has_otam = false;
+      e.has_fixed = false;
+    }
+    e.gains = g;
   }
+  return counts;
 }
 
 LinkCache::Entry& NetworkSimulator::cache_entry(std::uint16_t id, const NodeState& n) const {
@@ -258,7 +293,7 @@ LinkCache::Entry& NetworkSimulator::cache_entry(std::uint16_t id, const NodeStat
   // A miss is a one-job refill; the hit path never builds the fill.
   return cache_.ensure(id, n.pose, [&](LinkCache::Entry& e, bool reprice) {
     const RefillJob job{id, n.pose, reprice, &e};
-    refill_block(trace_context(), {&job, 1});
+    cache_.count_legs(refill_block(trace_context(), {&job, 1}));
   });
 }
 
@@ -331,12 +366,12 @@ std::size_t NetworkSimulator::refresh_cache(std::size_t threads) {
   SweepRunner runner(
       SweepConfig{.trials = blocks, .threads = threads, .seed = 0, .trace_trials = false});
   const std::span<const RefillJob> all(jobs);
-  runner.map(blocks, [&](std::size_t b, Rng& /*rng*/) {
+  const auto blocks_done = runner.map(blocks, [&](std::size_t b, Rng& /*rng*/) {
     const std::size_t lo = b * kRefillBlock;
-    refill_block(ctx, all.subspan(lo, std::min(kRefillBlock, jobs.size() - lo)));
-    return 0;
+    return refill_block(ctx, all.subspan(lo, std::min(kRefillBlock, jobs.size() - lo)));
   });
   for (const RefillJob& job : jobs) cache_.commit_refill(job.id, job.reprice);
+  for (const LinkCache::LegCounts& counts : blocks_done.trials) cache_.count_legs(counts);
   return jobs.size();
 }
 

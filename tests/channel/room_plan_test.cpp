@@ -307,8 +307,11 @@ TEST(RoomPlanProperty, LegPricingRebuildsTracedLoss) {
         std::vector<Vec2> legs_corners(corners, corners + legs);
         legs_corners.push_back(ap);
         int crossings = 0;
-        EXPECT_EQ(plan.priced_loss_db(legs_corners, p.walls, scratch, crossings),
-                  p.excess_loss_db);
+        std::vector<double> blocker_db;
+        for (std::size_t l = 0; l < legs; ++l)
+          blocker_db.push_back(plan.leg_blocker_loss_db(legs_corners[l], legs_corners[l + 1],
+                                                        p.kind, scratch, crossings));
+        EXPECT_EQ(RoomPlan::priced_loss_db(p.walls, blocker_db), p.excess_loss_db);
         EXPECT_EQ(crossings, p.blocker_crossings);
       }
       ASSERT_TRUE(paths_equal(tracer.trace(nodes[i], ap, max_excess, max_bounces, true), repriced))
@@ -409,10 +412,10 @@ TEST(RoomPlan, ArgumentAndStalenessChecks) {
   EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, {}), std::invalid_argument);
   EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, long_offsets),
                std::invalid_argument);
-  // A priced path has 1 to 3 legs: 2 to 4 corners.
-  int crossings = 0;
-  const std::vector<Vec2> one_corner{{1.0, 1.0}};
-  EXPECT_THROW(plan.priced_loss_db(one_corner, WallTerms{}, ws, crossings), std::invalid_argument);
+  // A priced path has 1 to 3 legs, so 1 to 3 blocker terms.
+  EXPECT_THROW(RoomPlan::priced_loss_db(WallTerms{}, {}), std::invalid_argument);
+  EXPECT_THROW(RoomPlan::priced_loss_db(WallTerms{}, std::vector<double>(4, 0.0)),
+               std::invalid_argument);
   // Stale table: the room mutated after build_images.
   room.add_blocker(human_blocker({2.0, 2.0}));
   plan.rebuild(room);

@@ -400,6 +400,90 @@ TEST(LinkCacheProperty, RepricedLinksMatchUncachedAtOneAndFourThreads) {
   EXPECT_GT(repriced, 0u);  // the churn above really reached the reprice path
 }
 
+// Remove one blocker from the middle of the list (clear + re-add the
+// rest, the only way a Room expresses it): every later blocker shifts
+// down one index.
+void remove_one_blocker(Rng& rng, channel::Room& room) {
+  std::vector<channel::Blocker> blockers = room.blockers();
+  if (blockers.empty()) return;
+  blockers.erase(blockers.begin() + rng.uniform_int(0, static_cast<int>(blockers.size()) - 1));
+  room.clear_blockers();
+  for (const channel::Blocker& b : blockers) room.add_blocker(b);
+}
+
+// Per-leg dirty bits across several blocker deltas between refreshes.
+// Each delta is reconciled on its own (one node's lookup after it), so
+// an entry a first delta left stale must still collect the legs a later
+// delta touches; its refill then prices exactly those legs and keeps the
+// rest. Moves, adds, removals that shift indices and loss-only changes
+// all run. Cached gains and links equal uncached ones bit for bit, at one
+// refresh thread and at four.
+TEST(LinkCacheProperty, DirtyLegsAccumulateAcrossDeltasAtOneAndFourThreads) {
+  std::uint64_t reused = 0;
+  std::uint64_t repriced = 0;
+  for (int c = 0; c < 8; ++c) {
+    Rng rng = Rng::stream(0xd1e7ULL, static_cast<std::uint64_t>(c));
+    double w = 0.0;
+    double h = 0.0;
+    const channel::Room room = random_room(rng, w, h);
+    const channel::Pose ap{random_point(rng, w, h), rng.uniform(-3.0, 3.0)};
+    NetworkSimulator one(room, ap);
+    NetworkSimulator four(room, ap);
+    std::vector<std::uint16_t> ids;
+    for (int i = 0; i < 10; ++i) {
+      const channel::Pose pose{random_point(rng, w, h), rng.uniform(-3.0, 3.0)};
+      ids.push_back(one.add_tracked_node(pose));
+      ASSERT_EQ(four.add_tracked_node(pose), ids.back());
+    }
+    for (int b = rng.uniform_int(2, 8); b > 0; --b) {
+      const channel::Blocker blocker = random_blocker(rng, random_point(rng, w, h));
+      one.room().add_blocker(blocker);
+      four.room().add_blocker(blocker);
+    }
+    ASSERT_EQ(one.refresh_cache(1), ids.size());
+    ASSERT_EQ(four.refresh_cache(4), ids.size());
+
+    for (int step = 0; step < 30; ++step) {
+      for (int delta = rng.uniform_int(1, 3); delta > 0; --delta) {
+        const std::uint16_t probe = ids[static_cast<std::size_t>(rng.uniform_int(0, 9))];
+        const bool remove = rng.chance(0.2);
+        Rng twin = rng;
+        if (remove) {
+          remove_one_blocker(rng, one.room());
+          remove_one_blocker(twin, four.room());
+        } else {
+          const Vec2 node = one.node_pose(probe).position;
+          mutate_blockers(rng, one.room(), w, h, node, ap.position);
+          mutate_blockers(twin, four.room(), w, h, node, ap.position);
+        }
+        ASSERT_EQ(one.room().blockers().size(), four.room().blockers().size());
+        // Reconcile this delta alone; only `probe` is refilled.
+        expect_gains_equal(one.gains(probe), one.gains_uncached(probe));
+        expect_gains_equal(four.gains(probe), one.gains(probe));
+      }
+      ASSERT_EQ(one.refresh_cache(1), four.refresh_cache(4));
+      for (const std::uint16_t id : ids) {
+        expect_gains_equal(one.gains(id), one.gains_uncached(id));
+        expect_gains_equal(four.gains(id), one.gains(id));
+        expect_links_equal(one.link(id), one.link_uncached(id));
+        expect_links_equal(four.link(id), one.link(id));
+        expect_links_equal(one.fixed_beam_link(id),
+                           LinkBudget().evaluate_fixed_beam(one.gains_uncached(id)));
+      }
+    }
+    const LinkCacheStats& s1 = one.cache_stats();
+    const LinkCacheStats& s4 = four.cache_stats();
+    EXPECT_EQ(s1.legs_priced, s4.legs_priced);
+    EXPECT_EQ(s1.legs_reused, s4.legs_reused);
+    reused += s1.legs_reused;
+    repriced += s1.repriced;
+  }
+  // Both halves of the reprice really ran: clean legs kept, stale entries
+  // repriced rather than traced.
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(repriced, 0u);
+}
+
 // A standalone cache filled with each node's blocker-free legs: after
 // every blocker mutation, reconcile()'s grid-indexed invalidation marks
 // stale exactly the entries a brute-force test of every dirty disc

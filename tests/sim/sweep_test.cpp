@@ -5,7 +5,9 @@
 // loop exactly — any drift silently invalidates every scaled-up figure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <numeric>
@@ -176,15 +178,39 @@ TEST(SweepRunner, SpawnsNoMoreWorkersThanChunks) {
   SweepRunner runner(cfg);
   // Two items make two chunks: the calling thread plus one helper. Compare
   // with the count before the call so runtime threads (sanitizers) cancel.
-  std::atomic<int> peak{0};
-  runner.map(2, [&peak](std::size_t, Rng&) {
-    const int now = process_threads().value_or(0);
-    int seen = peak.load();
-    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
-    }
-    return 0;
-  });
-  EXPECT_LE(peak.load() - *before, 1);
+  // Each body holds its chunk and samples the thread count until both
+  // bodies run, so one worker cannot take both chunks and the samples
+  // span the whole spawn: the calling thread spawns every helper before
+  // it claims a chunk. An extra helper finds no chunk and exits at once,
+  // so one repeat can miss it; 64 repeats make missing it every time
+  // vanishingly unlikely.
+  int peak = 0;
+  for (int rep = 0; rep < 64; ++rep) {
+    // A joined helper can linger in the count for a moment after join
+    // returns; wait until the last repeat's helper is gone.
+    const auto settle = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (process_threads().value_or(0) > *before && std::chrono::steady_clock::now() < settle)
+      std::this_thread::yield();
+    std::atomic<int> arrived{0};
+    std::atomic<int> rep_peak{0};
+    runner.map(2, [&](std::size_t, Rng&) {
+      arrived.fetch_add(1);
+      // The deadline only bounds a broken spawn that leaves one worker.
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      for (int polls = 0; (arrived.load() < 2 || polls < 8) &&
+                          std::chrono::steady_clock::now() < deadline;
+           ++polls) {
+        const int now = process_threads().value_or(0);
+        int seen = rep_peak.load();
+        while (now > seen && !rep_peak.compare_exchange_weak(seen, now)) {
+        }
+      }
+      return 0;
+    });
+    ASSERT_EQ(arrived.load(), 2);
+    peak = std::max(peak, rep_peak.load());
+  }
+  EXPECT_LE(peak - *before, 1);
 }
 
 // --- Fig. 11 equivalence ---------------------------------------------------
