@@ -80,8 +80,8 @@ int main(int argc, char** argv) {
 
   std::printf("  joins %zu (granted %zu, denied %zu)  leaves %zu  moves %zu\n", rep.joins,
               rep.granted, rep.denied, rep.leaves, rep.moves);
-  std::printf("  rounds %zu  link evals %zu  crowd updates %zu\n", rep.measure_rounds,
-              rep.link_evals, rep.blocker_updates);
+  std::printf("  rounds %zu  link evals %zu  frame evals %zu  crowd updates %zu\n",
+              rep.measure_rounds, rep.link_evals, rep.frame_evals, rep.blocker_updates);
   std::printf("  cache: refills %zu (repriced %llu)  hit rate %.3f  revalidated %llu"
               "  invalidated %llu\n",
               rep.cache_refills, static_cast<unsigned long long>(rep.cache.repriced),
@@ -150,6 +150,8 @@ int main(int argc, char** argv) {
   report.add_scalar("denied", static_cast<double>(rep.denied));
   report.add_scalar("leaves", static_cast<double>(rep.leaves));
   report.add_scalar("moves", static_cast<double>(rep.moves));
+  report.add_scalar("link_evals", static_cast<double>(rep.link_evals));
+  report.add_scalar("frame_evals", static_cast<double>(rep.frame_evals));
   report.add_scalar("cache_refills", static_cast<double>(rep.cache_refills));
   report.add_scalar("cache_repriced", static_cast<double>(rep.cache.repriced));
   report.add_scalar("cache_legs_reused", static_cast<double>(rep.cache.legs_reused));

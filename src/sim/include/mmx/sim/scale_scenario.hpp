@@ -114,6 +114,9 @@ struct ScaleReport {
   std::size_t measure_rounds = 0;
   std::size_t link_evals = 0;       ///< total per-node link measurements
   std::size_t cache_refills = 0;    ///< entries recomputed by batched refresh
+  /// Frame-success evaluations, (1 - joint BER)^frame_bits: one per
+  /// transmitted frame whose link BER differs from the thing's last one.
+  std::size_t frame_evals = 0;
   LinkCacheStats cache{};           ///< end-of-run cache counters
   mac::ArqStats arq{};              ///< aggregated over all nodes
   FaultStats faults{};              ///< injected faults + recovery accounting
@@ -127,9 +130,10 @@ struct ScaleReport {
   /// Excluded from operator== (timing is machine-dependent).
   double measure_wall_s = 0.0;
 
-  /// Compares every simulated quantity; ignores timing and all cache
-  /// counters (cache_refills, cache.*), which legitimately differ between
-  /// the cached and uncached arms of an otherwise identical run.
+  /// Compares every simulated quantity; ignores timing, frame_evals (a
+  /// work count) and all cache counters (cache_refills, cache.*), which
+  /// legitimately differ between the cached and uncached arms of an
+  /// otherwise identical run.
   bool operator==(const ScaleReport&) const;
 };
 

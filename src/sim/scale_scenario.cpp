@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -74,10 +75,11 @@ bool ScaleReport::operator==(const ScaleReport& o) const {
          faults == o.faults && overload == o.overload &&
          mean_snr_db == o.mean_snr_db && mean_joint_ber == o.mean_joint_ber &&
          mean_rate_bps == o.mean_rate_bps && delivery_ratio == o.delivery_ratio;
-  // Cache traffic (cache_refills, cache.*) and measure_wall_s are
-  // intentionally excluded: the cached and uncached arms must agree on
-  // every simulated quantity, and only those — cache counters are zero
-  // with the cache off, and timing is machine-dependent.
+  // Cache traffic (cache_refills, cache.*), frame_evals and
+  // measure_wall_s are intentionally excluded: the cached and uncached
+  // arms must agree on every simulated quantity, and only those — cache
+  // counters are zero with the cache off, frame_evals counts work rather
+  // than outcome, and timing is machine-dependent.
 }
 
 namespace {
@@ -119,6 +121,12 @@ struct Thing {
   /// consumed by the next schedule_rejoin, which floors the backoff
   /// schedule with it.
   double hint_s = 0.0;
+  /// Frame-success memo: the joint BER this thing's last frame was priced
+  /// at and (1 - BER)^frame_bits for it. A poll whose BER compares equal
+  /// reuses the price; NaN compares equal to nothing, so the first
+  /// transmission always prices.
+  double priced_ber = std::numeric_limits<double>::quiet_NaN();
+  double priced_p_frame = 0.0;
 };
 
 }  // namespace
@@ -501,7 +509,12 @@ ScaleReport ScaleScenario::run(std::uint64_t seed) const {
         if (rep.measure_rounds < thing.next_tx_round) continue;
         thing.arq.on_transmitted();
         sim.note_activity(thing.id, q.now());
-        double p_frame = std::pow(1.0 - l.joint_ber, c.frame_bits);
+        if (l.joint_ber != thing.priced_ber) {
+          thing.priced_ber = l.joint_ber;
+          thing.priced_p_frame = std::pow(1.0 - l.joint_ber, c.frame_bits);
+          ++rep.frame_evals;
+        }
+        double p_frame = thing.priced_p_frame;
         if (fade_depth[i] > 0) p_frame *= fc.storm_delivery_frac;
         const bool delivered = thing.rng.chance(p_frame);
         bool acked = delivered;

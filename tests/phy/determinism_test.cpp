@@ -110,16 +110,21 @@ TEST(Determinism, AwgnStreamIsSeedExact) {
   EXPECT_TRUE(bit_identical(n1, n2));
 }
 
-TEST(Determinism, ForkedStreamsAreReproducibleAndIndependent) {
+TEST(Determinism, DerivedStreamsAreReproducibleAndIndependent) {
   Rng a(7);
   Rng b(7);
-  Rng fa = a.fork();
-  Rng fb = b.fork();
+  a.uniform();  // a root that has drawn must not move its derived streams
+  Rng fa = Rng::stream(7, 3);
+  Rng fb = Rng::stream(7, 3);
   const dsp::Cvec na = dsp::awgn(256, 1.0, fa);
   const dsp::Cvec nb = dsp::awgn(256, 1.0, fb);
-  EXPECT_TRUE(bit_identical(na, nb)) << "fork() must be a pure function of parent state";
-  // The parent stream after forking must also stay in lockstep.
+  EXPECT_TRUE(bit_identical(na, nb)) << "stream() must be a pure function of (root, index)";
+  // Deriving streams touches no root state: the roots stay in lockstep.
+  b.uniform();
   EXPECT_EQ(a.uniform(), b.uniform());
+  // A neighbouring index is an independent stream.
+  Rng other = Rng::stream(7, 4);
+  EXPECT_FALSE(bit_identical(na, dsp::awgn(256, 1.0, other)));
 }
 
 }  // namespace

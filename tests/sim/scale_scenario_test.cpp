@@ -49,6 +49,9 @@ TEST(ScaleScenario, CachedReportEqualsUncachedReport) {
   EXPECT_EQ(cached.mean_joint_ber, uncached.mean_joint_ber);
   EXPECT_EQ(cached.delivery_ratio, uncached.delivery_ratio);
   EXPECT_EQ(cached.arq.transmissions, uncached.arq.transmissions);
+  // The frame-success memo is keyed on the BER value, which both arms
+  // compute to the same bits, so it misses on the same polls.
+  EXPECT_EQ(cached.frame_evals, uncached.frame_evals);
 
   // Sanity on the arms themselves: the cached run actually used the
   // cache, the uncached run never touched it.
@@ -68,6 +71,7 @@ TEST(ScaleScenario, RefreshThreadCountDoesNotChangeTheReport) {
   EXPECT_EQ(r1.cache_refills, r4.cache_refills);
   EXPECT_EQ(r1.cache.revalidated, r4.cache.revalidated);
   EXPECT_EQ(r1.cache.invalidated, r4.cache.invalidated);
+  EXPECT_EQ(r1.frame_evals, r4.frame_evals);
 }
 
 TEST(ScaleScenario, SameSeedReproducesDifferentSeedDiverges) {
@@ -102,6 +106,11 @@ TEST(ScaleScenario, AccountingInvariantsHold) {
   EXPECT_EQ(r.blocker_updates,
             static_cast<std::size_t>(cfg.duration_s / cfg.churn_interval_s));
   EXPECT_GT(r.arq.transmissions, 0u);
+  // A frame is priced only when transmitted, and only when its link's BER
+  // moved since the thing's last frame: a still link reuses its price.
+  EXPECT_GT(r.frame_evals, 0u);
+  EXPECT_LT(r.frame_evals, r.link_evals);
+  EXPECT_LT(r.frame_evals, r.arq.transmissions);
   EXPECT_GE(r.delivery_ratio, 0.0);
   EXPECT_LE(r.delivery_ratio, 1.0);
   EXPECT_GT(r.mean_rate_bps, 0.0);

@@ -248,7 +248,7 @@ TEST(BenchGateFile, CheckedInRulesParseAndNameCommittedBaselines) {
   std::vector<std::string> errors;
   const auto rules = parse_gate_rules(*text, errors);
   ASSERT_TRUE(rules.has_value()) << errors[0];
-  EXPECT_EQ(rules->size(), 23u);
+  EXPECT_EQ(rules->size(), 24u);
   // A trend rule names its baseline, so each one must be committed and
   // carry the key the rule reads.
   std::size_t baselines = 0;
