@@ -1,22 +1,18 @@
 // Micro-benchmarks of the per-sample DSP fast path, on the shared sweep
 // harness (same flags/JSON as every other bench).
 //
-// Two kernel sets are selectable with --kernels:
-//   fast  the production path: rotator NCO/Goertzel, plan-based FFT,
-//         block FIR, and the FramePipeline frame context
+// Every stage runs twice, back to back with the same trials and threads:
 //   ref   the retained pre-rewrite forms (tests/reference): one cos/sin
 //         pair per sample, twiddle-recurrence FFT, allocating per-call
 //         demodulators
-//
-// --stage picks one workload for a machine-readable run (the JSON bench
-// name carries the stage, so tools/bench_gate can compare a matched
-// ref/fast pair); the default `all` prints a ref-vs-fast table. CI's
-// bench-perf lane gates (bench/gates.txt) goertzel at >= 3x and the fig11-style frame
-// stage (synthesize -> AWGN -> joint demodulate at the pinned config) at
-// >= 2x.
+//   fast  the production path: rotator NCO/Goertzel, plan-based FFT,
+//         block FIR, and the FramePipeline frame context
+// and the table and the JSON's `speedup_<stage>` scalars give fast / ref
+// throughput. CI's bench-perf lane gates (bench/gates.txt) goertzel at
+// >= 3x and the fig11-style frame stage (synthesize -> AWGN -> joint
+// demodulate at the pinned config) at >= 2x.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -164,48 +160,21 @@ sim::SweepResult<double> run_stage(const std::string& stage, bool fast,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string stage = "all";
-  std::string kernels = "fast";
   const bench::Options opt = bench::parse_args(
-      argc, argv, /*default_trials=*/600, /*default_seed=*/0x6d6d5821ULL, "trials per stage",
-      {{"--stage", "all|goertzel|fig11|fft|fir|otam|nco (default all)", &stage},
-       {"--kernels", "fast|ref kernel set (default fast)", &kernels}});
-  if (kernels != "fast" && kernels != "ref") {
-    std::fprintf(stderr, "micro_dsp: --kernels must be fast or ref, got '%s'\n", kernels.c_str());
-    return 2;
-  }
-  const bool fast = kernels == "fast";
+      argc, argv, /*default_trials=*/600, /*default_seed=*/0x6d6d5821ULL, "trials per stage");
   sim::SweepRunner runner(opt.sweep);
-
-  if (stage == "all") {
-    bench::JsonReport report("micro_dsp", opt);
-    std::printf("# micro_dsp — ref vs fast kernels, %zu trials/stage, %zu threads\n",
-                opt.sweep.trials, runner.threads());
-    std::printf("%-10s %14s %14s %9s\n", "stage", "ref trials/s", "fast trials/s", "speedup");
-    for (const std::string& s : kStages) {
-      const sim::SweepResult<double> ref = run_stage(s, /*fast=*/false, runner);
-      const sim::SweepResult<double> fst = run_stage(s, /*fast=*/true, runner);
-      const double speedup = ref.trials_per_s > 0.0 ? fst.trials_per_s / ref.trials_per_s : 0.0;
-      std::printf("%-10s %14.1f %14.1f %8.2fx\n", s.c_str(), ref.trials_per_s, fst.trials_per_s,
-                  speedup);
-      report.add_scalar("speedup_" + s, speedup);
-      if (s == "fig11") report.record(fst);
-    }
-    return report.write() ? 0 : 1;
+  bench::JsonReport report("micro_dsp", opt);
+  std::printf("# micro_dsp — ref vs fast kernels, %zu trials/stage, %zu threads\n",
+              opt.sweep.trials, runner.threads());
+  std::printf("%-10s %14s %14s %9s\n", "stage", "ref trials/s", "fast trials/s", "speedup");
+  for (const std::string& s : kStages) {
+    const sim::SweepResult<double> ref = run_stage(s, /*fast=*/false, runner);
+    const sim::SweepResult<double> fst = run_stage(s, /*fast=*/true, runner);
+    const double speedup = ref.trials_per_s > 0.0 ? fst.trials_per_s / ref.trials_per_s : 0.0;
+    std::printf("%-10s %14.1f %14.1f %8.2fx\n", s.c_str(), ref.trials_per_s, fst.trials_per_s,
+                speedup);
+    report.add_scalar("speedup_" + s, speedup);
+    if (s == "fig11") report.record(fst);
   }
-
-  bool known = false;
-  for (const std::string& s : kStages) known = known || (s == stage);
-  if (!known) {
-    std::fprintf(stderr, "micro_dsp: unknown --stage '%s'\n", stage.c_str());
-    return 2;
-  }
-  const sim::SweepResult<double> result = run_stage(stage, fast, runner);
-  bench::report_timing(result);
-  std::printf("[micro_dsp] stage=%s kernels=%s trials=%zu trials_per_s=%.1f\n", stage.c_str(),
-              kernels.c_str(), result.trials.size(), result.trials_per_s);
-  bench::JsonReport report("micro_dsp_" + stage, opt);
-  report.record(result);
-  report.add_metric("checksum", result.trials);
   return report.write() ? 0 : 1;
 }

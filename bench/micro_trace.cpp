@@ -2,20 +2,18 @@
 // the frozen reference tracer (tests/reference/ref_ray_tracer.hpp), on
 // the shared sweep harness.
 //
-// Two kernel sets are selectable with --kernels:
+// Every stage runs twice, back to back with the same trials and threads:
+//   ref   channel::ref::RayTracer::trace — the frozen bit-exact oracle
+//         (allocating one vector per call, deriving every image inline)
 //   fast  the production path: compiled RoomPlan, tabulated AP images,
 //         batched blocker-free trace_batch_into priced leg by leg,
 //         caller-owned PathList workspace
-//   ref   channel::ref::RayTracer::trace — the frozen bit-exact oracle
-//         (allocating one vector per call, deriving every image inline)
 //
 // Every trial folds the traced paths into a checksum, so the work cannot
-// be optimized away AND ref/fast runs are bitwise-comparable: the default
-// `all` mode runs matched ref/fast pairs per stage, prints the speedup
-// table, and FAILS (exit 1) if any stage's per-trial checksums differ —
-// a perf report that doubles as an equivalence test. --stage picks one
-// workload for a machine-readable run (the JSON bench name carries the
-// stage, so tools/bench_gate can compare a matched ref/fast pair); CI's
+// be optimized away AND ref/fast runs are bitwise-comparable: the run
+// prints the speedup table, writes a `speedup_<stage>` scalar per stage
+// to the JSON, and FAILS (exit 1) if any stage's per-trial checksums
+// differ — a perf report that doubles as an equivalence test. CI's
 // bench-perf lane gates the refill stage at >= 3x (bench/gates.txt,
 // docs/GEOMETRY.md).
 //
@@ -33,7 +31,6 @@
 //   dense    48 blockers (grid broad phase on), 2 bounces
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
@@ -201,56 +198,28 @@ bool checksums_match(const sim::SweepResult<double>& a, const sim::SweepResult<d
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string stage = "all";
-  std::string kernels = "fast";
   const bench::Options opt = bench::parse_args(
-      argc, argv, /*default_trials=*/20, /*default_seed=*/0x6d6d5821ULL, "trials per stage",
-      {{"--stage", "all|refill|trace|bounce2|dense (default all)", &stage},
-       {"--kernels", "fast|ref kernel set (default fast)", &kernels}});
-  if (kernels != "fast" && kernels != "ref") {
-    std::fprintf(stderr, "micro_trace: --kernels must be fast or ref, got '%s'\n",
-                 kernels.c_str());
-    return 2;
-  }
-  const bool fast = kernels == "fast";
+      argc, argv, /*default_trials=*/20, /*default_seed=*/0x6d6d5821ULL, "trials per stage");
   sim::SweepRunner runner(opt.sweep);
-
-  if (stage == "all") {
-    bench::JsonReport report("micro_trace", opt);
-    std::printf("# micro_trace — RayTracer (ref) vs RoomPlan (fast), %zu trials/stage, %zu threads\n",
-                opt.sweep.trials, runner.threads());
-    std::printf("%-10s %14s %14s %9s %9s\n", "stage", "ref trials/s", "fast trials/s", "speedup",
-                "bitwise");
-    for (const std::string& s : kStages) {
-      const sim::SweepResult<double> ref = run_stage(s, /*fast=*/false, runner);
-      const sim::SweepResult<double> fst = run_stage(s, /*fast=*/true, runner);
-      const bool same = checksums_match(ref, fst);
-      const double speedup = ref.trials_per_s > 0.0 ? fst.trials_per_s / ref.trials_per_s : 0.0;
-      std::printf("%-10s %14.1f %14.1f %8.2fx %9s\n", s.c_str(), ref.trials_per_s,
-                  fst.trials_per_s, speedup, same ? "ok" : "MISMATCH");
-      if (!same) {
-        std::fprintf(stderr, "micro_trace: stage '%s' checksums diverge from the reference\n",
-                     s.c_str());
-        return 1;
-      }
-      report.add_scalar("speedup_" + s, speedup);
-      if (s == "refill") report.record(fst);
+  bench::JsonReport report("micro_trace", opt);
+  std::printf("# micro_trace — RayTracer (ref) vs RoomPlan (fast), %zu trials/stage, %zu threads\n",
+              opt.sweep.trials, runner.threads());
+  std::printf("%-10s %14s %14s %9s %9s\n", "stage", "ref trials/s", "fast trials/s", "speedup",
+              "bitwise");
+  for (const std::string& s : kStages) {
+    const sim::SweepResult<double> ref = run_stage(s, /*fast=*/false, runner);
+    const sim::SweepResult<double> fst = run_stage(s, /*fast=*/true, runner);
+    const bool same = checksums_match(ref, fst);
+    const double speedup = ref.trials_per_s > 0.0 ? fst.trials_per_s / ref.trials_per_s : 0.0;
+    std::printf("%-10s %14.1f %14.1f %8.2fx %9s\n", s.c_str(), ref.trials_per_s,
+                fst.trials_per_s, speedup, same ? "ok" : "MISMATCH");
+    if (!same) {
+      std::fprintf(stderr, "micro_trace: stage '%s' checksums diverge from the reference\n",
+                   s.c_str());
+      return 1;
     }
-    return report.write() ? 0 : 1;
+    report.add_scalar("speedup_" + s, speedup);
+    if (s == "refill") report.record(fst);
   }
-
-  bool known = false;
-  for (const std::string& s : kStages) known = known || (s == stage);
-  if (!known) {
-    std::fprintf(stderr, "micro_trace: unknown --stage '%s'\n", stage.c_str());
-    return 2;
-  }
-  const sim::SweepResult<double> result = run_stage(stage, fast, runner);
-  bench::report_timing(result);
-  std::printf("[micro_trace] stage=%s kernels=%s trials=%zu trials_per_s=%.1f\n", stage.c_str(),
-              kernels.c_str(), result.trials.size(), result.trials_per_s);
-  bench::JsonReport report("micro_trace_" + stage, opt);
-  report.record(result);
-  report.add_metric("checksum", result.trials);
   return report.write() ? 0 : 1;
 }

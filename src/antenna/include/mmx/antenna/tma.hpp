@@ -89,4 +89,11 @@ class TimeModulatedArray {
   double delay_frac_ = 0.0;  ///< set by `progressive`; 0 = unknown design
 };
 
+/// The AP's TMA design: the default 8-element lambda/2 array, progressive
+/// delay 0.0625, duty cycle 0.45, so harmonic m steers to
+/// sin(theta_m) = 0.125 m. sim::NetworkSimulator receives SDM groups
+/// through it, and mac::default_sdm_slots() admits onto its steered
+/// angles.
+TimeModulatedArray ap_tma();
+
 }  // namespace mmx::antenna

@@ -43,6 +43,8 @@ TimeModulatedArray TimeModulatedArray::progressive(TmaSpec spec, double delay_fr
   return tma;
 }
 
+TimeModulatedArray ap_tma() { return TimeModulatedArray::progressive(TmaSpec{}, 0.0625, 0.45); }
+
 TimeModulatedArray TimeModulatedArray::tapered(TmaSpec spec, double delay_frac,
                                                const std::vector<double>& taus) {
   validate_spec(spec);

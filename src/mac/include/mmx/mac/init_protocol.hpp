@@ -34,14 +34,15 @@
 namespace mmx::mac {
 
 /// One usable TMA harmonic and the direction it steers to (set by the
-/// AP's switching design; see antenna::TimeModulatedArray::progressive).
+/// AP's switching design; see antenna::ap_tma).
 struct HarmonicSlot {
   int harmonic;
   double angle_rad;
 };
 
-/// Steered directions of the default AP TMA (8 elements, d = lambda/2,
-/// delay 0.0625): sin(theta_m) = 0.125 m for m in {-4..4}.
+/// Harmonics 0, 1, -1, ..., 4, -4 of the AP's TMA (antenna::ap_tma, the
+/// one sim::NetworkSimulator receives SDM groups through), each at that
+/// TMA's steered_angle: sin(theta_m) = 0.125 m.
 std::vector<HarmonicSlot> default_sdm_slots();
 
 /// Graceful-degradation policy for oversubscribed joins. Disabled by
@@ -81,7 +82,8 @@ struct InitConfig {
   /// Bearings closer than this cannot share a channel (harmonic lobes
   /// would overlap).
   double min_bearing_separation_rad = 0.45;
-  /// Usable TMA harmonics; empty = populated with default_sdm_slots().
+  /// Usable TMA harmonics; empty = populated with default_sdm_slots(),
+  /// the steered angles of the AP TMA the simulator receives through.
   std::vector<HarmonicSlot> sdm_slots;
   /// A node may only take a harmonic whose steered direction is within
   /// this angle of its bearing (beyond it the harmonic's array gain at

@@ -6,16 +6,17 @@
 #include <stdexcept>
 #include <utility>
 
+#include "mmx/antenna/tma.hpp"
 #include "mmx/obs/obs.hpp"
 
 namespace mmx::mac {
 
 std::vector<HarmonicSlot> default_sdm_slots() {
-  // sin(theta_m) = m * delay / spacing = 0.125 m for the default
-  // progressive TMA (delay 0.0625, d = lambda/2): nine slots on a ~7
-  // degree pitch covering +/-30 degrees.
+  // sin(theta_m) = m * 0.0625 / 0.5 = 0.125 m on the AP's TMA: nine slots
+  // on a ~7 degree pitch covering +/-30 degrees.
+  const antenna::TimeModulatedArray tma = antenna::ap_tma();
   std::vector<HarmonicSlot> slots;
-  for (int m : {0, 1, -1, 2, -2, 3, -3, 4, -4}) slots.push_back({m, std::asin(0.125 * m)});
+  for (int m : {0, 1, -1, 2, -2, 3, -3, 4, -4}) slots.push_back({m, tma.steered_angle(m)});
   return slots;
 }
 

@@ -107,12 +107,10 @@ class SpanId {
 /// sample. Disabled cost is one branch.
 class ScopedTimer {
  public:
-  /// `condition` gates the span alongside the global enable: a false
-  /// condition reduces the site to one branch (MMX_OBS_SPAN_IF).
-  ScopedTimer(const SpanId& id, std::uint64_t key, bool condition = true)
+  ScopedTimer(const SpanId& id, std::uint64_t key)
       : id_(&id),
         key_(key),
-        armed_(condition && enabled()),
+        armed_(enabled()),
         t0_ns_(armed_ ? TraceSink::now_ns() : 0) {}
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
@@ -141,15 +139,6 @@ void emit_sample(const SpanId& id, std::uint64_t key, std::uint64_t value);
   const ::mmx::obs::ScopedTimer MMX_OBS_CAT(mmx_obs_span_, __LINE__)(         \
       MMX_OBS_CAT(mmx_obs_sid_, __LINE__), static_cast<std::uint64_t>(key))
 
-// MMX_OBS_SPAN with an extra runtime gate: the span is emitted only when
-// `cond` is true (SweepConfig::trace_trials uses this to silence
-// per-item spans on high-rate internal sweeps).
-#define MMX_OBS_SPAN_IF(cond, name, key)                                      \
-  static const ::mmx::obs::SpanId MMX_OBS_CAT(mmx_obs_sid_, __LINE__){name};  \
-  const ::mmx::obs::ScopedTimer MMX_OBS_CAT(mmx_obs_span_, __LINE__)(         \
-      MMX_OBS_CAT(mmx_obs_sid_, __LINE__), static_cast<std::uint64_t>(key),   \
-      (cond))
-
 // A counter-sample trace event (renders as a chrome://tracing counter
 // track; the retry-burst lane in docs/OBSERVABILITY.md uses this).
 #define MMX_OBS_SAMPLE(name, key, value)                                     \
@@ -168,20 +157,8 @@ void emit_sample(const SpanId& id, std::uint64_t key, std::uint64_t value);
 // sizeof keeps the operands formally used (no -Wunused with MMX_OBS=OFF)
 // while never evaluating them.
 #define MMX_OBS_SPAN(name, key) ((void)sizeof(key))
-#define MMX_OBS_SPAN_IF(cond, name, key) ((void)sizeof(cond), (void)sizeof(key))
 #define MMX_OBS_SAMPLE(name, key, value) ((void)sizeof(key), (void)sizeof(value))
 
 #endif  // MMX_OBS_ENABLED
-
-// Per-stage spans inside the DSP/PHY fast path (FramePipeline stages).
-// Compiled out unless the MMX_OBS_HOT CMake option is ON: these sites
-// sit inside microsecond-scale kernels, and their events are keyed per
-// call site (not per trial), so a hot-span build trades the merge-order
-// determinism guarantee for per-stage profiling depth.
-#if MMX_OBS_ENABLED && defined(MMX_OBS_HOT)
-#define MMX_OBS_HOT_SPAN(name, key) MMX_OBS_SPAN(name, key)
-#else
-#define MMX_OBS_HOT_SPAN(name, key) ((void)0)
-#endif
 
 }  // namespace mmx::obs

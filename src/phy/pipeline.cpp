@@ -5,14 +5,8 @@
 #include <vector>
 
 #include "mmx/dsp/noise.hpp"
-#include "mmx/obs/trace.hpp"
 
 namespace mmx::phy {
-
-// Per-stage spans are MMX_OBS_HOT_SPAN: compiled out unless the build
-// sets -DMMX_OBS_HOT=ON, so the default fast path carries zero
-// instrumentation cost. Key 0 = callsite-scoped; hot spans trade the
-// merge-determinism guarantee for stage-level timing (docs/OBSERVABILITY.md).
 
 FramePipeline::FramePipeline(const PhyConfig& cfg) : cfg_(cfg), bank_(fsk_tone_bank(cfg)) {
   cfg_.validate();
@@ -20,17 +14,14 @@ FramePipeline::FramePipeline(const PhyConfig& cfg) : cfg_(cfg), bank_(fsk_tone_b
 
 void FramePipeline::synthesize_otam(const Bits& bits, const OtamChannel& channel,
                                     const rf::SpdtSwitch& spdt, double tx_amplitude) {
-  MMX_OBS_HOT_SPAN("phy.synthesize_otam", 0);
   otam_synthesize_into(bits, cfg_, channel, spdt, rx_, tx_amplitude);
 }
 
 void FramePipeline::modulate_ask(const Bits& bits, AskLevels levels) {
-  MMX_OBS_HOT_SPAN("phy.modulate_ask", 0);
   ask_modulate_into(bits, cfg_, rx_, levels);
 }
 
 void FramePipeline::modulate_fsk(const Bits& bits) {
-  MMX_OBS_HOT_SPAN("phy.modulate_fsk", 0);
   fsk_modulate_into(bits, cfg_, rx_);
 }
 
@@ -48,19 +39,16 @@ void FramePipeline::add_noise_snr(double snr_db, Rng& rng) {
 }
 
 const AskDecision& FramePipeline::demodulate_ask(const Bits& known_prefix) {
-  MMX_OBS_HOT_SPAN("phy.demodulate_ask", 0);
   ask_demodulate_into(rx_, cfg_, known_prefix, ws_, ask_);
   return ask_;
 }
 
 const FskDecision& FramePipeline::demodulate_fsk() {
-  MMX_OBS_HOT_SPAN("phy.demodulate_fsk", 0);
   fsk_demodulate_into(rx_, cfg_, bank_, ws_, fsk_);
   return fsk_;
 }
 
 const JointDecision& FramePipeline::demodulate_joint(const Bits& known_prefix) {
-  MMX_OBS_HOT_SPAN("phy.demodulate_joint", 0);
   joint_demodulate_into(rx_, cfg_, known_prefix, bank_, ws_, joint_ask_, joint_fsk_, joint_);
   return joint_;
 }

@@ -15,7 +15,6 @@
 #include <map>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "mmx/antenna/tma.hpp"
@@ -33,17 +32,6 @@ namespace mmx::sim {
 struct SimConfig {
   LinkBudgetSpec budget{};
   double freq_hz = 24.125e9;
-  /// AP TMA used for SDM groups.
-  antenna::TmaSpec tma{};
-  double tma_delay_frac = 0.0625;
-  double tma_tau = 0.45;
-  /// Suppression of other FDM channels by the AP's channelization
-  /// filters (adjacent-channel rejection).
-  double adjacent_channel_rejection_db = 50.0;
-  /// Equalize receive powers inside each SDM group (the AP commands
-  /// per-node duty-cycle backoff over the side channel during init) —
-  /// tames the near-far problem co-channel TMA groups otherwise have.
-  bool sdm_power_control = true;
   mac::InitConfig init{};
   /// Band the AP's FDM allocator manages. Defaults to the paper's 24 GHz
   /// ISM band; large-scale scenarios widen it (e.g. 57-64 GHz, which the
@@ -83,9 +71,9 @@ class NetworkSimulator {
   Admission admit(const channel::Pose& pose, double rate_bps, std::uint8_t priority = 1);
 
   /// Grow demoted grants back toward their requested rate (overload mode;
-  /// see InitProtocol::promote_demoted). Returns (node id, new rate) per
-  /// promoted grant; re-tune notifications queue for drain_retunes().
-  std::vector<std::pair<std::uint16_t, double>> promote_demoted();
+  /// see InitProtocol::promote_demoted). Re-tune notifications queue for
+  /// drain_retunes().
+  void promote_demoted();
 
   /// Drain queued re-tune notifications (compaction, shedding, promotion).
   /// grant() already reads the re-tuned grants; the caller applies the
@@ -145,11 +133,12 @@ class NetworkSimulator {
   OtamLink fixed_beam_link(std::uint16_t id) const;
 
   /// Batched cache (re)fill: recomputes every entry that is not valid,
-  /// in place, fanned across `threads` workers (0 = one per hardware
-  /// thread) via the SweepRunner engine — results are bit-identical to a
-  /// serial refresh at any thread count. An entry a blocker delta made
-  /// stale is repriced without a trace. Returns the number of entries
-  /// recomputed. No-op when the cache is disabled.
+  /// in place, in 64-node blocks fanned across `threads` workers (0 = one
+  /// per hardware thread) by for_each_chunk (sweep.hpp) — results and
+  /// cache_stats() are bit-identical to a serial refresh at any thread
+  /// count. An entry a blocker delta made stale is repriced without a
+  /// trace. Returns the number of entries recomputed. No-op when the
+  /// cache is disabled.
   std::size_t refresh_cache(std::size_t threads = 0);
 
   const LinkCacheStats& cache_stats() const { return cache_.stats(); }
@@ -217,6 +206,8 @@ class NetworkSimulator {
   /// Throws std::invalid_argument for a node position outside the room or
   /// on the AP. Callers run it before any state changes.
   void check_node_position(Vec2 position) const;
+  /// AP-frame azimuth of the direct path from `position` to the AP.
+  double ap_bearing(Vec2 position) const;
   /// Next never-issued id. Ids are not recycled, so once all 65535 are
   /// spent this throws std::overflow_error instead of wrapping onto an id
   /// that may still hold a grant.

@@ -35,12 +35,6 @@ struct SweepConfig {
   std::size_t trials = 30;
   std::size_t threads = 0;  // 0 = one worker per hardware thread
   std::uint64_t seed = 0x6d6d5821ULL;
-  /// Emit a "sweep.trial" trace span per trial when collection is on.
-  /// Callers that fan out sub-microsecond work items at high rate (the
-  /// link-cache refresh path) turn this off: the batch-level span they
-  /// already hold tells the story, and per-item spans would cost more
-  /// than the items (docs/OBSERVABILITY.md's <2% budget).
-  bool trace_trials = true;
 };
 
 /// Results committed in trial order, plus the wall-clock the sweep took.
@@ -65,6 +59,15 @@ struct MetricSummary {
 };
 
 MetricSummary summarize(std::string name, const std::vector<double>& samples);
+
+/// Call `body(begin, end)` over contiguous chunks covering [0, count) on
+/// `threads` workers (0 = one per hardware thread): inline when there is
+/// one worker or one item, else on the calling thread plus helper threads
+/// that claim chunks from one atomic counter. Rethrows the first
+/// exception a chunk threw, after every worker has joined. The sweep
+/// engine runs on it, and so does NetworkSimulator::refresh_cache.
+void for_each_chunk(std::size_t count, std::size_t threads,
+                    const std::function<void(std::size_t, std::size_t)>& body);
 
 class SweepRunner {
  public:
@@ -93,16 +96,16 @@ class SweepRunner {
     out.trials.resize(count);
     const auto start = std::chrono::steady_clock::now();
     // Span keys combine a per-process run generation with the trial
-    // index: unique across successive map() calls (e.g. the repeated
-    // cache-refresh batches), so the deterministic trace merge never
-    // sees one key produced by two runs. Generations are deterministic
-    // because sweeps are launched serially from the driving thread.
+    // index: unique across successive map() calls, so the deterministic
+    // trace merge never sees one key produced by two runs. Generations
+    // are deterministic because sweeps are launched serially from the
+    // driving thread.
     const std::uint64_t trace_run = next_trace_run() << 40;
-    for_each_chunk(count, [&](std::size_t begin, std::size_t end) {
+    for_each_chunk(count, threads_, [&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
         // Trial spans are keyed on the trial index, so the merged trace
         // is schedule-independent (docs/OBSERVABILITY.md).
-        MMX_OBS_SPAN_IF(config_.trace_trials, "sweep.trial", trace_run | i);
+        MMX_OBS_SPAN("sweep.trial", trace_run | i);
         Rng rng = Rng::stream(config_.seed, i);
         out.trials[i] = fn(i, rng);
       }
@@ -115,13 +118,6 @@ class SweepRunner {
  private:
   /// Monotonic per-process sweep-launch counter (trace span key prefix).
   static std::uint64_t next_trace_run();
-
-  /// Call `body(begin, end)` over contiguous chunks covering [0, count):
-  /// inline when single-threaded, else on the calling thread plus helper
-  /// threads that claim chunks from one atomic counter. Rethrows the
-  /// first exception a chunk threw, after every worker has joined.
-  void for_each_chunk(std::size_t count,
-                      const std::function<void(std::size_t, std::size_t)>& body) const;
 
   SweepConfig config_;
   std::size_t threads_;

@@ -22,9 +22,13 @@ constexpr int kTraceMaxBounces = 1;
 static_assert(kTraceMaxBounces == 1, "LinkCache::PathRecord holds one reflection point");
 
 // Nodes per refill batch: big enough to amortize the per-batch image
-// table and workspace reuse, small enough that the SweepRunner still
+// table and workspace reuse, small enough that for_each_chunk still
 // load-balances a 10^4-node refresh across workers.
 constexpr std::size_t kRefillBlock = 64;
+
+// Suppression of other FDM channels by the AP's channelization filters
+// (adjacent-channel rejection), seen by sinr_all_db.
+constexpr double kAdjacentChannelRejectionDb = 50.0;
 
 // Per-thread trace workspace: after warm-up every cached trace through
 // the RoomPlan is allocation-free (docs/GEOMETRY.md).
@@ -90,7 +94,7 @@ NetworkSimulator::NetworkSimulator(channel::Room room, channel::Pose ap_pose, Si
       budget_(cfg.budget),
       beams_(antenna::BeamPairSpec{.freq_hz = cfg.freq_hz}),
       ap_antenna_(),
-      tma_(antenna::TimeModulatedArray::progressive(cfg.tma, cfg.tma_delay_frac, cfg.tma_tau)),
+      tma_(antenna::ap_tma()),
       init_(mac::FdmAllocator(cfg.band_low_hz, cfg.band_high_hz, cfg.init.guard_hz),
             rf::Vco(cfg.node_vco), cfg.init),
       cache_(ap_pose.position) {
@@ -109,10 +113,8 @@ NetworkSimulator::Admission NetworkSimulator::admit(const channel::Pose& pose,
                                                     double rate_bps, std::uint8_t priority) {
   check_node_position(pose.position);
   const std::uint16_t id = issue_id();
-  // Bearing at registration: AP-frame azimuth of the direct path.
-  const double bearing =
-      wrap_angle((pose.position - ap_pose_.position).angle() - ap_pose_.orientation_rad);
-  const auto reply = init_.handle(mac::ChannelRequest{id, rate_bps, bearing, priority});
+  const auto reply =
+      init_.handle(mac::ChannelRequest{id, rate_bps, ap_bearing(pose.position), priority});
   if (const auto* grant = std::get_if<mac::ChannelGrant>(&reply)) {
     store_node(id, NodeState{pose});
     return Admission{id, 0.0,
@@ -122,13 +124,7 @@ NetworkSimulator::Admission NetworkSimulator::admit(const channel::Pose& pose,
   return Admission{std::nullopt, deny != nullptr ? deny->retry_after_s : 0.0, 0.0};
 }
 
-std::vector<std::pair<std::uint16_t, double>> NetworkSimulator::promote_demoted() {
-  std::vector<std::pair<std::uint16_t, double>> out;
-  for (const mac::ChannelGrant& g : init_.promote_demoted())
-    out.emplace_back(g.node_id,
-                     g.channel.bandwidth_hz * cfg_.init.spectral_efficiency);
-  return out;
-}
+void NetworkSimulator::promote_demoted() { init_.promote_demoted(); }
 
 std::vector<mac::ChannelGrant> NetworkSimulator::drain_retunes() { return init_.take_retunes(); }
 
@@ -354,24 +350,23 @@ std::size_t NetworkSimulator::refresh_cache(std::size_t threads) {
   for (RefillJob& job : jobs) job.reprice = cache_.open_refill(job.id, job.pose);
   for (RefillJob& job : jobs) job.entry = &cache_.entry(job.id);
 
-  // Fan block refills over the sweep engine: each entry is a pure
-  // function of (pose, room) written to its own slot, so any schedule
-  // leaves identical bits, and the commit below runs in job order.
-  // Blocks (not single nodes) are the work unit so each worker amortizes
-  // the batched trace across kRefillBlock nodes. trace_trials off:
-  // refills are sub-microsecond and this batch already sits inside the
-  // sim.refresh_cache span above — per-item spans here would dominate the
-  // observability budget on the scale lane.
+  // Fan block refills over the chunk loop: each entry is a pure function
+  // of (pose, room) written to its own slot, and each block's leg counts
+  // to its own slot, so any schedule leaves identical bits, and the
+  // commit below runs in job order. Blocks (not single nodes) are the
+  // work unit so each worker amortizes the batched trace across
+  // kRefillBlock nodes.
   const std::size_t blocks = (jobs.size() + kRefillBlock - 1) / kRefillBlock;
-  SweepRunner runner(
-      SweepConfig{.trials = blocks, .threads = threads, .seed = 0, .trace_trials = false});
+  std::vector<LinkCache::LegCounts> counts(blocks);
   const std::span<const RefillJob> all(jobs);
-  const auto blocks_done = runner.map(blocks, [&](std::size_t b, Rng& /*rng*/) {
-    const std::size_t lo = b * kRefillBlock;
-    return refill_block(ctx, all.subspan(lo, std::min(kRefillBlock, jobs.size() - lo)));
+  for_each_chunk(blocks, threads, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t b = begin; b < end; ++b) {
+      const std::size_t lo = b * kRefillBlock;
+      counts[b] = refill_block(ctx, all.subspan(lo, std::min(kRefillBlock, jobs.size() - lo)));
+    }
   });
   for (const RefillJob& job : jobs) cache_.commit_refill(job.id, job.reprice);
-  for (const LinkCache::LegCounts& counts : blocks_done.trials) cache_.count_legs(counts);
+  for (const LinkCache::LegCounts& c : counts) cache_.count_legs(c);
   return jobs.size();
 }
 
@@ -395,8 +390,11 @@ const channel::Pose& NetworkSimulator::node_pose(std::uint16_t id) const {
 }
 
 double NetworkSimulator::bearing_at_ap(std::uint16_t id) const {
-  const NodeState& n = node(id);
-  return wrap_angle((n.pose.position - ap_pose_.position).angle() - ap_pose_.orientation_rad);
+  return ap_bearing(node(id).pose.position);
+}
+
+double NetworkSimulator::ap_bearing(Vec2 position) const {
+  return wrap_angle((position - ap_pose_.position).angle() - ap_pose_.orientation_rad);
 }
 
 std::map<std::uint16_t, double> NetworkSimulator::sinr_all_db() const {
@@ -410,22 +408,22 @@ std::map<std::uint16_t, double> NetworkSimulator::sinr_all_db() const {
   }
 
   const double noise_w = dbm_to_watt(budget_.noise_floor_dbm());
-  const double aclr = db_to_lin(-cfg_.adjacent_channel_rejection_db);
+  const double aclr = db_to_lin(-kAdjacentChannelRejectionDb);
 
   // Per-group power control: every member of a shared channel backs off
-  // to the weakest member's receive level.
-  if (cfg_.sdm_power_control) {
-    std::map<std::pair<double, double>, double> group_min;  // (centre, bw) -> min rx
-    for (const auto& [id, w] : rx_w) {
-      const auto& ch = grant(id).channel;
-      const auto key = std::make_pair(ch.center_hz, ch.bandwidth_hz);
-      const auto it = group_min.find(key);
-      if (it == group_min.end() || w < it->second) group_min[key] = w;
-    }
-    for (auto& [id, w] : rx_w) {
-      const auto& ch = grant(id).channel;
-      w = group_min.at(std::make_pair(ch.center_hz, ch.bandwidth_hz));
-    }
+  // to the weakest member's receive level (the AP commands per-node
+  // duty-cycle backoff over the side channel during init), taming the
+  // near-far problem co-channel TMA groups otherwise have.
+  std::map<std::pair<double, double>, double> group_min;  // (centre, bw) -> min rx
+  for (const auto& [id, w] : rx_w) {
+    const auto& ch = grant(id).channel;
+    const auto key = std::make_pair(ch.center_hz, ch.bandwidth_hz);
+    const auto it = group_min.find(key);
+    if (it == group_min.end() || w < it->second) group_min[key] = w;
+  }
+  for (auto& [id, w] : rx_w) {
+    const auto& ch = grant(id).channel;
+    w = group_min.at(std::make_pair(ch.center_hz, ch.bandwidth_hz));
   }
 
   const auto share_count = [&](const mac::ChannelAllocation& ch) {

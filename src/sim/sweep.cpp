@@ -26,28 +26,34 @@ MetricSummary summarize(std::string name, const std::vector<double>& samples) {
   return s;
 }
 
-SweepRunner::SweepRunner(SweepConfig config) : config_(config), threads_(config.threads) {
-  if (threads_ == 0) threads_ = std::max(1u, std::thread::hardware_concurrency());
+namespace {
+std::size_t resolve_threads(std::size_t threads) {
+  return threads != 0 ? threads : std::max(1u, std::thread::hardware_concurrency());
 }
+}  // namespace
+
+SweepRunner::SweepRunner(SweepConfig config)
+    : config_(config), threads_(resolve_threads(config.threads)) {}
 
 std::uint64_t SweepRunner::next_trace_run() {
   static std::atomic<std::uint64_t> gen{0};
   return gen.fetch_add(1, std::memory_order_relaxed);
 }
 
-void SweepRunner::for_each_chunk(std::size_t count,
-                                 const std::function<void(std::size_t, std::size_t)>& body) const {
-  if (threads_ <= 1 || count <= 1) {
+void for_each_chunk(std::size_t count, std::size_t threads,
+                    const std::function<void(std::size_t, std::size_t)>& body) {
+  threads = resolve_threads(threads);
+  if (threads <= 1 || count <= 1) {
     body(0, count);
     return;
   }
   // Contiguous chunks (~8 per worker) amortize the counter traffic for
   // microsecond-scale trials while leaving enough chunks to even out
-  // uneven trial costs. Dividing twice equals count / (threads_ * 8)
+  // uneven trial costs. Dividing twice equals count / (threads * 8)
   // without the product's overflow. Chunking cannot change results:
   // trial i still draws from stream i and writes slot i whichever worker
   // claims its chunk.
-  const std::size_t chunk = std::max<std::size_t>(1, count / threads_ / 8);
+  const std::size_t chunk = std::max<std::size_t>(1, count / threads / 8);
   const std::size_t chunks = count / chunk + (count % chunk != 0 ? 1 : 0);
   std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
@@ -62,7 +68,7 @@ void SweepRunner::for_each_chunk(std::size_t count,
       }
     }
   };
-  const std::size_t workers = std::min(threads_, chunks);
+  const std::size_t workers = std::min(threads, chunks);
   std::vector<std::thread> helpers;
   helpers.reserve(workers - 1);
   try {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
+#include "mmx/antenna/tma.hpp"
 #include "mmx/common/units.hpp"
 
 namespace mmx::mac {
@@ -14,6 +17,24 @@ namespace {
 
 InitProtocol make_protocol() {
   return InitProtocol(FdmAllocator(kIsmLowHz, kIsmHighHz, 1e6), rf::Vco{});
+}
+
+// Admission's default harmonic slots are the AP TMA's steered angles, in
+// the order admission tries them, each bitwise the closed form
+// asin(0.125 m) of that design (delay 0.0625, d = lambda/2).
+TEST(InitProtocol, DefaultSdmSlotsAreTheApTmaSteeredAngles) {
+  const std::vector<HarmonicSlot> slots = default_sdm_slots();
+  const std::vector<int> order{0, 1, -1, 2, -2, 3, -3, 4, -4};
+  ASSERT_EQ(slots.size(), order.size());
+  const antenna::TimeModulatedArray tma = antenna::ap_tma();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const int m = order[i];
+    EXPECT_EQ(slots[i].harmonic, m);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(slots[i].angle_rad),
+              std::bit_cast<std::uint64_t>(std::asin(0.125 * m)))
+        << "m=" << m;
+    EXPECT_EQ(slots[i].angle_rad, tma.steered_angle(m)) << "m=" << m;
+  }
 }
 
 TEST(InitProtocol, GrantsChannelForHdVideo) {

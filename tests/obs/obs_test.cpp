@@ -4,6 +4,7 @@
 // and chrome-trace export well-formedness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -227,6 +228,15 @@ TEST(Determinism, ScaleScenarioInvariantUnderObsAndThreads) {
   EXPECT_EQ(rates1, rates4);
   EXPECT_EQ(counters1.at("scale.joins"), static_cast<std::uint64_t>(obs1.joins));
   EXPECT_EQ(counters1.at("mac.arq.transmissions"), obs1.arq.transmissions);
+  // The cache refresh is a plain chunk loop, not a sweep: its 64-node
+  // blocks sit inside the sim.refresh_cache span and emit no per-block
+  // sweep.trial spans at any thread count.
+  const auto has_span = [](const NormalizedTrace& t, const std::string& name) {
+    return std::any_of(t.begin(), t.end(), [&](const auto& e) { return std::get<0>(e) == name; });
+  };
+  EXPECT_TRUE(has_span(trace1, "sim.refresh_cache"));
+  EXPECT_FALSE(has_span(trace1, "sweep.trial"));
+  EXPECT_FALSE(has_span(trace4, "sweep.trial"));
 }
 
 TEST(Export, ChromeTraceJsonIsWellFormed) {

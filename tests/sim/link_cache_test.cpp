@@ -226,6 +226,50 @@ TEST(LinkCache, ParallelRefreshBitIdenticalToSerial) {
   // Refreshed entries count as refills and the subsequent reads as hits.
   EXPECT_EQ(parallel.sim.cache_stats().refills, 2u);
   EXPECT_EQ(parallel.sim.cache_stats().hits, 2u);
+
+  // 200 more nodes make four 64-node blocks, which four workers split.
+  // Each refresh's cache statistics must match the serial one's, and its
+  // leg counts those of a third simulator that fills the same entries one
+  // lazy miss at a time, so no block's counts may be lost or doubled.
+  Fixture lazy;
+  lazy.sim.room().add_blocker(channel::human_blocker(kOnLosA));
+  std::vector<std::uint16_t> ids{lazy.a, lazy.b};
+  for (const std::uint16_t id : ids) (void)lazy.sim.link(id);
+  for (int i = 0; i < 200; ++i) {
+    const channel::Pose pose{{0.25 + 0.5 * (i % 20), 0.3 + 0.6 * (i / 20)}, 0.1 * i};
+    serial.sim.add_tracked_node(pose);
+    parallel.sim.add_tracked_node(pose);
+    ids.push_back(lazy.sim.add_tracked_node(pose));
+  }
+  for (Fixture* f : {&serial, &parallel, &lazy}) f->sim.reset_cache_stats();
+  const auto expect_same_counts = [&](std::size_t refilled) {
+    const LinkCacheStats& s1 = serial.sim.cache_stats();
+    const LinkCacheStats& s4 = parallel.sim.cache_stats();
+    for (const std::uint16_t id : ids) (void)lazy.sim.link(id);
+    const LinkCacheStats& sl = lazy.sim.cache_stats();
+    EXPECT_EQ(s1.refills, refilled);
+    EXPECT_EQ(s4.refills, s1.refills);
+    EXPECT_EQ(s4.repriced, s1.repriced);
+    EXPECT_EQ(s4.legs_priced, s1.legs_priced);
+    EXPECT_EQ(s4.legs_reused, s1.legs_reused);
+    EXPECT_EQ(sl.legs_priced, s1.legs_priced);
+    EXPECT_EQ(sl.legs_reused, s1.legs_reused);
+  };
+  // A cold fill of the new nodes prices every leg...
+  EXPECT_EQ(serial.sim.refresh_cache(1), 200u);
+  EXPECT_EQ(parallel.sim.refresh_cache(4), 200u);
+  expect_same_counts(200);
+  EXPECT_GT(serial.sim.cache_stats().legs_priced, 200u);
+  // ...and a blocker move reprices the entries it touched.
+  for (Fixture* f : {&serial, &parallel, &lazy}) {
+    f->sim.room().move_blocker(0, kFarCorner);
+    f->sim.reset_cache_stats();
+  }
+  const std::size_t moved = serial.sim.refresh_cache(1);
+  EXPECT_EQ(parallel.sim.refresh_cache(4), moved);
+  expect_same_counts(moved);
+  EXPECT_GT(serial.sim.cache_stats().repriced, 0u);
+  EXPECT_GT(serial.sim.cache_stats().legs_reused, 0u);
 }
 
 TEST(LinkCache, RefreshMakesSubsequentQueriesHits) {
