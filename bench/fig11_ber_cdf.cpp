@@ -9,9 +9,19 @@
 // Rng — the exact draw order of the original serial loop, so the default
 // `--trials 30` reproduces the historical figure bit-for-bit — and the
 // per-placement ray trace + mode comparison fans across the workers.
+//
+// `--pairs K` then times K interleaved serial/parallel runs of the same
+// trials in this process (the order alternates from pair to pair) and
+// writes the median serial/parallel wall ratio as `speedup_parallel`,
+// with the pair count and the smallest and largest ratio. Every run of
+// a pair must reproduce the figure's trials bit for bit, else the bench
+// exits 1: that is the determinism check that results do not depend on
+// the thread count.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "mmx/baseline/fixed_beam.hpp"
@@ -29,7 +39,17 @@
 using namespace mmx;
 
 int main(int argc, char** argv) {
-  const bench::Options opt = bench::parse_args(argc, argv, 30, 11, "random node placements");
+  std::string pairs_arg = "0";
+  const bench::Options opt =
+      bench::parse_args(argc, argv, 30, 11, "random node placements",
+                        {{"--pairs", "K   time K interleaved serial/parallel runs (default 0)",
+                          &pairs_arg}});
+  char* end = nullptr;
+  const unsigned long pairs = std::strtoul(pairs_arg.c_str(), &end, 10);
+  if (end == pairs_arg.c_str() || *end != '\0') {
+    std::fprintf(stderr, "fig11_ber_cdf: --pairs expects a count, got '%s'\n", pairs_arg.c_str());
+    return 2;
+  }
   const channel::Pose ap = bench::lab_ap_pose();
   const antenna::MmxBeamPair beams;
   const antenna::Dipole ap_antenna;
@@ -51,9 +71,9 @@ int main(int argc, char** argv) {
   struct TrialBer {
     double with_otam;
     double without_otam;
+    bool operator==(const TrialBer&) const = default;
   };
-  sim::SweepRunner runner(opt.sweep);
-  const auto sweep = runner.run([&](std::size_t i, Rng&) {
+  const auto trial = [&](std::size_t i, Rng&) {
     const Placement& p = placements[i];
     channel::Room room = bench::furnished_lab();
     bench::park_person(room, p.pos, ap.position);
@@ -64,7 +84,9 @@ int main(int argc, char** argv) {
                                                    beams, ap, ap_antenna, 24.125e9, budget, spdt);
     return TrialBer{std::max(phy::kBerFloor, modes.with_otam.joint_ber),
                     std::max(phy::kBerFloor, modes.without_otam.joint_ber)};
-  });
+  };
+  sim::SweepRunner runner(opt.sweep);
+  const auto sweep = runner.run(trial);
 
   std::vector<double> ber_with;
   std::vector<double> ber_without;
@@ -96,5 +118,31 @@ int main(int argc, char** argv) {
   report.record(sweep);
   report.add_metric("ber_with_otam", ber_with);
   report.add_metric("ber_without_otam", ber_without);
+
+  if (pairs > 0) {
+    sim::SweepRunner serial({opt.sweep.trials, 1, opt.sweep.seed});
+    std::vector<double> ratios;
+    for (unsigned long k = 0; k < pairs; ++k) {
+      const bool serial_first = k % 2 == 0;
+      const auto first = (serial_first ? serial : runner).run(trial);
+      const auto second = (serial_first ? runner : serial).run(trial);
+      if (first.trials != sweep.trials || second.trials != sweep.trials) {
+        std::fprintf(stderr, "fig11_ber_cdf: pair %lu diverged from the figure's trials\n", k);
+        return 1;
+      }
+      const double serial_s = serial_first ? first.wall_s : second.wall_s;
+      const double parallel_s = serial_first ? second.wall_s : first.wall_s;
+      ratios.push_back(parallel_s > 0.0 ? serial_s / parallel_s : 0.0);
+    }
+    const double median = sim::median(ratios);
+    const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
+    std::fprintf(stderr, "[pairs] %lu serial/parallel pairs at %zu threads: speedup median %.2fx"
+                 " (min %.2fx, max %.2fx)\n",
+                 pairs, runner.threads(), median, *lo, *hi);
+    report.add_scalar("speedup_parallel", median);
+    report.add_scalar("speedup_parallel_pairs", static_cast<double>(pairs));
+    report.add_scalar("speedup_parallel_min", *lo);
+    report.add_scalar("speedup_parallel_max", *hi);
+  }
   return report.write() ? 0 : 1;
 }

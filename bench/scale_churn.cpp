@@ -186,6 +186,11 @@ int main(int argc, char** argv) {
     report.add_scalar("ov_min_admitted_rate_bps", rep.overload.min_admitted_rate_bps);
     report.add_scalar("ov_mean_admitted_rate_bps", rep.overload.mean_admitted_rate_bps);
     report.add_scalar("ov_rate_floor_bps", cfg.sim.init.overload.min_rate_bps);
+    // Admission loop sizes (JSON only, so stdout stays the quoted block).
+    report.add_scalar("ov_sdm_requests", static_cast<double>(rep.admission_work.sdm_requests));
+    report.add_scalar("ov_sdm_groups_scanned",
+                      static_cast<double>(rep.admission_work.sdm_groups_scanned));
+    report.add_scalar("ov_retune_visits", static_cast<double>(rep.admission_work.retune_visits));
   }
   return report.write() ? 0 : 1;
 }

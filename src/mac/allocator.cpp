@@ -105,7 +105,8 @@ bool FdmAllocator::transfer(std::uint16_t from, std::uint16_t to) {
   const ChannelAllocation ch = it->second;
   by_node_.erase(it);
   by_node_[to] = ch;
-  invalidate();
+  // Same channels, so the sorted view stands; the id-order sum moves.
+  used_hz_.reset();
   return true;
 }
 
@@ -155,11 +156,15 @@ std::optional<ChannelAllocation> FdmAllocator::lookup(std::uint16_t node_id) con
   return it->second;
 }
 
-double FdmAllocator::free_bandwidth_hz() const {
+double FdmAllocator::used_bandwidth_hz() const {
+  if (used_hz_) return *used_hz_;
   double used = 0.0;
   for (const auto& [id, ch] : by_node_) used += ch.bandwidth_hz;
-  return (high_ - low_) - used;
+  used_hz_ = used;
+  return used;
 }
+
+double FdmAllocator::free_bandwidth_hz() const { return (high_ - low_) - used_bandwidth_hz(); }
 
 double FdmAllocator::largest_gap_hz() const {
   const View& v = view();
@@ -216,8 +221,7 @@ double FdmAllocator::fragmentation() const {
 
 double FdmAllocator::compacted_headroom_hz() const {
   if (by_node_.empty()) return high_ - low_;
-  double used = 0.0;
-  for (const auto& [id, ch] : by_node_) used += ch.bandwidth_hz;
+  const double used = used_bandwidth_hz();
   // Packed: n channels consume n-1 inter-channel guards; an appended
   // channel pays one more against the packed block.
   const double n = static_cast<double>(by_node_.size());

@@ -142,13 +142,23 @@ class FdmAllocator {
   /// fragmentation() and invariant_violations() all read through it.
   /// The gap is filled on the first largest_gap_hz() read: first-fit
   /// allocate() stops at the first fitting gap and never needs it.
+  /// transfer() keeps the view: the occupied set does not change.
   struct View {
     std::vector<ChannelAllocation> by_low;
     std::optional<double> largest_gap_hz;
   };
   const View& view() const;
-  /// Every mutator calls this; the next read rebuilds the view.
-  void invalidate() { view_valid_ = false; }
+  /// Sum of allocated widths in node id order, the order
+  /// free_bandwidth_hz() and compacted_headroom_hz() have always summed
+  /// in. Memoized until the next mutation; a running sum would round
+  /// differently.
+  double used_bandwidth_hz() const;
+  /// Every mutator calls this; the next read rebuilds the view and the
+  /// used-bandwidth sum.
+  void invalidate() {
+    view_valid_ = false;
+    used_hz_.reset();
+  }
 
   double low_;
   double high_;
@@ -159,6 +169,7 @@ class FdmAllocator {
   // from two threads at once.
   mutable View view_;
   mutable bool view_valid_ = false;
+  mutable std::optional<double> used_hz_;
 };
 
 }  // namespace mmx::mac

@@ -160,6 +160,17 @@ class InitProtocol {
     std::uint8_t priority = 1;
   };
 
+  /// Work done by the admission loops whose size depends on the
+  /// population, counted so bench gates can bound it on any machine.
+  /// These count work, not outcomes: a faster search that answers the
+  /// same changes them and nothing else, so they stay out of
+  /// OverloadStats.
+  struct Work {
+    std::uint64_t sdm_requests = 0;        ///< try_sdm calls
+    std::uint64_t sdm_groups_scanned = 0;  ///< open groups try_sdm's step 1 looked at
+    std::uint64_t retune_visits = 0;       ///< holders retune_channel looked up
+  };
+
   InitProtocol(FdmAllocator allocator, rf::Vco node_vco, InitConfig cfg = {});
 
   /// Process one request: FDM first, SDM sharing when the band is full,
@@ -208,6 +219,8 @@ class InitProtocol {
 
   const OverloadStats& overload_stats() const { return overload_stats_; }
 
+  const Work& work() const { return work_; }
+
   const FdmAllocator& allocator() const { return allocator_; }
 
  private:
@@ -253,9 +266,11 @@ class InitProtocol {
   bool shed_for(const ChannelRequest& request);
   /// Occupancy- and pressure-derived deny hint (deterministic).
   double deny_hint_s() const;
-  /// Move every grant and SDM group on `from` to `to` (same bandwidth),
-  /// queueing re-tune notifications.
-  void retune_channel(const ChannelAllocation& from, const ChannelAllocation& to);
+  /// Move every grant and SDM group on `moved.from` to `moved.to` (same
+  /// bandwidth), queueing re-tune notifications in holder id order. Only
+  /// the channel's allocator owner and the members of the groups on it
+  /// can hold it, so those are the holders visited.
+  void retune_channel(const RetuneEvent& moved);
   /// The shared-channel index entries for groups on `ch`, oldest first.
   std::pair<SharedIndex::const_iterator, SharedIndex::const_iterator> shared_range(
       const ChannelAllocation& ch) const;
@@ -302,6 +317,7 @@ class InitProtocol {
   double shed_floor_bw_hz_ = 0.0;
   std::vector<ChannelGrant> pending_retunes_;
   OverloadStats overload_stats_;
+  Work work_;
   /// Consecutive hinted denies since spectrum last freed (deny pressure).
   std::uint64_t deny_streak_ = 0;
 };

@@ -254,25 +254,40 @@ std::size_t InitProtocol::compact_spectrum() {
   if (moved.empty()) return 0;
   ++overload_stats_.compactions;
   MMX_OBS_COUNT("mac.overload.compactions", 1);
-  for (const RetuneEvent& ev : moved) retune_channel(ev.from, ev.to);
+  for (const RetuneEvent& ev : moved) retune_channel(ev);
   for (const RetuneEvent& ev : moved) reindex(ev.node_id);
   overload_stats_.invariant_violations += allocator_.invariant_violations();
   return moved.size();
 }
 
-void InitProtocol::retune_channel(const ChannelAllocation& from, const ChannelAllocation& to) {
-  // Every grant on `from` moves — the allocator owner and any SDM group
-  // members sharing the channel keep their harmonics, only the tones move.
-  for (auto& [id, h] : holders_) {
+void InitProtocol::retune_channel(const RetuneEvent& moved) {
+  const ChannelAllocation& from = moved.from;
+  const ChannelAllocation& to = moved.to;
+  // Every grant on `from` moves — the allocator owner and the members of
+  // every SDM group on the channel (an orphaned group's too, with
+  // overload off) keep their harmonics, only the tones move. No other
+  // holder can be on `from`, and each candidate is re-checked anyway.
+  const auto [first, last] = shared_range(from);
+  std::vector<std::uint16_t> ids{moved.node_id};
+  std::vector<std::uint64_t> moving;
+  for (auto k = first; k != last; ++k) {
+    moving.push_back(k->group);
+    const std::vector<std::uint16_t>& members = shared_.at(k->group).members;
+    ids.insert(ids.end(), members.begin(), members.end());
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  for (const std::uint16_t id : ids) {
+    ++work_.retune_visits;
+    const auto it = holders_.find(id);
+    if (it == holders_.end()) continue;
+    Holder& h = it->second;
     if (h.grant.channel == from) {
       h.grant = make_grant(id, to, h.grant.sdm_harmonic);
       pending_retunes_.push_back(h.grant);
       ++overload_stats_.retunes;
     }
   }
-  const auto [first, last] = shared_range(from);
-  std::vector<std::uint64_t> moving;
-  for (auto k = first; k != last; ++k) moving.push_back(k->group);
   shared_index_.erase(first, last);
   for (const std::uint64_t key : moving) {
     shared_.at(key).channel = to;
@@ -411,6 +426,11 @@ std::optional<int> InitProtocol::best_free_slot(const std::vector<int>& used,
 }
 
 SideChannelMessage InitProtocol::try_sdm(const ChannelRequest& request) {
+  ++work_.sdm_requests;
+  // Both steps below need a free harmonic near the bearing, and a group
+  // or owner only takes harmonics away. With none free on an empty
+  // channel, no group and no owner can supply one.
+  if (!best_free_slot({}, request.bearing_rad)) return ChannelDeny{request.node_id};
   const double bw = required_bandwidth_hz(request.rate_bps, cfg_.spectral_efficiency);
   // Join an existing shared pool or convert an FDM holder's channel into
   // a shared one — member channels must be at least as wide as requested,
@@ -424,6 +444,7 @@ SideChannelMessage InitProtocol::try_sdm(const ChannelRequest& request) {
 
   // 1) Existing shared channels with a suitable free harmonic.
   for (auto& [key, sc] : shared_) {
+    ++work_.sdm_groups_scanned;
     if (sc.channel.bandwidth_hz + 1e-6 < bw) continue;
     if (static_cast<int>(sc.members.size()) >= cfg_.sdm_capacity) continue;
     if (!bearing_ok(sc.bearings)) continue;

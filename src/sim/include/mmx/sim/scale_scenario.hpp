@@ -117,6 +117,9 @@ struct ScaleReport {
   /// Frame-success evaluations, (1 - joint BER)^frame_bits: one per
   /// transmitted frame whose link BER differs from the thing's last one.
   std::size_t frame_evals = 0;
+  /// The AP's admission loop counts (SDM requests, groups scanned,
+  /// re-tune visits) at the end of the run.
+  mac::InitProtocol::Work admission_work{};
   LinkCacheStats cache{};           ///< end-of-run cache counters
   mac::ArqStats arq{};              ///< aggregated over all nodes
   FaultStats faults{};              ///< injected faults + recovery accounting
@@ -130,10 +133,10 @@ struct ScaleReport {
   /// Excluded from operator== (timing is machine-dependent).
   double measure_wall_s = 0.0;
 
-  /// Compares every simulated quantity; ignores timing, frame_evals (a
-  /// work count) and all cache counters (cache_refills, cache.*), which
-  /// legitimately differ between the cached and uncached arms of an
-  /// otherwise identical run.
+  /// Compares every simulated quantity; ignores timing, frame_evals and
+  /// admission_work (work counts) and all cache counters (cache_refills,
+  /// cache.*), which legitimately differ between the cached and uncached
+  /// arms of an otherwise identical run.
   bool operator==(const ScaleReport&) const;
 };
 

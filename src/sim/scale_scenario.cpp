@@ -75,11 +75,12 @@ bool ScaleReport::operator==(const ScaleReport& o) const {
          faults == o.faults && overload == o.overload &&
          mean_snr_db == o.mean_snr_db && mean_joint_ber == o.mean_joint_ber &&
          mean_rate_bps == o.mean_rate_bps && delivery_ratio == o.delivery_ratio;
-  // Cache traffic (cache_refills, cache.*), frame_evals and
-  // measure_wall_s are intentionally excluded: the cached and uncached
-  // arms must agree on every simulated quantity, and only those — cache
-  // counters are zero with the cache off, frame_evals counts work rather
-  // than outcome, and timing is machine-dependent.
+  // Cache traffic (cache_refills, cache.*), frame_evals, admission_work
+  // and measure_wall_s are intentionally excluded: the cached and
+  // uncached arms must agree on every simulated quantity, and only those
+  // — cache counters are zero with the cache off, frame_evals and
+  // admission_work count work rather than outcome, and timing is
+  // machine-dependent.
 }
 
 namespace {
@@ -600,6 +601,7 @@ ScaleReport ScaleScenario::run(std::uint64_t seed) const {
     rep.mean_joint_ber = ber_sum / static_cast<double>(rep.link_evals);
   }
   if (rate_count > 0) rep.mean_rate_bps = rate_sum_bps / static_cast<double>(rate_count);
+  rep.admission_work = sim.init().work();
   // The overload lane's report stays all-zero without overload control.
   if (ov.enabled) {
     const mac::OverloadStats& os = sim.init().overload_stats();

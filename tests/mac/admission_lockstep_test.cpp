@@ -282,5 +282,96 @@ TEST(AdmissionLockstep, OrphanedGroupChannelRegrantedLikeTheReference) {
   ASSERT_NO_FATAL_FAILURE(join(29, 20e6, west));
 }
 
+TEST(AdmissionLockstep, UnreachableBearingDeniedBeforeTheGroupScan) {
+  // A bearing outside every harmonic's window can take no slot on any
+  // channel, so try_sdm denies it without looking at the open groups,
+  // and the reply is the one the reference's full scan reaches.
+  const InitConfig cfg = config_for(Mode::kPlain);
+  InitProtocol prod(FdmAllocator(kIsmLowHz, kIsmHighHz, 1e6), rf::Vco{}, cfg);
+  refmac::InitProtocol ref(refmac::FdmAllocator(kIsmLowHz, kIsmHighHz, 1e6), rf::Vco{}, cfg);
+  const double east = std::asin(0.25);   // harmonic +2
+  const double west = std::asin(-0.375);  // harmonic -3
+  std::size_t retunes = 0;
+  const auto join = [&](std::uint16_t id, double bearing_rad) {
+    const ChannelRequest req{id, 20e6, bearing_rad, 1};
+    const SideChannelMessage a = prod.handle(req);
+    ASSERT_TRUE(same_reply(a, ref.handle(req))) << "join " << id;
+    ASSERT_NO_FATAL_FAILURE(expect_same_state(prod, ref, id, "join", retunes));
+  };
+  // Nine owners fill the band, and a westward newcomer opens a group.
+  for (std::uint16_t id = 1; id <= 9; ++id) ASSERT_NO_FATAL_FAILURE(join(id, east));
+  ASSERT_NO_FATAL_FAILURE(join(20, west));
+  ASSERT_EQ(prod.holders().at(1).grant.channel, prod.holders().at(20).grant.channel);
+
+  // The nine windows (+/-0.07 rad around sin(theta) = 0.125 m, |m| <= 4)
+  // overlap into one span that ends near +/-0.59 rad.
+  const InitProtocol::Work before = prod.work();
+  ASSERT_NO_FATAL_FAILURE(join(30, 1.0));
+  EXPECT_FALSE(prod.holders().contains(30));
+  EXPECT_EQ(prod.work().sdm_requests, before.sdm_requests + 1);
+  EXPECT_EQ(prod.work().sdm_groups_scanned, before.sdm_groups_scanned);
+  // A reachable bearing still scans the open group.
+  ASSERT_NO_FATAL_FAILURE(join(31, 0.0));
+  EXPECT_GT(prod.work().sdm_groups_scanned, before.sdm_groups_scanned);
+}
+
+TEST(AdmissionLockstep, CompactionRetunesOrphanedMembersInIdOrder) {
+  // With overload off, an SDM owner's release leaves its group's members
+  // on spectrum the allocator freed, and first fit grants that channel
+  // value again. Compaction then moves the new owner and the orphaned
+  // members together: the re-tune visits exactly those holders, in id
+  // order, and queues what the reference's walk over every holder does.
+  const InitConfig cfg = config_for(Mode::kPlain);
+  InitProtocol prod(FdmAllocator(kIsmLowHz, kIsmHighHz, 1e6), rf::Vco{}, cfg);
+  refmac::InitProtocol ref(refmac::FdmAllocator(kIsmLowHz, kIsmHighHz, 1e6), rf::Vco{}, cfg);
+  const double east = std::asin(0.5);   // harmonic +4
+  const double west = std::asin(-0.5);  // harmonic -4
+  std::size_t retunes = 0;
+  int step = 0;
+  const auto join = [&](std::uint16_t id, double bearing_rad) {
+    const ChannelRequest req{id, 20e6, bearing_rad, 1};
+    const SideChannelMessage a = prod.handle(req);
+    ASSERT_TRUE(same_reply(a, ref.handle(req))) << "join " << id;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_state(prod, ref, id, "step " + std::to_string(step++), retunes));
+  };
+  const auto leave = [&](std::uint16_t id) {
+    ASSERT_EQ(prod.release(id), ref.release(id)) << "leave " << id;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_state(prod, ref, id, "step " + std::to_string(step++), retunes));
+  };
+  // Owner 1 (the band's lowest channel) faces west, so the westward
+  // newcomer converts owner 2 and a third bearing joins that group.
+  ASSERT_NO_FATAL_FAILURE(join(1, west));
+  for (std::uint16_t id = 2; id <= 9; ++id) ASSERT_NO_FATAL_FAILURE(join(id, east));
+  ASSERT_NO_FATAL_FAILURE(join(20, west));
+  ASSERT_NO_FATAL_FAILURE(join(21, 0.0));
+  const ChannelAllocation shared = prod.holders().at(2).grant.channel;
+  ASSERT_EQ(prod.holders().at(20).grant.channel, shared);
+  ASSERT_EQ(prod.holders().at(21).grant.channel, shared);
+  // Owner 2 leaves; node 0 is granted the orphaned channel's value.
+  ASSERT_NO_FATAL_FAILURE(leave(2));
+  ASSERT_NO_FATAL_FAILURE(join(0, east));
+  ASSERT_EQ(prod.holders().at(0).grant.channel, shared);
+  // Owner 1 leaves, so compaction slides every channel down.
+  ASSERT_NO_FATAL_FAILURE(leave(1));
+  const std::uint64_t visits = prod.work().retune_visits;
+  ASSERT_EQ(prod.compact_spectrum(), ref.compact_spectrum());
+  const std::vector<ChannelGrant> rt = prod.take_retunes();
+  ASSERT_TRUE(same_grants(rt, ref.take_retunes()));
+  ASSERT_GE(rt.size(), 3u);
+  const std::vector<std::uint16_t> moved_first{rt[0].node_id, rt[1].node_id, rt[2].node_id};
+  EXPECT_EQ(moved_first, (std::vector<std::uint16_t>{0, 20, 21}));
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(rt[i].channel, prod.holders().at(rt[i].node_id).grant.channel);
+    EXPECT_LT(rt[i].channel.center_hz, shared.center_hz);
+  }
+  EXPECT_EQ(rt[1].sdm_harmonic, -4);
+  EXPECT_EQ(rt[2].sdm_harmonic, 0);
+  // Only holders on a moved channel are visited: one re-tune per visit.
+  EXPECT_EQ(prod.work().retune_visits - visits, rt.size());
+  ASSERT_NO_FATAL_FAILURE(expect_same_state(prod, ref, 0, "compact", retunes));
+}
+
 }  // namespace
 }  // namespace mmx::mac

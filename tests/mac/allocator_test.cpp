@@ -349,6 +349,8 @@ void WarmQueries(const FdmAllocator& a) {
   (void)a.largest_gap_hz();
   (void)a.fragmentation();
   (void)a.invariant_violations();
+  (void)a.free_bandwidth_hz();
+  (void)a.compacted_headroom_hz();
   if (!a.allocations().empty()) (void)a.largest_gap_after_release_hz(a.allocations().begin()->first);
 }
 
@@ -409,7 +411,13 @@ TEST(FdmAllocator, EveryMutatorInvalidatesTheMemoizedView) {
             if (const auto other = pick_held(); other && *other != *id) {
               ASSERT_FALSE(a.transfer(*id, *other)) << where;
             }
+            // The occupied set is unchanged, so the kept view must read
+            // as it did before the transfer.
+            const double gap = a.largest_gap_hz();
+            const double frag = a.fragmentation();
             ASSERT_TRUE(a.transfer(*id, next_id++)) << where;
+            EXPECT_TRUE(same_bits(a.largest_gap_hz(), gap)) << where;
+            EXPECT_TRUE(same_bits(a.fragmentation(), frag)) << where;
           }
           break;
         }
