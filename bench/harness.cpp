@@ -67,7 +67,8 @@ std::string json_escape(const char* s) {
 
 // The "obs" report block: every registered instrument plus the
 // Prometheus text exposition, emitted only when --obs was given so
-// un-instrumented reports stay byte-identical to pre-obs builds.
+// reports without it stay byte-identical to those from before the obs
+// layer existed.
 std::string obs_json_block() {
   std::ostringstream counters, gauges, hists;
   std::size_t nc = 0, ng = 0, nh = 0;
@@ -165,7 +166,6 @@ Options parse_args(int argc, char** argv, std::size_t default_trials,
     std::exit(2);
   }
   if (opt.obs) {
-#if MMX_OBS_ENABLED
     // Fresh run scope: instruments registered by earlier static init (or
     // a prior in-process run) start from zero, and the trace carries only
     // this run's events. Buffers stay at the sink's default capacity —
@@ -175,12 +175,6 @@ Options parse_args(int argc, char** argv, std::size_t default_trials,
     obs::Registry::global().reset_values();
     obs::TraceSink::global().clear();
     obs::set_enabled(true);
-#else
-    std::fprintf(stderr,
-                 "%s: built with MMX_OBS=OFF; instrumentation is compiled out and the obs "
-                 "report will be empty\n",
-                 prog);
-#endif
   }
   return opt;
 }

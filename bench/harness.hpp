@@ -14,14 +14,16 @@
 // Figure output goes to stdout exactly as before (byte-identical at the
 // historical defaults); sweep timing goes to stderr so redirected figure
 // text never changes with thread count or machine speed. Without --obs
-// the report is byte-identical to an uninstrumented build's.
+// the report carries no obs block.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "mmx/sim/stats.hpp"
 #include "mmx/sim/sweep.hpp"
 
 namespace mmx::bench {
@@ -61,6 +63,46 @@ template <typename T>
 void report_timing(const sim::SweepResult<T>& result) {
   report_timing_line(result.trials.size(), result.threads_used, result.wall_s,
                      result.trials_per_s);
+}
+
+/// Interleaved ref/fast pairs the micro benches time per stage. One pair
+/// per process let host noise swing a gated speedup by 15%.
+inline constexpr std::size_t kSpeedupPairs = 7;
+
+/// One micro-bench stage timed as kSpeedupPairs ref/fast pairs in this
+/// process, the arm that goes first alternating from pair to pair.
+struct PairedStage {
+  double ref_trials_per_s = 0.0;  ///< median over the ref runs
+  sim::SweepResult<double> fast;  ///< the fast run of median throughput
+  double speedup = 0.0;           ///< median of the pairs' fast/ref throughput ratios
+  double speedup_min = 0.0;
+  double speedup_max = 0.0;
+  bool bitwise = true;  ///< every pair's two runs returned the same trials
+};
+
+/// `run(fast)` runs one arm of the stage and returns its sweep.
+template <typename Run>
+PairedStage time_pairs(Run&& run) {
+  std::vector<double> ref_tps;
+  std::vector<double> ratios;
+  std::vector<sim::SweepResult<double>> fasts;
+  bool bitwise = true;
+  for (std::size_t k = 0; k < kSpeedupPairs; ++k) {
+    const bool ref_first = k % 2 == 0;
+    sim::SweepResult<double> first = run(/*fast=*/!ref_first);
+    sim::SweepResult<double> second = run(/*fast=*/ref_first);
+    const sim::SweepResult<double>& ref = ref_first ? first : second;
+    sim::SweepResult<double>& fast = ref_first ? second : first;
+    bitwise = bitwise && ref.trials == fast.trials;
+    ref_tps.push_back(ref.trials_per_s);
+    ratios.push_back(ref.trials_per_s > 0.0 ? fast.trials_per_s / ref.trials_per_s : 0.0);
+    fasts.push_back(std::move(fast));
+  }
+  std::sort(fasts.begin(), fasts.end(),
+            [](const auto& a, const auto& b) { return a.trials_per_s < b.trials_per_s; });
+  const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
+  return {sim::median(ref_tps), std::move(fasts[fasts.size() / 2]), sim::median(ratios), *lo,
+          *hi, bitwise};
 }
 
 /// Accumulates metric summaries and writes the perf-lane JSON report.

@@ -1,14 +1,15 @@
 // Micro-benchmarks of the per-sample DSP fast path, on the shared sweep
 // harness (same flags/JSON as every other bench).
 //
-// Every stage runs twice, back to back with the same trials and threads:
+// Every stage runs as bench::kSpeedupPairs interleaved pairs of runs with
+// the same trials and threads:
 //   ref   the retained pre-rewrite forms (tests/reference): one cos/sin
 //         pair per sample, twiddle-recurrence FFT, allocating per-call
 //         demodulators
 //   fast  the production path: rotator NCO/Goertzel, plan-based FFT,
 //         block FIR, and the FramePipeline frame context
-// and the table and the JSON's `speedup_<stage>` scalars give fast / ref
-// throughput. CI's bench-perf lane gates (bench/gates.txt) goertzel at
+// and the table and the JSON's `speedup_<stage>` scalars give the median
+// of the pairs' fast / ref throughput ratios. CI's bench-perf lane gates (bench/gates.txt) goertzel at
 // >= 3x and the fig11-style frame stage (synthesize -> AWGN -> joint
 // demodulate at the pinned config) at >= 2x.
 #include <cmath>
@@ -164,17 +165,18 @@ int main(int argc, char** argv) {
       argc, argv, /*default_trials=*/600, /*default_seed=*/0x6d6d5821ULL, "trials per stage");
   sim::SweepRunner runner(opt.sweep);
   bench::JsonReport report("micro_dsp", opt);
-  std::printf("# micro_dsp — ref vs fast kernels, %zu trials/stage, %zu threads\n",
-              opt.sweep.trials, runner.threads());
-  std::printf("%-10s %14s %14s %9s\n", "stage", "ref trials/s", "fast trials/s", "speedup");
+  std::printf("# micro_dsp — ref vs fast kernels, %zu trials/stage, %zu threads,"
+              " %zu interleaved pairs (medians)\n",
+              opt.sweep.trials, runner.threads(), bench::kSpeedupPairs);
+  std::printf("%-10s %14s %14s %9s %9s %9s\n", "stage", "ref trials/s", "fast trials/s",
+              "speedup", "min", "max");
   for (const std::string& s : kStages) {
-    const sim::SweepResult<double> ref = run_stage(s, /*fast=*/false, runner);
-    const sim::SweepResult<double> fst = run_stage(s, /*fast=*/true, runner);
-    const double speedup = ref.trials_per_s > 0.0 ? fst.trials_per_s / ref.trials_per_s : 0.0;
-    std::printf("%-10s %14.1f %14.1f %8.2fx\n", s.c_str(), ref.trials_per_s, fst.trials_per_s,
-                speedup);
-    report.add_scalar("speedup_" + s, speedup);
-    if (s == "fig11") report.record(fst);
+    const bench::PairedStage st =
+        bench::time_pairs([&](bool fast) { return run_stage(s, fast, runner); });
+    std::printf("%-10s %14.1f %14.1f %8.2fx %8.2fx %8.2fx\n", s.c_str(), st.ref_trials_per_s,
+                st.fast.trials_per_s, st.speedup, st.speedup_min, st.speedup_max);
+    report.add_scalar("speedup_" + s, st.speedup);
+    if (s == "fig11") report.record(st.fast);
   }
   return report.write() ? 0 : 1;
 }

@@ -2,7 +2,8 @@
 // the frozen reference tracer (tests/reference/ref_ray_tracer.hpp), on
 // the shared sweep harness.
 //
-// Every stage runs twice, back to back with the same trials and threads:
+// Every stage runs as bench::kSpeedupPairs interleaved pairs of runs with
+// the same trials and threads:
 //   ref   channel::ref::RayTracer::trace — the frozen bit-exact oracle
 //         (allocating one vector per call, deriving every image inline)
 //   fast  the production path: compiled RoomPlan, tabulated AP images,
@@ -11,9 +12,10 @@
 //
 // Every trial folds the traced paths into a checksum, so the work cannot
 // be optimized away AND ref/fast runs are bitwise-comparable: the run
-// prints the speedup table, writes a `speedup_<stage>` scalar per stage
-// to the JSON, and FAILS (exit 1) if any stage's per-trial checksums
-// differ — a perf report that doubles as an equivalence test. CI's
+// prints the speedup table, writes the median of the pairs' ratios as a
+// `speedup_<stage>` scalar per stage to the JSON, and FAILS (exit 1) if
+// any pair's per-trial checksums differ — a perf report that doubles as
+// an equivalence test. CI's
 // bench-perf lane gates the refill stage at >= 3x (bench/gates.txt,
 // docs/GEOMETRY.md).
 //
@@ -188,13 +190,6 @@ sim::SweepResult<double> run_stage(const std::string& stage, bool fast,
       [&](std::size_t, Rng& rng) { return trial_single(fast, rng, dense_fixture(), 2); });
 }
 
-bool checksums_match(const sim::SweepResult<double>& a, const sim::SweepResult<double>& b) {
-  if (a.trials.size() != b.trials.size()) return false;
-  for (std::size_t i = 0; i < a.trials.size(); ++i)
-    if (a.trials[i] != b.trials[i]) return false;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -202,24 +197,24 @@ int main(int argc, char** argv) {
       argc, argv, /*default_trials=*/20, /*default_seed=*/0x6d6d5821ULL, "trials per stage");
   sim::SweepRunner runner(opt.sweep);
   bench::JsonReport report("micro_trace", opt);
-  std::printf("# micro_trace — RayTracer (ref) vs RoomPlan (fast), %zu trials/stage, %zu threads\n",
-              opt.sweep.trials, runner.threads());
-  std::printf("%-10s %14s %14s %9s %9s\n", "stage", "ref trials/s", "fast trials/s", "speedup",
-              "bitwise");
+  std::printf("# micro_trace — RayTracer (ref) vs RoomPlan (fast), %zu trials/stage, %zu threads,"
+              " %zu interleaved pairs (medians)\n",
+              opt.sweep.trials, runner.threads(), bench::kSpeedupPairs);
+  std::printf("%-10s %14s %14s %9s %9s %9s %9s\n", "stage", "ref trials/s", "fast trials/s",
+              "speedup", "min", "max", "bitwise");
   for (const std::string& s : kStages) {
-    const sim::SweepResult<double> ref = run_stage(s, /*fast=*/false, runner);
-    const sim::SweepResult<double> fst = run_stage(s, /*fast=*/true, runner);
-    const bool same = checksums_match(ref, fst);
-    const double speedup = ref.trials_per_s > 0.0 ? fst.trials_per_s / ref.trials_per_s : 0.0;
-    std::printf("%-10s %14.1f %14.1f %8.2fx %9s\n", s.c_str(), ref.trials_per_s,
-                fst.trials_per_s, speedup, same ? "ok" : "MISMATCH");
-    if (!same) {
+    const bench::PairedStage st =
+        bench::time_pairs([&](bool fast) { return run_stage(s, fast, runner); });
+    std::printf("%-10s %14.1f %14.1f %8.2fx %8.2fx %8.2fx %9s\n", s.c_str(), st.ref_trials_per_s,
+                st.fast.trials_per_s, st.speedup, st.speedup_min, st.speedup_max,
+                st.bitwise ? "ok" : "MISMATCH");
+    if (!st.bitwise) {
       std::fprintf(stderr, "micro_trace: stage '%s' checksums diverge from the reference\n",
                    s.c_str());
       return 1;
     }
-    report.add_scalar("speedup_" + s, speedup);
-    if (s == "refill") report.record(fst);
+    report.add_scalar("speedup_" + s, st.speedup);
+    if (s == "refill") report.record(st.fast);
   }
   return report.write() ? 0 : 1;
 }

@@ -27,9 +27,6 @@ struct NodeSpec {
   antenna::BeamPairSpec beams{};
   std::size_t samples_per_symbol = 16;
   double guard_frac = 0.15;
-  /// Spectral efficiency assumed when turning channel width into symbol
-  /// rate (must match the AP's allocator assumption).
-  double spectral_efficiency = 0.8;
 };
 
 class Node {

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "mmx/common/units.hpp"
+#include "mmx/mac/allocator.hpp"
 #include "mmx/phy/preamble.hpp"
 
 namespace mmx::core {
@@ -16,8 +17,6 @@ Node::Node(std::uint16_t id, channel::Pose pose, NodeSpec spec)
       spdt_(spec.spdt),
       beams_(spec.beams),
       budget_(rf::mmx_node_budget()) {
-  if (spec.spectral_efficiency <= 0.0)
-    throw std::invalid_argument("Node: spectral efficiency must be > 0");
   // The synthesizer applies the switch's through-gain internally, so the
   // pre-switch amplitude is the VCO's output power.
   default_tx_amplitude_ = std::sqrt(dbm_to_watt(spec_.vco.output_power_dbm));
@@ -29,8 +28,9 @@ void Node::configure(const mac::ChannelGrant& grant) {
   const double f1 = vco_.frequency_hz(grant.vco_tune_v1);
 
   phy::PhyConfig cfg;
+  // The AP sized the channel with the same efficiency.
   cfg.symbol_rate_hz =
-      std::min(grant.channel.bandwidth_hz * spec_.spectral_efficiency, spdt_.max_bit_rate());
+      std::min(grant.channel.bandwidth_hz * mac::kSpectralEfficiency, spdt_.max_bit_rate());
   cfg.samples_per_symbol = spec_.samples_per_symbol;
   cfg.guard_frac = spec_.guard_frac;
   cfg.fsk_freq0_hz = f0 - grant.channel.center_hz;

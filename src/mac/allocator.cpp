@@ -11,7 +11,7 @@ double required_bandwidth_hz(double rate_bps, double spectral_efficiency) {
   if (!std::isfinite(rate_bps))
     throw std::invalid_argument("required_bandwidth_hz: rate must be finite");
   if (rate_bps <= 0.0) throw std::invalid_argument("required_bandwidth_hz: rate must be > 0");
-  if (spectral_efficiency <= 0.0)
+  if (!(spectral_efficiency > 0.0))
     throw std::invalid_argument("required_bandwidth_hz: efficiency must be > 0");
   return rate_bps / spectral_efficiency;
 }
@@ -19,8 +19,9 @@ double required_bandwidth_hz(double rate_bps, double spectral_efficiency) {
 FdmAllocator::FdmAllocator(double band_low_hz, double band_high_hz, double guard_hz,
                            AllocPolicy policy)
     : low_(band_low_hz), high_(band_high_hz), guard_(guard_hz), policy_(policy) {
-  if (band_low_hz >= band_high_hz) throw std::invalid_argument("FdmAllocator: empty band");
-  if (guard_hz < 0.0) throw std::invalid_argument("FdmAllocator: guard must be >= 0");
+  // Phrased to fail on NaN.
+  if (!(band_low_hz < band_high_hz)) throw std::invalid_argument("FdmAllocator: empty band");
+  if (!(guard_hz >= 0.0)) throw std::invalid_argument("FdmAllocator: guard must be >= 0");
 }
 
 const FdmAllocator::View& FdmAllocator::view() const {
@@ -37,7 +38,7 @@ const FdmAllocator::View& FdmAllocator::view() const {
 
 std::optional<ChannelAllocation> FdmAllocator::allocate(std::uint16_t node_id,
                                                         double bandwidth_hz) {
-  if (bandwidth_hz <= 0.0) throw std::invalid_argument("FdmAllocator: bandwidth must be > 0");
+  if (!(bandwidth_hz > 0.0)) throw std::invalid_argument("FdmAllocator: bandwidth must be > 0");
   if (by_node_.contains(node_id))
     throw std::invalid_argument("FdmAllocator: node already holds a channel");
 

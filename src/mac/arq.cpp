@@ -14,11 +14,12 @@ void ArqStats::publish_obs() const {
 }
 
 ArqSender::ArqSender(ArqConfig cfg) : cfg_(cfg) {
+  // Each test is phrased to fail on NaN.
   if (cfg.max_retries < 0) throw std::invalid_argument("ArqSender: max_retries must be >= 0");
-  if (cfg.timeout_s <= 0.0) throw std::invalid_argument("ArqSender: timeout must be > 0");
-  if (cfg.backoff_factor < 1.0)
+  if (!(cfg.timeout_s > 0.0)) throw std::invalid_argument("ArqSender: timeout must be > 0");
+  if (!(cfg.backoff_factor >= 1.0))
     throw std::invalid_argument("ArqSender: backoff_factor must be >= 1");
-  if (cfg.max_timeout_s < 0.0)
+  if (!(cfg.max_timeout_s >= 0.0))
     throw std::invalid_argument("ArqSender: max_timeout_s must be >= 0");
 }
 

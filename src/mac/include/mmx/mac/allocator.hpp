@@ -30,10 +30,15 @@ struct ChannelAllocation {
   bool operator==(const ChannelAllocation&) const = default;
 };
 
+/// Spectral efficiency of OTAM's ASK-FSK [bit/s/Hz]: the AP sizes
+/// channels with it and a node turns its channel width back into a
+/// symbol rate with it.
+inline constexpr double kSpectralEfficiency = 0.8;
+
 /// Bandwidth a node needs for `rate_bps` with OTAM's ASK-FSK modulation.
 /// OOK-style signalling occupies ~(1/efficiency) Hz per bit/s, plus the
 /// FSK tone spread.
-double required_bandwidth_hz(double rate_bps, double spectral_efficiency = 0.8);
+double required_bandwidth_hz(double rate_bps, double spectral_efficiency = kSpectralEfficiency);
 
 /// Gap-selection policy. kFirstFit is the historical behavior (lowest
 /// fitting gap) and stays the default so pre-overload request sequences

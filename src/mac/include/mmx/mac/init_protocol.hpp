@@ -45,9 +45,17 @@ struct HarmonicSlot {
 /// TMA's steered_angle: sin(theta_m) = 0.125 m.
 std::vector<HarmonicSlot> default_sdm_slots();
 
+/// Deny backoff hint at zero occupancy and zero deny pressure, and its
+/// ceiling (docs/ROBUSTNESS.md): hint = base * (1 + 15 occ^2 + 0.25
+/// streak), capped at the ceiling.
+inline constexpr double kDenyHintBaseS = 0.125;
+inline constexpr double kDenyHintMaxS = 4.0;
+
 /// Graceful-degradation policy for oversubscribed joins. Disabled by
 /// default, which keeps InitProtocol byte-identical to the pre-overload
-/// admission path (first-fit, bare denies, no compaction).
+/// admission path (first-fit, bare denies, no compaction). Enabled, the
+/// AP places with best fit and compacts the band whenever fragmentation
+/// alone blocks a demand.
 struct OverloadConfig {
   bool enabled = false;
   /// Rate floor for admission demotion: when the full demand cannot be
@@ -55,40 +63,19 @@ struct OverloadConfig {
   /// switch setting — paper §9.1) and grants the largest step whose
   /// channel fits, stopping at this floor. 0 disables demotion.
   double min_rate_bps = 0.0;
-  /// Best-fit gap selection while enabled (first-fit otherwise) — keeps
-  /// large gaps intact under churn.
-  bool best_fit = true;
-  /// Compact the band (slide grants down, re-tune holders) when
-  /// fragmentation alone blocks an otherwise admissible demand.
-  bool compaction = true;
   /// Allow shrinking strictly-lower-priority incumbents to the rate
   /// floor to admit a newcomer at its floor. Their spectrum is restored
   /// by promote_demoted() when the band relaxes.
   bool shedding = false;
-  /// Deny backoff hint at zero occupancy / zero pressure...
-  double hint_base_s = 0.125;
-  /// ...and its ceiling at full occupancy.
-  double hint_max_s = 4.0;
 };
 
+/// The AP's tone placement and SDM geometry are fixed (paper §7a): the
+/// FSK tone offset, the group capacity, the bearing separation and the
+/// harmonic mismatch tolerance are constants in init_protocol.cpp, and
+/// the harmonics are default_sdm_slots().
 struct InitConfig {
-  double spectral_efficiency = 0.8;  ///< bit/s/Hz of OTAM's ASK-FSK
+  double spectral_efficiency = kSpectralEfficiency;  ///< bit/s/Hz of OTAM's ASK-FSK
   double guard_hz = 1e6;
-  /// FSK tone separation as a fraction of channel bandwidth (tones sit at
-  /// centre -/+ this fraction of bandwidth).
-  double fsk_fraction = 0.4;
-  /// Max nodes sharing one frequency channel through the TMA.
-  int sdm_capacity = 3;
-  /// Bearings closer than this cannot share a channel (harmonic lobes
-  /// would overlap).
-  double min_bearing_separation_rad = 0.45;
-  /// Usable TMA harmonics; empty = populated with default_sdm_slots(),
-  /// the steered angles of the AP TMA the simulator receives through.
-  std::vector<HarmonicSlot> sdm_slots;
-  /// A node may only take a harmonic whose steered direction is within
-  /// this angle of its bearing (beyond it the harmonic's array gain at
-  /// the node collapses).
-  double max_harmonic_mismatch_rad = 0.07;
   /// Graceful degradation under oversubscription; off by default.
   OverloadConfig overload;
 };
@@ -264,6 +251,9 @@ class InitProtocol {
   /// Shrink strictly-lower-priority incumbents to the floor channel
   /// until it fits (after compaction); true if it does.
   bool shed_for(const ChannelRequest& request);
+  /// Compact the band when fragmentation alone keeps `bandwidth_hz` from
+  /// fitting; true if it did.
+  bool compact_for(double bandwidth_hz);
   /// Occupancy- and pressure-derived deny hint (deterministic).
   double deny_hint_s() const;
   /// Move every grant and SDM group on `moved.from` to `moved.to` (same
@@ -292,6 +282,9 @@ class InitProtocol {
   FdmAllocator allocator_;
   rf::Vco node_vco_;
   InitConfig cfg_;
+  /// default_sdm_slots(), built once: best_free_slot runs in the
+  /// admission loops.
+  std::vector<HarmonicSlot> sdm_slots_;
   std::map<std::uint16_t, Holder> holders_;
   /// SDM groups keyed by a formation counter, so iteration runs in the
   /// order groups formed: the order try_sdm offers them to a newcomer.

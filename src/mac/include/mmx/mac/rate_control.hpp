@@ -17,7 +17,6 @@ struct RateControlConfig {
   double max_rate_bps = 100e6;       ///< SPDT toggle cap (paper §9.1)
   double backoff_factor = 0.5;       ///< multiplicative decrease
   double recovery_step_bps = 2e6;    ///< additive increase per success
-  int failures_to_backoff = 2;       ///< consecutive losses before cutting
 };
 
 class RateController {

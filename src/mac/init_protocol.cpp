@@ -11,6 +11,19 @@
 
 namespace mmx::mac {
 
+// The AP's fixed tone placement and SDM geometry (paper §7a).
+// FSK tones sit at centre -/+ this fraction of the channel width.
+constexpr double kFskFraction = 0.4;
+// Max nodes sharing one frequency channel through the TMA.
+constexpr int kSdmCapacity = 3;
+// Bearings closer than this cannot share a channel (harmonic lobes
+// would overlap).
+constexpr double kMinBearingSeparationRad = 0.45;
+// A node may only take a harmonic whose steered direction is within
+// this angle of its bearing (beyond it the harmonic's array gain at the
+// node collapses).
+constexpr double kMaxHarmonicMismatchRad = 0.07;
+
 std::vector<HarmonicSlot> default_sdm_slots() {
   // sin(theta_m) = m * 0.0625 / 0.5 = 0.125 m on the AP's TMA: nine slots
   // on a ~7 degree pitch covering +/-30 degrees.
@@ -21,11 +34,12 @@ std::vector<HarmonicSlot> default_sdm_slots() {
 }
 
 RejoinBackoff::RejoinBackoff(BackoffConfig cfg) : cfg_(cfg) {
-  if (cfg.base_s <= 0.0) throw std::invalid_argument("RejoinBackoff: base_s must be > 0");
-  if (cfg.factor < 1.0) throw std::invalid_argument("RejoinBackoff: factor must be >= 1");
-  if (cfg.cap_s < cfg.base_s)
+  // Each test is phrased to fail on NaN.
+  if (!(cfg.base_s > 0.0)) throw std::invalid_argument("RejoinBackoff: base_s must be > 0");
+  if (!(cfg.factor >= 1.0)) throw std::invalid_argument("RejoinBackoff: factor must be >= 1");
+  if (!(cfg.cap_s >= cfg.base_s))
     throw std::invalid_argument("RejoinBackoff: cap_s must be >= base_s");
-  if (cfg.jitter_frac < 0.0 || cfg.jitter_frac >= 1.0)
+  if (!(cfg.jitter_frac >= 0.0 && cfg.jitter_frac < 1.0))
     throw std::invalid_argument("RejoinBackoff: jitter_frac must be in [0, 1)");
 }
 
@@ -49,20 +63,16 @@ double RejoinBackoff::next_delay_s(Rng& rng, double hint_s) {
 }
 
 InitProtocol::InitProtocol(FdmAllocator allocator, rf::Vco node_vco, InitConfig cfg)
-    : allocator_(std::move(allocator)), node_vco_(node_vco), cfg_(std::move(cfg)) {
-  if (cfg_.spectral_efficiency <= 0.0)
+    : allocator_(std::move(allocator)),
+      node_vco_(node_vco),
+      cfg_(cfg),
+      sdm_slots_(default_sdm_slots()) {
+  if (!(cfg_.spectral_efficiency > 0.0))
     throw std::invalid_argument("InitProtocol: spectral efficiency must be > 0");
-  if (cfg_.fsk_fraction <= 0.0 || cfg_.fsk_fraction >= 0.5)
-    throw std::invalid_argument("InitProtocol: fsk_fraction must be in (0, 0.5)");
-  if (cfg_.sdm_capacity < 1)
-    throw std::invalid_argument("InitProtocol: sdm_capacity must be >= 1");
-  if (cfg_.sdm_slots.empty()) cfg_.sdm_slots = default_sdm_slots();
   if (cfg_.overload.enabled) {
-    if (cfg_.overload.min_rate_bps < 0.0)
+    if (!(cfg_.overload.min_rate_bps >= 0.0))
       throw std::invalid_argument("InitProtocol: overload min_rate_bps must be >= 0");
-    if (cfg_.overload.hint_base_s <= 0.0 || cfg_.overload.hint_max_s < cfg_.overload.hint_base_s)
-      throw std::invalid_argument("InitProtocol: overload hint bounds invalid");
-    if (cfg_.overload.best_fit) allocator_.set_policy(AllocPolicy::kBestFit);
+    allocator_.set_policy(AllocPolicy::kBestFit);
     if (cfg_.overload.shedding && cfg_.overload.min_rate_bps > 0.0)
       shed_floor_bw_hz_ =
           required_bandwidth_hz(cfg_.overload.min_rate_bps, cfg_.spectral_efficiency);
@@ -75,7 +85,7 @@ ChannelGrant InitProtocol::make_grant(std::uint16_t node_id, const ChannelAlloca
   g.node_id = node_id;
   g.channel = ch;
   g.sdm_harmonic = harmonic;
-  const double df = cfg_.fsk_fraction * ch.bandwidth_hz;
+  const double df = kFskFraction * ch.bandwidth_hz;
   g.vco_tune_v0 = node_vco_.voltage_for(ch.center_hz - df);
   g.vco_tune_v1 = node_vco_.voltage_for(ch.center_hz + df);
   return g;
@@ -125,9 +135,7 @@ SideChannelMessage InitProtocol::handle_overload(const ChannelRequest& request,
   const OverloadConfig& ov = cfg_.overload;
   // (a) Fragmentation is the only obstacle to the full demand: compact
   // the band and retry at the requested rate.
-  if (ov.compaction && allocator_.largest_gap_hz() < bandwidth_hz &&
-      allocator_.compacted_headroom_hz() >= bandwidth_hz) {
-    compact_spectrum();
+  if (compact_for(bandwidth_hz)) {
     if (const auto fdm = grant_fdm(request, bandwidth_hz);
         fdm && std::holds_alternative<ChannelGrant>(*fdm))
       return *fdm;
@@ -137,9 +145,7 @@ SideChannelMessage InitProtocol::handle_overload(const ChannelRequest& request,
   // grant back later.
   if (ov.min_rate_bps > 0.0 && request.rate_bps > ov.min_rate_bps) {
     const double floor_bw = required_bandwidth_hz(ov.min_rate_bps, cfg_.spectral_efficiency);
-    if (ov.compaction && allocator_.largest_gap_hz() < floor_bw &&
-        allocator_.compacted_headroom_hz() >= floor_bw)
-      compact_spectrum();
+    compact_for(floor_bw);
     if (const auto g = admit_demoted(request, request.rate_bps / 2.0)) return *g;
   }
   // (c) Shedding: shrink strictly-lower-priority incumbents to the floor
@@ -187,16 +193,15 @@ std::optional<ChannelGrant> InitProtocol::admit_demoted(const ChannelRequest& re
 }
 
 double InitProtocol::deny_hint_s() const {
-  const OverloadConfig& ov = cfg_.overload;
   const double band = allocator_.band_high_hz() - allocator_.band_low_hz();
   const double occ =
       band > 0.0 ? std::clamp(1.0 - allocator_.free_bandwidth_hz() / band, 0.0, 1.0) : 1.0;
   // Quadratic in occupancy (gentle until the band is nearly full), plus a
   // linear deny-pressure term so a storm spreads retries further apart
-  // the longer it lasts. Saturates at hint_max_s.
+  // the longer it lasts. Saturates at kDenyHintMaxS.
   const double pressure = static_cast<double>(std::min<std::uint64_t>(deny_streak_, 32));
-  const double hint = ov.hint_base_s * (1.0 + 15.0 * occ * occ + 0.25 * pressure);
-  return std::min(ov.hint_max_s, hint);
+  const double hint = kDenyHintBaseS * (1.0 + 15.0 * occ * occ + 0.25 * pressure);
+  return std::min(kDenyHintMaxS, hint);
 }
 
 bool InitProtocol::shed_for(const ChannelRequest& request) {
@@ -242,11 +247,17 @@ bool InitProtocol::shed_for(const ChannelRequest& request) {
     ++overload_stats_.retunes;
     MMX_OBS_COUNT("mac.overload.shed_demotions", 1);
   }
-  if (cfg_.overload.compaction && allocator_.largest_gap_hz() < floor_bw &&
-      allocator_.compacted_headroom_hz() >= floor_bw)
-    compact_spectrum();
+  compact_for(floor_bw);
   overload_stats_.invariant_violations += allocator_.invariant_violations();
   return allocator_.largest_gap_hz() >= floor_bw;
+}
+
+bool InitProtocol::compact_for(double bandwidth_hz) {
+  if (allocator_.largest_gap_hz() >= bandwidth_hz ||
+      allocator_.compacted_headroom_hz() < bandwidth_hz)
+    return false;
+  compact_spectrum();
+  return true;
 }
 
 std::size_t InitProtocol::compact_spectrum() {
@@ -413,8 +424,8 @@ void InitProtocol::reindex(std::uint16_t node_id) {
 std::optional<int> InitProtocol::best_free_slot(const std::vector<int>& used,
                                                 double bearing_rad) const {
   std::optional<int> best;
-  double best_err = cfg_.max_harmonic_mismatch_rad;
-  for (const HarmonicSlot& slot : cfg_.sdm_slots) {
+  double best_err = kMaxHarmonicMismatchRad;
+  for (const HarmonicSlot& slot : sdm_slots_) {
     if (std::find(used.begin(), used.end(), slot.harmonic) != used.end()) continue;
     const double err = std::abs(bearing_rad - slot.angle_rad);
     if (err <= best_err) {
@@ -438,7 +449,7 @@ SideChannelMessage InitProtocol::try_sdm(const ChannelRequest& request) {
   // enough to the newcomer's bearing.
   auto bearing_ok = [&](const std::vector<double>& bearings) {
     return std::all_of(bearings.begin(), bearings.end(), [&](double b) {
-      return std::abs(b - request.bearing_rad) >= cfg_.min_bearing_separation_rad;
+      return std::abs(b - request.bearing_rad) >= kMinBearingSeparationRad;
     });
   };
 
@@ -446,7 +457,7 @@ SideChannelMessage InitProtocol::try_sdm(const ChannelRequest& request) {
   for (auto& [key, sc] : shared_) {
     ++work_.sdm_groups_scanned;
     if (sc.channel.bandwidth_hz + 1e-6 < bw) continue;
-    if (static_cast<int>(sc.members.size()) >= cfg_.sdm_capacity) continue;
+    if (static_cast<int>(sc.members.size()) >= kSdmCapacity) continue;
     if (!bearing_ok(sc.bearings)) continue;
     const auto slot = best_free_slot(sc.harmonics, request.bearing_rad);
     if (!slot) continue;
@@ -472,7 +483,7 @@ SideChannelMessage InitProtocol::try_sdm(const ChannelRequest& request) {
       if (!ch || ch->bandwidth_hz + 1e-6 < bw) continue;
       if (channel_shared(*ch)) continue;
       if (std::abs(holders_.at(id).bearing_rad - request.bearing_rad) <
-          cfg_.min_bearing_separation_rad)
+          kMinBearingSeparationRad)
         continue;
       holder = id;
       break;

@@ -5,17 +5,19 @@
 
 namespace mmx::mac {
 
+// Consecutive losses before the controller cuts the rate.
+constexpr int kFailuresToBackoff = 2;
+
 RateController::RateController(double initial_rate_bps, RateControlConfig cfg)
     : cfg_(cfg), rate_(initial_rate_bps) {
-  if (cfg.min_rate_bps <= 0.0 || cfg.min_rate_bps > cfg.max_rate_bps)
+  // Each test is phrased to fail on NaN.
+  if (!(cfg.min_rate_bps > 0.0 && cfg.min_rate_bps <= cfg.max_rate_bps))
     throw std::invalid_argument("RateController: need 0 < min <= max rate");
-  if (cfg.backoff_factor <= 0.0 || cfg.backoff_factor >= 1.0)
+  if (!(cfg.backoff_factor > 0.0 && cfg.backoff_factor < 1.0))
     throw std::invalid_argument("RateController: backoff factor must be in (0,1)");
-  if (cfg.recovery_step_bps <= 0.0)
+  if (!(cfg.recovery_step_bps > 0.0))
     throw std::invalid_argument("RateController: recovery step must be > 0");
-  if (cfg.failures_to_backoff < 1)
-    throw std::invalid_argument("RateController: failures_to_backoff must be >= 1");
-  if (initial_rate_bps < cfg.min_rate_bps || initial_rate_bps > cfg.max_rate_bps)
+  if (!(initial_rate_bps >= cfg.min_rate_bps && initial_rate_bps <= cfg.max_rate_bps))
     throw std::invalid_argument("RateController: initial rate outside [min, max]");
 }
 
@@ -30,7 +32,7 @@ void RateController::on_success() {
 }
 
 void RateController::on_failure() {
-  if (++fails_ < cfg_.failures_to_backoff) return;
+  if (++fails_ < kFailuresToBackoff) return;
   fails_ = 0;
   rate_ = std::max(cfg_.min_rate_bps, rate_ * cfg_.backoff_factor);
   ++backoffs_;

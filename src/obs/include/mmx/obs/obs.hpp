@@ -4,15 +4,10 @@
 // report only end-of-run aggregates; mmWave MAC behavior is dominated by
 // transients those aggregates hide (beam retraining after a blocker
 // move, retry storms, join bursts). This layer gives every subsystem
-// named Counters/Gauges/Histograms plus trace spans, under two switches:
-//
-//   compile time — the MMX_OBS CMake option (default ON) defines
-//     MMX_OBS_ENABLED; with it 0 every MMX_OBS_* macro expands to
-//     nothing and instrumented TUs are token-for-token the pre-obs code.
-//   run time — set_enabled(true) (the bench harness's --obs/--trace
-//     flags). Disabled-but-compiled instrumentation costs one predicted
-//     branch per site; the bench-perf lane gates the enabled cost on
-//     bench_scale_churn at < 2%.
+// named Counters/Gauges/Histograms plus trace spans, under one run-time
+// switch: set_enabled(true) (the bench harness's --obs/--trace flags).
+// Disabled instrumentation costs one predicted branch per site; the
+// bench-perf lane gates the enabled cost on bench_scale_churn at < 2%.
 //
 // Determinism contract (docs/OBSERVABILITY.md): instruments never feed
 // back into simulation state, so instrumented runs stay bit-identical.
@@ -38,10 +33,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-
-#ifndef MMX_OBS_ENABLED
-#define MMX_OBS_ENABLED 1
-#endif
 
 namespace mmx::obs {
 
@@ -168,11 +159,9 @@ class Registry {
 
 // --- Instrumentation macros -------------------------------------------------
 //
-// Every macro is safe in any context a statement is; with MMX_OBS=OFF
-// they disappear entirely. The function-local static caches the registry
-// handle so steady state is branch + relaxed atomic op.
-#if MMX_OBS_ENABLED
-
+// Every macro is safe in any context a statement is. The function-local
+// static caches the registry handle so steady state is branch + relaxed
+// atomic op.
 #define MMX_OBS_CAT_(a, b) a##b
 #define MMX_OBS_CAT(a, b) MMX_OBS_CAT_(a, b)
 
@@ -202,13 +191,3 @@ class Registry {
       MMX_OBS_CAT(mmx_obs_h_, __LINE__).record(static_cast<std::uint64_t>(v)); \
     }                                                                         \
   } while (0)
-
-#else  // !MMX_OBS_ENABLED
-
-// sizeof keeps the operands formally used (no -Wunused with MMX_OBS=OFF)
-// while never evaluating them.
-#define MMX_OBS_COUNT(name, n) ((void)sizeof(n))
-#define MMX_OBS_GAUGE_SET(name, v) ((void)sizeof(v))
-#define MMX_OBS_RECORD(name, v) ((void)sizeof(v))
-
-#endif  // MMX_OBS_ENABLED

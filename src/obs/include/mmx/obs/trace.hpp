@@ -86,8 +86,6 @@ class TraceSink {
   Impl& impl() const;
 };
 
-#if MMX_OBS_ENABLED
-
 /// One instrumentation site's identity: interned trace name plus the
 /// histogram its span durations feed ("span.<name>.ns"). Constructed
 /// once per site (function-local static in MMX_OBS_SPAN).
@@ -151,14 +149,5 @@ void emit_sample(const SpanId& id, std::uint64_t key, std::uint64_t value);
                               static_cast<std::uint64_t>(value));            \
     }                                                                        \
   } while (0)
-
-#else  // !MMX_OBS_ENABLED
-
-// sizeof keeps the operands formally used (no -Wunused with MMX_OBS=OFF)
-// while never evaluating them.
-#define MMX_OBS_SPAN(name, key) ((void)sizeof(key))
-#define MMX_OBS_SAMPLE(name, key, value) ((void)sizeof(key), (void)sizeof(value))
-
-#endif  // MMX_OBS_ENABLED
 
 }  // namespace mmx::obs

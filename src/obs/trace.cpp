@@ -158,8 +158,6 @@ void TraceSink::clear() {
   }
 }
 
-#if MMX_OBS_ENABLED
-
 SpanId::SpanId(std::string_view name)
     : name_id_(TraceSink::global().intern(name)),
       durations_(&Registry::global().histogram("span." + std::string(name) + ".ns")) {}
@@ -168,7 +166,5 @@ void emit_sample(const SpanId& id, std::uint64_t key, std::uint64_t value) {
   const std::uint64_t t = TraceSink::now_ns();
   TraceSink::global().emit({id.name_id(), EventKind::kSample, key, value, t, t});
 }
-
-#endif  // MMX_OBS_ENABLED
 
 }  // namespace mmx::obs

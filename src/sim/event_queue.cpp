@@ -8,7 +8,8 @@
 namespace mmx::sim {
 
 EventQueue::EventId EventQueue::schedule_at(double t, Handler fn) {
-  if (t < now_) throw std::invalid_argument("EventQueue: cannot schedule in the past");
+  // Phrased to fail on NaN, which would break the heap's ordering.
+  if (!(t >= now_)) throw std::invalid_argument("EventQueue: cannot schedule in the past");
   if (!fn) throw std::invalid_argument("EventQueue: null handler");
   const EventId id = next_id_++;
   live_.emplace(id, LiveEvent{std::move(fn), 0});
@@ -32,7 +33,7 @@ bool EventQueue::cancel(EventId id) {
 }
 
 bool EventQueue::reschedule(EventId id, double t) {
-  if (t < now_) throw std::invalid_argument("EventQueue: cannot reschedule into the past");
+  if (!(t >= now_)) throw std::invalid_argument("EventQueue: cannot reschedule into the past");
   const auto it = live_.find(id);
   if (it == live_.end()) return false;
   ++it->second.gen;  // the old heap entry is now stale

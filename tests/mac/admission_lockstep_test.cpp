@@ -53,20 +53,15 @@ bool same_reply(const SideChannelMessage& a, const SideChannelMessage& b) {
 
 // kNarrowVco: overload off, and the node VCO stops 50 MHz short of the
 // band top, so some FDM gaps are untunable and those requests are denied
-// without trying SDM. kOverloadFirstFit: the overload ladder with
-// first-fit placement and no compaction.
-enum class Mode { kPlain, kOverload, kOverloadFirstFit, kNarrowVco };
+// without trying SDM.
+enum class Mode { kPlain, kOverload, kNarrowVco };
 
 InitConfig config_for(Mode mode) {
   InitConfig cfg;
-  if (mode == Mode::kOverload || mode == Mode::kOverloadFirstFit) {
+  if (mode == Mode::kOverload) {
     cfg.overload.enabled = true;
     cfg.overload.min_rate_bps = 4e6;  // 5 MHz floor channel
     cfg.overload.shedding = true;
-  }
-  if (mode == Mode::kOverloadFirstFit) {
-    cfg.overload.best_fit = false;
-    cfg.overload.compaction = false;
   }
   return cfg;
 }
@@ -196,7 +191,7 @@ void run_lockstep(Mode mode, std::uint64_t seed, int steps) {
     EXPECT_EQ(untunable_denies, 0u);
     EXPECT_GT(sdm_grants, 100u);
   }
-  if (mode == Mode::kOverload || mode == Mode::kOverloadFirstFit) {
+  if (mode == Mode::kOverload) {
     EXPECT_GT(retunes, 0u);
     EXPECT_GT(prod.overload_stats().demotions, 0u);
     EXPECT_GT(prod.overload_stats().shed_demotions, 0u);
@@ -211,10 +206,6 @@ TEST(AdmissionLockstep, HundredThousandOpsOverloadOff) {
 
 TEST(AdmissionLockstep, HundredThousandOpsOverloadOn) {
   run_lockstep(Mode::kOverload, 0x0e71, 100000);
-}
-
-TEST(AdmissionLockstep, HundredThousandOpsOverloadFirstFitNoCompaction) {
-  run_lockstep(Mode::kOverloadFirstFit, 0xf1f7, 100000);
 }
 
 TEST(AdmissionLockstep, UntunableGapsDenyLikeTheReference) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -127,6 +128,13 @@ TEST(FdmAllocator, BadArgsThrow) {
   EXPECT_THROW(FdmAllocator(0.0, 10.0, -1.0), std::invalid_argument);
   FdmAllocator a = ism_band();
   EXPECT_THROW(a.allocate(1, 0.0), std::invalid_argument);
+  // NaN fails every check too.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(FdmAllocator(kNaN, 10.0), std::invalid_argument);
+  EXPECT_THROW(FdmAllocator(0.0, kNaN), std::invalid_argument);
+  EXPECT_THROW(FdmAllocator(0.0, 10.0, kNaN), std::invalid_argument);
+  EXPECT_THROW(a.allocate(1, kNaN), std::invalid_argument);
+  EXPECT_THROW(required_bandwidth_hz(1e6, kNaN), std::invalid_argument);
 }
 
 TEST(FdmAllocator, RandomAllocReleaseStressNeverOverlaps) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "mmx/mac/arq.hpp"
 #include "mmx/mac/rate_control.hpp"
 
@@ -82,6 +84,11 @@ TEST(ArqSender, BadConfigThrows) {
                std::invalid_argument);
   EXPECT_THROW(ArqSender(ArqConfig{.max_retries = 1, .timeout_s = 0.0}),
                std::invalid_argument);
+  // NaN fails every check too.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ArqSender(ArqConfig{.timeout_s = kNaN}), std::invalid_argument);
+  EXPECT_THROW(ArqSender(ArqConfig{.backoff_factor = kNaN}), std::invalid_argument);
+  EXPECT_THROW(ArqSender(ArqConfig{.max_timeout_s = kNaN}), std::invalid_argument);
 }
 
 TEST(ArqSender, DefaultConfigKeepsAFlatTimeout) {
@@ -178,6 +185,17 @@ TEST(RateController, BadConfigThrows) {
   EXPECT_THROW(RateController(2e6, RateControlConfig{.backoff_factor = 1.0}),
                std::invalid_argument);
   EXPECT_THROW(RateController(200e6), std::invalid_argument);  // above max
+  // NaN fails every check too.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(RateController(2e6, RateControlConfig{.min_rate_bps = kNaN}),
+               std::invalid_argument);
+  EXPECT_THROW(RateController(2e6, RateControlConfig{.max_rate_bps = kNaN}),
+               std::invalid_argument);
+  EXPECT_THROW(RateController(2e6, RateControlConfig{.backoff_factor = kNaN}),
+               std::invalid_argument);
+  EXPECT_THROW(RateController(2e6, RateControlConfig{.recovery_step_bps = kNaN}),
+               std::invalid_argument);
+  EXPECT_THROW(RateController(kNaN, RateControlConfig{}), std::invalid_argument);
 }
 
 class AimdConvergence : public ::testing::TestWithParam<double> {};

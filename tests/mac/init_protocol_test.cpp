@@ -255,14 +255,97 @@ TEST(InitProtocol, ModifyUnknownNodeDenied) {
 }
 
 TEST(InitProtocol, BadConfigThrows) {
-  InitConfig bad;
-  bad.fsk_fraction = 0.6;
-  EXPECT_THROW(InitProtocol(FdmAllocator(kIsmLowHz, kIsmHighHz), rf::Vco{}, bad),
-               std::invalid_argument);
-  InitConfig bad2;
-  bad2.sdm_capacity = 0;
-  EXPECT_THROW(InitProtocol(FdmAllocator(kIsmLowHz, kIsmHighHz), rf::Vco{}, bad2),
-               std::invalid_argument);
+  for (const double eff : {0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    InitConfig bad;
+    bad.spectral_efficiency = eff;
+    EXPECT_THROW(InitProtocol(FdmAllocator(kIsmLowHz, kIsmHighHz), rf::Vco{}, bad),
+                 std::invalid_argument)
+        << eff;
+  }
+  // The rate floor is checked only while overload control is on, and a
+  // NaN floor must fail it like a negative one.
+  for (const double floor : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    InitConfig bad_floor;
+    bad_floor.overload.min_rate_bps = floor;
+    EXPECT_NO_THROW(InitProtocol(FdmAllocator(kIsmLowHz, kIsmHighHz), rf::Vco{}, bad_floor));
+    bad_floor.overload.enabled = true;
+    EXPECT_THROW(InitProtocol(FdmAllocator(kIsmLowHz, kIsmHighHz), rf::Vco{}, bad_floor),
+                 std::invalid_argument)
+        << floor;
+  }
+}
+
+// ---- SDM limits --------------------------------------------------------
+//
+// A full band: node 1 at bearing 0 (harmonic 0) holds 125 MHz, node 2 at
+// harmonic -3 holds 80 MHz, and node 3 fills the rest at a bearing no
+// harmonic reaches, so its channel can never be shared. Node 4 at
+// harmonic +4 then converts node 1's channel (lowest qualifying id) into
+// a two-member group.
+const double kBearingM3 = std::asin(-0.375);  // harmonic -3
+const double kBearingP2 = std::asin(0.25);    // harmonic +2
+const double kBearingP4 = std::asin(0.5);     // harmonic +4
+
+InitProtocol make_sdm_pair() {
+  InitProtocol p = make_protocol();
+  EXPECT_TRUE(std::holds_alternative<ChannelGrant>(p.handle({1, 100e6, 0.0})));
+  EXPECT_TRUE(std::holds_alternative<ChannelGrant>(p.handle({2, 64e6, kBearingM3})));
+  EXPECT_TRUE(std::holds_alternative<ChannelGrant>(p.handle({3, 34e6, 1.2})));
+  EXPECT_LT(p.allocator().largest_gap_hz(), 12.5e6);
+  const auto msg = p.handle({4, 10e6, kBearingP4});
+  const auto* g = std::get_if<ChannelGrant>(&msg);
+  EXPECT_NE(g, nullptr);
+  if (g) {
+    EXPECT_EQ(g->channel, p.holders().at(1).grant.channel);
+    EXPECT_EQ(g->sdm_harmonic, 4);
+  }
+  return p;
+}
+
+std::size_t holders_on(const InitProtocol& p, const ChannelAllocation& ch) {
+  return static_cast<std::size_t>(
+      std::count_if(p.holders().begin(), p.holders().end(),
+                    [&](const auto& kv) { return kv.second.grant.channel == ch; }));
+}
+
+TEST(InitProtocolSdm, FullGroupTakesNoFourthMember) {
+  InitProtocol p = make_sdm_pair();
+  const ChannelAllocation group = p.holders().at(1).grant.channel;
+  // Harmonic -4 is 0.52 rad from both members: the third member joins.
+  const auto third = p.handle({5, 10e6, -kBearingP4});
+  ASSERT_TRUE(std::holds_alternative<ChannelGrant>(third));
+  EXPECT_EQ(std::get<ChannelGrant>(third).channel, group);
+  ASSERT_EQ(holders_on(p, group), 3u);
+  // Harmonic +2 is free in the full group, but a fourth member is not
+  // placed there: the newcomer shares node 2's channel instead, 0.64 rad
+  // from node 2. The harmonics span 1.05 rad and a bearing may sit
+  // 0.07 rad off one, so no fourth bearing could be 0.45 rad from all
+  // three members: the separation refuses it as well as the capacity.
+  const auto fourth = p.handle({6, 10e6, kBearingP2});
+  const auto* g = std::get_if<ChannelGrant>(&fourth);
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->channel, p.holders().at(2).grant.channel);
+  EXPECT_EQ(g->sdm_harmonic, 2);
+  EXPECT_EQ(p.holders().at(2).grant.sdm_harmonic, -3);
+  EXPECT_EQ(holders_on(p, group), 3u);
+}
+
+TEST(InitProtocolSdm, BearingWithinSeparationOfAMemberIsRefused) {
+  InitProtocol p = make_sdm_pair();
+  const ChannelAllocation group = p.holders().at(1).grant.channel;
+  // 0.44 rad from member 1 at bearing 0 (harmonic -3, 0.056 rad off):
+  // the group has room and a free harmonic, yet refuses it. Node 2's
+  // channel has no other harmonic near it, so the newcomer is denied.
+  const auto near = p.handle({5, 10e6, -0.44});
+  EXPECT_TRUE(std::holds_alternative<ChannelDeny>(near));
+  EXPECT_EQ(holders_on(p, group), 2u);
+  // 0.46 rad away (harmonic -4, 0.064 rad off) is separable: it joins.
+  const auto far = p.handle({6, 10e6, -0.46});
+  const auto* g = std::get_if<ChannelGrant>(&far);
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->channel, group);
+  EXPECT_EQ(g->sdm_harmonic, -4);
+  EXPECT_EQ(holders_on(p, group), 3u);
 }
 
 // ---- Overload control (docs/ROBUSTNESS.md) ----------------------------
@@ -331,16 +414,17 @@ TEST(InitProtocolOverload, PromotionWithNoRoomTouchesNothing) {
   InitConfig cfg;
   cfg.overload.enabled = true;
   cfg.overload.min_rate_bps = 10e6;  // 12.5 MHz floor
-  cfg.overload.compaction = false;
   InitProtocol p = make_overloaded(cfg);
-  // Nine 25 MHz channels, then a 12.5 MHz demotion into the 16 MHz tail.
-  for (std::uint16_t id = 0; id < 10; ++id)
-    ASSERT_TRUE(std::holds_alternative<ChannelGrant>(p.handle({id, 20e6, kNoSdmBearing})));
-  // Four 25 MHz holes, each refilled by a 50 MHz demand demoted to 25.
-  for (const std::uint16_t id : {1, 3, 5, 7}) ASSERT_TRUE(p.release(id));
-  for (std::uint16_t id = 11; id < 15; ++id)
-    ASSERT_TRUE(std::holds_alternative<ChannelGrant>(p.handle({id, 40e6, kNoSdmBearing})));
-  ASSERT_EQ(p.overload_stats().demotions, 5u);
+  // 200 MHz, then two 100 MHz demands. The packed band never has 100 MHz
+  // of headroom, so compaction cannot make room and both are demoted:
+  // to 25 MHz in the 49 MHz tail, then to 12.5 MHz in the 23 MHz left.
+  ASSERT_TRUE(std::holds_alternative<ChannelGrant>(p.handle({1, 160e6, kNoSdmBearing})));
+  for (const std::uint16_t id : {2, 3})
+    ASSERT_TRUE(std::holds_alternative<ChannelGrant>(p.handle({id, 80e6, kNoSdmBearing})));
+  ASSERT_NEAR(p.holders().at(2).grant.channel.bandwidth_hz, 25e6, 1.0);
+  ASSERT_NEAR(p.holders().at(3).grant.channel.bandwidth_hz, 12.5e6, 1.0);
+  ASSERT_EQ(p.overload_stats().demotions, 2u);
+  ASSERT_EQ(p.overload_stats().compactions, 0u);
   ASSERT_TRUE(p.take_retunes().empty());
   const auto before = p.allocator().allocations();
   EXPECT_TRUE(p.promote_demoted().empty());
@@ -348,7 +432,7 @@ TEST(InitProtocolOverload, PromotionWithNoRoomTouchesNothing) {
   EXPECT_EQ(p.allocator().allocations(), before);
   EXPECT_EQ(p.overload_stats().promotions, 0u);
   // Freeing a neighbour makes room: the same pass now grows a holder.
-  ASSERT_TRUE(p.release(2));
+  ASSERT_TRUE(p.release(1));
   EXPECT_FALSE(p.promote_demoted().empty());
 }
 
@@ -367,7 +451,7 @@ TEST(InitProtocolOverload, DenyHintGrowsWithPressureAndResets) {
   // Every hint positive and bounded; the deny streak pushes them up.
   for (const double h : hints) {
     EXPECT_GT(h, 0.0);
-    EXPECT_LE(h, cfg.overload.hint_max_s);
+    EXPECT_LE(h, kDenyHintMaxS);
   }
   EXPECT_GT(hints.back(), hints.front());
   EXPECT_EQ(p.overload_stats().hinted_denies, 4u);
@@ -538,6 +622,12 @@ TEST(RejoinBackoff, BadConfigThrows) {
   EXPECT_THROW(RejoinBackoff(BackoffConfig{.base_s = 1.0, .cap_s = 0.5}),
                std::invalid_argument);
   EXPECT_THROW(RejoinBackoff(BackoffConfig{.jitter_frac = 1.0}), std::invalid_argument);
+  // NaN fails every check too.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(RejoinBackoff(BackoffConfig{.base_s = kNaN}), std::invalid_argument);
+  EXPECT_THROW(RejoinBackoff(BackoffConfig{.factor = kNaN}), std::invalid_argument);
+  EXPECT_THROW(RejoinBackoff(BackoffConfig{.cap_s = kNaN}), std::invalid_argument);
+  EXPECT_THROW(RejoinBackoff(BackoffConfig{.jitter_frac = kNaN}), std::invalid_argument);
 }
 
 }  // namespace

@@ -128,8 +128,6 @@ TEST(Registry, LookupIsIdentityAndExportIsSorted) {
   EXPECT_EQ(obs::Registry::global().gauge("test.registry.mid").value(), 0);
 }
 
-#if MMX_OBS_ENABLED
-
 TEST(Runtime, DisabledCollectionRecordsNothing) {
   reset_obs(false);
   for (int i = 0; i < 100; ++i) {
@@ -289,23 +287,5 @@ TEST(Trace, FullBufferDropsInsteadOfGrowing) {
   EXPECT_EQ(obs::TraceSink::global().dropped(), 12u);
   obs::TraceSink::global().clear();
 }
-
-#else  // !MMX_OBS_ENABLED
-
-TEST(Compiled, OffBuildMacrosAreNoOpsEvenWhenEnabled) {
-  // With MMX_OBS=OFF the macros expand to nothing: even a runtime
-  // enable must record nothing anywhere.
-  reset_obs(true);
-  for (int i = 0; i < 10; ++i) {
-    MMX_OBS_COUNT("test.off.count", 1);
-    MMX_OBS_RECORD("test.off.hist", i);
-    MMX_OBS_SPAN("test.off.span", i);
-    MMX_OBS_SAMPLE("test.off.sample", i, i);
-  }
-  EXPECT_TRUE(obs::TraceSink::global().merged().empty());
-  EXPECT_EQ(obs::Registry::global().counter("test.off.count").value(), 0u);
-}
-
-#endif  // MMX_OBS_ENABLED
 
 }  // namespace

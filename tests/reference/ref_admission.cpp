@@ -1,6 +1,7 @@
 // Verbatim copy of the pre-refactor FdmAllocator and InitProtocol (see
 // header). Only the namespace changed; observability counters and
-// serve() were dropped.
+// serve() were dropped, and the admission settings production made
+// constants are the literals below.
 #include "ref_admission.hpp"
 
 #include <algorithm>
@@ -9,6 +10,21 @@
 #include <utility>
 
 namespace mmx::refmac {
+
+namespace {
+
+// Production's admission constants (src/mac/init_protocol.*), written
+// out rather than read from there, so lockstep catches a drift in any
+// of them. With overload enabled, placement is best fit and compaction
+// is always on.
+constexpr double kFskFraction = 0.4;
+constexpr int kSdmCapacity = 3;
+constexpr double kMinBearingSeparationRad = 0.45;
+constexpr double kMaxHarmonicMismatchRad = 0.07;
+constexpr double kHintBaseS = 0.125;
+constexpr double kHintMaxS = 4.0;
+
+}  // namespace
 
 FdmAllocator::FdmAllocator(double band_low_hz, double band_high_hz, double guard_hz,
                            AllocPolicy policy)
@@ -174,20 +190,16 @@ double FdmAllocator::compacted_headroom_hz() const {
 }
 
 InitProtocol::InitProtocol(FdmAllocator allocator, rf::Vco node_vco, InitConfig cfg)
-    : allocator_(std::move(allocator)), node_vco_(node_vco), cfg_(std::move(cfg)) {
+    : allocator_(std::move(allocator)),
+      node_vco_(node_vco),
+      cfg_(std::move(cfg)),
+      sdm_slots_(mac::default_sdm_slots()) {
   if (cfg_.spectral_efficiency <= 0.0)
     throw std::invalid_argument("InitProtocol: spectral efficiency must be > 0");
-  if (cfg_.fsk_fraction <= 0.0 || cfg_.fsk_fraction >= 0.5)
-    throw std::invalid_argument("InitProtocol: fsk_fraction must be in (0, 0.5)");
-  if (cfg_.sdm_capacity < 1)
-    throw std::invalid_argument("InitProtocol: sdm_capacity must be >= 1");
-  if (cfg_.sdm_slots.empty()) cfg_.sdm_slots = mac::default_sdm_slots();
   if (cfg_.overload.enabled) {
     if (cfg_.overload.min_rate_bps < 0.0)
       throw std::invalid_argument("InitProtocol: overload min_rate_bps must be >= 0");
-    if (cfg_.overload.hint_base_s <= 0.0 || cfg_.overload.hint_max_s < cfg_.overload.hint_base_s)
-      throw std::invalid_argument("InitProtocol: overload hint bounds invalid");
-    if (cfg_.overload.best_fit) allocator_.set_policy(AllocPolicy::kBestFit);
+    allocator_.set_policy(AllocPolicy::kBestFit);
   }
 }
 
@@ -197,7 +209,7 @@ ChannelGrant InitProtocol::make_grant(std::uint16_t node_id, const ChannelAlloca
   g.node_id = node_id;
   g.channel = ch;
   g.sdm_harmonic = harmonic;
-  const double df = cfg_.fsk_fraction * ch.bandwidth_hz;
+  const double df = kFskFraction * ch.bandwidth_hz;
   g.vco_tune_v0 = node_vco_.voltage_for(ch.center_hz - df);
   g.vco_tune_v1 = node_vco_.voltage_for(ch.center_hz + df);
   return g;
@@ -243,7 +255,7 @@ SideChannelMessage InitProtocol::handle_overload(const ChannelRequest& request,
   const OverloadConfig& ov = cfg_.overload;
   // (a) Fragmentation is the only obstacle to the full demand: compact
   // the band and retry at the requested rate.
-  if (ov.compaction && allocator_.largest_gap_hz() < bandwidth_hz &&
+  if (allocator_.largest_gap_hz() < bandwidth_hz &&
       allocator_.compacted_headroom_hz() >= bandwidth_hz) {
     compact_spectrum();
     if (const auto g = try_fdm(request.node_id, bandwidth_hz)) {
@@ -257,7 +269,7 @@ SideChannelMessage InitProtocol::handle_overload(const ChannelRequest& request,
   // grant back later.
   if (ov.min_rate_bps > 0.0 && request.rate_bps > ov.min_rate_bps) {
     const double floor_bw = mac::required_bandwidth_hz(ov.min_rate_bps, cfg_.spectral_efficiency);
-    if (ov.compaction && allocator_.largest_gap_hz() < floor_bw &&
+    if (allocator_.largest_gap_hz() < floor_bw &&
         allocator_.compacted_headroom_hz() >= floor_bw)
       compact_spectrum();
     if (const auto g = admit_demoted(request, request.rate_bps / 2.0)) return *g;
@@ -303,16 +315,15 @@ std::optional<ChannelGrant> InitProtocol::admit_demoted(const ChannelRequest& re
 }
 
 double InitProtocol::deny_hint_s() const {
-  const OverloadConfig& ov = cfg_.overload;
   const double band = allocator_.band_high_hz() - allocator_.band_low_hz();
   const double occ =
       band > 0.0 ? std::clamp(1.0 - allocator_.free_bandwidth_hz() / band, 0.0, 1.0) : 1.0;
   // Quadratic in occupancy (gentle until the band is nearly full), plus a
   // linear deny-pressure term so a storm spreads retries further apart
-  // the longer it lasts. Saturates at hint_max_s.
+  // the longer it lasts. Saturates at kHintMaxS.
   const double pressure = static_cast<double>(std::min<std::uint64_t>(deny_streak_, 32));
-  const double hint = ov.hint_base_s * (1.0 + 15.0 * occ * occ + 0.25 * pressure);
-  return std::min(ov.hint_max_s, hint);
+  const double hint = kHintBaseS * (1.0 + 15.0 * occ * occ + 0.25 * pressure);
+  return std::min(kHintMaxS, hint);
 }
 
 bool InitProtocol::shed_for(const ChannelRequest& request, double needed_hz) {
@@ -354,7 +365,7 @@ bool InitProtocol::shed_for(const ChannelRequest& request, double needed_hz) {
     ++overload_stats_.shed_demotions;
     ++overload_stats_.retunes;
   }
-  if (cfg_.overload.compaction && allocator_.largest_gap_hz() < needed_hz &&
+  if (allocator_.largest_gap_hz() < needed_hz &&
       allocator_.compacted_headroom_hz() >= needed_hz)
     compact_spectrum();
   verify_allocator_invariants();
@@ -463,8 +474,8 @@ bool InitProtocol::channel_shared(const ChannelAllocation& ch) const {
 std::optional<int> InitProtocol::best_free_slot(const std::vector<int>& used,
                                                 double bearing_rad) const {
   std::optional<int> best;
-  double best_err = cfg_.max_harmonic_mismatch_rad;
-  for (const HarmonicSlot& slot : cfg_.sdm_slots) {
+  double best_err = kMaxHarmonicMismatchRad;
+  for (const HarmonicSlot& slot : sdm_slots_) {
     if (std::find(used.begin(), used.end(), slot.harmonic) != used.end()) continue;
     const double err = std::abs(bearing_rad - slot.angle_rad);
     if (err <= best_err) {
@@ -483,14 +494,14 @@ SideChannelMessage InitProtocol::try_sdm(const ChannelRequest& request) {
   // enough to the newcomer's bearing.
   auto bearing_ok = [&](const std::vector<double>& bearings) {
     return std::all_of(bearings.begin(), bearings.end(), [&](double b) {
-      return std::abs(b - request.bearing_rad) >= cfg_.min_bearing_separation_rad;
+      return std::abs(b - request.bearing_rad) >= kMinBearingSeparationRad;
     });
   };
 
   // 1) Existing shared channels with a suitable free harmonic.
   for (SharedChannel& sc : shared_) {
     if (sc.channel.bandwidth_hz + 1e-6 < bw) continue;
-    if (static_cast<int>(sc.members.size()) >= cfg_.sdm_capacity) continue;
+    if (static_cast<int>(sc.members.size()) >= kSdmCapacity) continue;
     if (!bearing_ok(sc.bearings)) continue;
     const auto slot = best_free_slot(sc.harmonics, request.bearing_rad);
     if (!slot) continue;
@@ -513,7 +524,7 @@ SideChannelMessage InitProtocol::try_sdm(const ChannelRequest& request) {
     if (channel_shared(ch)) continue;
     const double holder_bearing =
         holder_bearings_.contains(holder) ? holder_bearings_.at(holder) : 0.0;
-    if (std::abs(holder_bearing - request.bearing_rad) < cfg_.min_bearing_separation_rad)
+    if (std::abs(holder_bearing - request.bearing_rad) < kMinBearingSeparationRad)
       continue;
     const auto holder_slot = best_free_slot({}, holder_bearing);
     if (!holder_slot) continue;

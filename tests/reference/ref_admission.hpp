@@ -9,8 +9,10 @@
 // (tests/mac/admission_lockstep_test.cpp): any rewrite of the production
 // allocator or init protocol must reproduce it reply for reply and grant
 // for grant. The code is verbatim except for the namespace, the dropped
-// observability counters (they never touched state) and the dropped
-// serve() (transport only). Do not optimize it.
+// observability counters (they never touched state), the dropped
+// serve() (transport only), and the admission settings production
+// turned into constants, which it holds as its own literal copies. Do
+// not optimize it.
 #pragma once
 
 #include <cstdint>
@@ -112,6 +114,7 @@ class InitProtocol {
   FdmAllocator allocator_;
   rf::Vco node_vco_;
   InitConfig cfg_;
+  std::vector<HarmonicSlot> sdm_slots_;
   std::map<std::uint16_t, ChannelGrant> grants_;
   std::map<std::uint16_t, double> holder_bearings_;
   std::vector<SharedChannel> shared_;

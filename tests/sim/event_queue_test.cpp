@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace mmx::sim {
 namespace {
 
@@ -61,6 +63,11 @@ TEST(EventQueue, PastSchedulingThrows) {
   q.run_all();
   EXPECT_THROW(q.schedule_at(1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(q.schedule_at(3.0, nullptr), std::invalid_argument);
+  // NaN is not a time: in the heap it would break the comparator's
+  // strict weak ordering.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(q.schedule_at(kNaN, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_in(kNaN, [] {}), std::invalid_argument);
 }
 
 TEST(EventQueue, NegativeDeltaThrows) {
@@ -233,6 +240,8 @@ TEST(EventQueue, ReschedulePastThrowsCancelledIdReturnsFalse) {
   EventQueue q;
   const EventQueue::EventId id = q.schedule_at(2.0, [] {});
   q.schedule_at(1.0, [&] { EXPECT_THROW(q.reschedule(id, 0.5), std::invalid_argument); });
+  EXPECT_THROW(q.reschedule(id, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
   q.run_until(1.0);
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.reschedule(id, 3.0));

@@ -112,10 +112,7 @@ TEST(OverloadLane, DisabledKnobsAreInert) {
 
   ScaleConfig knobs = base;
   knobs.sim.init.overload.min_rate_bps = base.node_rate_bps / 4.0;
-  knobs.sim.init.overload.best_fit = true;
-  knobs.sim.init.overload.compaction = true;
   knobs.sim.init.overload.shedding = true;
-  knobs.sim.init.overload.hint_base_s = 0.5;
   knobs.high_priority_period = 3;
   knobs.promote_every_rounds = 2;
   ASSERT_FALSE(knobs.sim.init.overload.enabled);

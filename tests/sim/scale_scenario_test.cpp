@@ -256,6 +256,8 @@ TEST(ScaleScenarioConfig, RandomConfigsCompleteOrThrowTyped) {
       cfg.faults.reap_timeout_s = pick(rng, 0.05, 1.0);
       cfg.faults.power_cycle_rate_hz = pick(rng, 0.0, 8.0);
       cfg.faults.storm_fraction = rng.uniform(0.0, 1.2);  // > 1 is invalid
+      cfg.faults.arq.timeout_s = pick(rng, 1e-3, 4e-3);
+      cfg.faults.rejoin_backoff.base_s = pick(rng, 0.05, 0.25);
     }
     if (rng.chance(0.5)) {
       cfg.sim.init.overload.enabled = true;
