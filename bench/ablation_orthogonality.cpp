@@ -19,13 +19,13 @@
 #include "mmx/antenna/array.hpp"
 #include "mmx/channel/beam_channel.hpp"
 #include "mmx/channel/blockage.hpp"
+#include "mmx/channel/presets.hpp"
 #include "mmx/channel/room_plan.hpp"
 #include "mmx/common/rng.hpp"
 #include "mmx/common/units.hpp"
 #include "mmx/sim/sweep.hpp"
 
 #include "harness.hpp"
-#include "testbed.hpp"
 
 using namespace mmx;
 
@@ -54,7 +54,7 @@ double contrast_db(std::span<const channel::Path> paths, const channel::Pose& no
 
 int main(int argc, char** argv) {
   const bench::Options opt = bench::parse_args(argc, argv, 2000, 5, "random node placements");
-  const channel::Pose ap = bench::lab_ap_pose();
+  const channel::Pose ap = channel::furnished_lab_ap();
   const antenna::Dipole ap_ant;
   const double f = 24.125e9;
   const double lambda = wavelength(f);
@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
   sim::SweepRunner runner(opt.sweep);
   const auto sweep = runner.run([&](std::size_t i, Rng&) {
     const Placement& p = placements[i];
-    channel::Room room = bench::furnished_lab();
-    if (p.blocked) bench::park_person(room, p.pos, ap.position);
+    channel::Room room = channel::furnished_lab();
+    if (p.blocked) channel::park_person(room, p.pos, ap.position);
     // Both beam pairs see the same channel: one trace serves both.
     const channel::RoomPlan plan(room);
     channel::PathList ws;

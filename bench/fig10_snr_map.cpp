@@ -17,6 +17,7 @@
 
 #include "mmx/baseline/fixed_beam.hpp"
 #include "mmx/channel/blockage.hpp"
+#include "mmx/channel/presets.hpp"
 #include "mmx/channel/room_plan.hpp"
 #include "mmx/common/rng.hpp"
 #include "mmx/common/units.hpp"
@@ -24,14 +25,13 @@
 #include "mmx/sim/sweep.hpp"
 
 #include "harness.hpp"
-#include "testbed.hpp"
 
 using namespace mmx;
 
 int main(int argc, char** argv) {
   const bench::Options opt =
       bench::parse_args(argc, argv, 1, 42, "random orientation samples per grid cell");
-  const channel::Pose ap = bench::lab_ap_pose();
+  const channel::Pose ap = channel::furnished_lab_ap();
 
   const antenna::MmxBeamPair beams;
   const antenna::Dipole ap_antenna;
@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
     const std::size_t iy = cell / nx;
     const Vec2 pos{0.5 + 0.5 * static_cast<double>(ix), 0.25 + 0.5 * static_cast<double>(iy)};
     // Fresh room per location: one person parked on this cell's LoS.
-    channel::Room room = bench::furnished_lab();
-    bench::park_person(room, pos, ap.position);
+    channel::Room room = channel::furnished_lab();
+    channel::park_person(room, pos, ap.position);
     // Orientation samples share the cell's position: one trace serves all.
     const channel::RoomPlan plan(room);
     channel::PathList ws;

@@ -26,6 +26,7 @@
 
 #include "mmx/baseline/fixed_beam.hpp"
 #include "mmx/channel/blockage.hpp"
+#include "mmx/channel/presets.hpp"
 #include "mmx/channel/room_plan.hpp"
 #include "mmx/common/rng.hpp"
 #include "mmx/common/units.hpp"
@@ -34,7 +35,6 @@
 #include "mmx/sim/sweep.hpp"
 
 #include "harness.hpp"
-#include "testbed.hpp"
 
 using namespace mmx;
 
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "fig11_ber_cdf: --pairs expects a count, got '%s'\n", pairs_arg.c_str());
     return 2;
   }
-  const channel::Pose ap = bench::lab_ap_pose();
+  const channel::Pose ap = channel::furnished_lab_ap();
   const antenna::MmxBeamPair beams;
   const antenna::Dipole ap_antenna;
   const sim::LinkBudget budget;
@@ -75,8 +75,8 @@ int main(int argc, char** argv) {
   };
   const auto trial = [&](std::size_t i, Rng&) {
     const Placement& p = placements[i];
-    channel::Room room = bench::furnished_lab();
-    bench::park_person(room, p.pos, ap.position);
+    channel::Room room = channel::furnished_lab();
+    channel::park_person(room, p.pos, ap.position);
     const channel::RoomPlan plan(room);
     channel::PathList ws;
     const channel::Pose node{p.pos, p.orientation_rad};

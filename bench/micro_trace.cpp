@@ -19,18 +19,19 @@
 // bench-perf lane gates the refill stage at >= 3x (bench/gates.txt,
 // docs/GEOMETRY.md).
 //
+// Every stage traces RoomPlan's one shape: LoS plus single bounces,
+// culled at RoomPlan::kMaxExcessLossDb.
+//
 // Stages:
-//   refill   the sim's cache-refill inner loop at its pinned config
-//            (1 bounce, 60 dB): 10k nodes against one AP in a 12 m x 8 m
-//            room with 3 human blockers, in 64-node blocks, each node's
-//            blockers-off paths + blockers-on gains paths — exactly
-//            NetworkSimulator::refill_block's shape (for fast, one
-//            blocker-free batched call per block, then one
+//   refill   the sim's cache-refill inner loop: 10k nodes against one AP
+//            in a 12 m x 8 m room with 3 human blockers, in 64-node
+//            blocks, each node's blockers-off paths + blockers-on gains
+//            paths — exactly NetworkSimulator::refill_block's shape (for
+//            fast, one blocker-free batched call per block, then one
 //            leg_blocker_loss_db per leg and priced_loss_db per path;
 //            two reference traces per node)
-//   trace    single-pair trace_into, random endpoints, 1 bounce
-//   bounce2  single-pair trace, 2 bounces (image-of-image heavy)
-//   dense    48 blockers (grid broad phase on), 2 bounces
+//   trace    single-pair trace_into, random endpoints
+//   dense    single-pair trace_into, 48 blockers (grid broad phase on)
 #include <algorithm>
 #include <cstdio>
 #include <span>
@@ -49,8 +50,7 @@ namespace {
 constexpr double kRoomW = 12.0;
 constexpr double kRoomH = 8.0;
 constexpr Vec2 kAp{6.0, 4.0};
-// The sim's pinned trace config (network_sim.cpp): 1 bounce, 60 dB.
-constexpr double kMaxExcessDb = 60.0;
+constexpr double kMaxExcessDb = channel::RoomPlan::kMaxExcessLossDb;
 constexpr std::size_t kRefillNodes = 10000;
 constexpr std::size_t kBlock = 64;  // NetworkSimulator's kRefillBlock
 
@@ -76,22 +76,18 @@ struct Fixture {
   channel::RoomPlan plan;
   channel::ImageTable ap_images;
 
-  Fixture(int blockers, std::uint64_t seed, int max_bounces)
+  Fixture(int blockers, std::uint64_t seed)
       : room(make_room(blockers, seed)), tracer(room), plan(room) {
-    plan.build_images(kAp, max_bounces, ap_images);
+    plan.build_images(kAp, ap_images);
   }
 };
 
-Fixture& refill_fixture() {
-  static Fixture f(/*blockers=*/3, /*seed=*/0x5eedULL, /*max_bounces=*/1);
-  return f;
-}
 Fixture& sparse_fixture() {
-  static Fixture f(/*blockers=*/3, /*seed=*/0x5eedULL, /*max_bounces=*/2);
+  static Fixture f(/*blockers=*/3, /*seed=*/0x5eedULL);
   return f;
 }
 Fixture& dense_fixture() {
-  static Fixture f(/*blockers=*/48, /*seed=*/0xd05eULL, /*max_bounces=*/2);
+  static Fixture f(/*blockers=*/48, /*seed=*/0xd05eULL);
   return f;
 }
 
@@ -113,7 +109,7 @@ const std::vector<Vec2>& refill_nodes() {
 // Checksums accumulate per-stream in node order, so ref and fast sum the
 // same doubles in the same sequence — bitwise-equal results.
 double trial_refill(bool fast) {
-  Fixture& f = refill_fixture();
+  Fixture& f = sparse_fixture();
   const std::vector<Vec2>& nodes = refill_nodes();
   double acc_gains = 0.0;
   double acc_corr = 0.0;
@@ -125,7 +121,7 @@ double trial_refill(bool fast) {
       const std::span<const Vec2> block(nodes.data() + lo, n);
       offs.resize(n + 1);
       ws.clear();
-      f.plan.trace_batch_into(kAp, block, f.ap_images, ws, offs, kMaxExcessDb, 1);
+      f.plan.trace_batch_into(kAp, block, f.ap_images, ws, offs);
       for (std::size_t i = 0; i < n; ++i) {
         for (channel::Path p : ws.slice(offs[i], offs[i + 1])) {
           acc_corr += path_checksum(p);
@@ -143,9 +139,9 @@ double trial_refill(bool fast) {
     }
   } else {
     for (const Vec2 node : nodes) {
-      for (const channel::Path& p : f.tracer.trace(node, kAp, kMaxExcessDb, 1, true))
+      for (const channel::Path& p : f.tracer.trace(node, kAp, kMaxExcessDb, true))
         acc_gains += path_checksum(p);
-      for (const channel::Path& p : f.tracer.trace(node, kAp, kMaxExcessDb, 1, false))
+      for (const channel::Path& p : f.tracer.trace(node, kAp, kMaxExcessDb, false))
         acc_corr += path_checksum(p);
     }
   }
@@ -155,7 +151,7 @@ double trial_refill(bool fast) {
 // Single-pair tracing with per-trial random endpoints. Endpoints are
 // drawn before the kernel branch, so ref and fast consume identical rng
 // streams and the checksums stay comparable.
-double trial_single(bool fast, Rng& rng, Fixture& f, int max_bounces) {
+double trial_single(bool fast, Rng& rng, Fixture& f) {
   double acc = 0.0;
   for (int i = 0; i < 64; ++i) {
     const Vec2 tx{rng.uniform(0.25, kRoomW - 0.25), rng.uniform(0.25, kRoomH - 0.25)};
@@ -164,30 +160,25 @@ double trial_single(bool fast, Rng& rng, Fixture& f, int max_bounces) {
     if (fast) {
       thread_local channel::PathList ws;
       ws.clear();
-      for (const channel::Path& p :
-           f.plan.trace_into(tx, rx, ws, kMaxExcessDb, max_bounces))
-        acc += path_checksum(p);
+      for (const channel::Path& p : f.plan.trace_into(tx, rx, ws)) acc += path_checksum(p);
     } else {
-      for (const channel::Path& p : f.tracer.trace(tx, rx, kMaxExcessDb, max_bounces, true))
+      for (const channel::Path& p : f.tracer.trace(tx, rx, kMaxExcessDb, true))
         acc += path_checksum(p);
     }
   }
   return acc;
 }
 
-const std::vector<std::string> kStages = {"refill", "trace", "bounce2", "dense"};
+const std::vector<std::string> kStages = {"refill", "trace", "dense"};
 
 sim::SweepResult<double> run_stage(const std::string& stage, bool fast,
                                    sim::SweepRunner& runner) {
   if (stage == "refill") return runner.run([&](std::size_t, Rng&) { return trial_refill(fast); });
   if (stage == "trace")
     return runner.run(
-        [&](std::size_t, Rng& rng) { return trial_single(fast, rng, sparse_fixture(), 1); });
-  if (stage == "bounce2")
-    return runner.run(
-        [&](std::size_t, Rng& rng) { return trial_single(fast, rng, sparse_fixture(), 2); });
+        [&](std::size_t, Rng& rng) { return trial_single(fast, rng, sparse_fixture()); });
   return runner.run(
-      [&](std::size_t, Rng& rng) { return trial_single(fast, rng, dense_fixture(), 2); });
+      [&](std::size_t, Rng& rng) { return trial_single(fast, rng, dense_fixture()); });
 }
 
 }  // namespace

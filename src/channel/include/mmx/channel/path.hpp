@@ -13,15 +13,15 @@
 
 namespace mmx::channel {
 
-enum class PathKind { kLineOfSight, kReflected, kDoubleReflected };
+enum class PathKind { kLineOfSight, kReflected };
 
 /// The blocker-free loss terms of one traced path, the doubles the trace
-/// adds: the reflection-loss sum (0 for line of sight) and one
-/// transmission term per leg. RoomPlan::priced_loss_db adds one blocker
-/// term per leg to them.
+/// adds: the reflection loss (0 for line of sight) and one transmission
+/// term per leg. RoomPlan::priced_loss_db adds one blocker term per leg
+/// to them.
 struct WallTerms {
   double reflection_db = 0.0;
-  std::array<double, 3> leg_transmission_db{};  ///< per leg; unused legs stay 0
+  std::array<double, 2> leg_transmission_db{};  ///< per leg; a LoS leaves [1] at 0
 };
 
 struct Path {
@@ -36,13 +36,10 @@ struct Path {
   double excess_loss_db = 0.0;
   /// Number of blockers the path crosses.
   int blocker_crossings = 0;
-  /// Index of the (first) reflecting wall in Room::walls().
+  /// Index of the reflecting wall in Room::walls() (-1 for LoS).
   int wall_index = -1;
-  /// Second wall for double-bounce paths.
-  int wall_index2 = -1;
-  /// Reflection points (first / second bounce).
+  /// Reflection point (reflected paths).
   Vec2 via{};
-  Vec2 via2{};
   /// The wall terms of excess_loss_db (RoomPlan fills them; 0 elsewhere).
   WallTerms walls{};
 };

@@ -12,6 +12,13 @@ namespace {
 // body loss (3-D elevation spread routes part of the Fresnel zone around a
 // standing blocker); LoS takes the full loss.
 constexpr double kReflectedBlockageFraction = 0.5;
+// Below this blocker count the grid is skipped for a flat SoA scan with
+// AABB rejects: walk-the-grid bookkeeping only pays for itself once
+// enough discs can be skipped.
+constexpr std::size_t kGridMinBlockers = 8;
+// Broad-phase cell size: 0 is UniformGrid's auto size (room min span / 8,
+// floored at 0.5 m, so a human blocker spans at most ~2x2 cells).
+constexpr double kGridCellM = 0.0;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -43,7 +50,7 @@ std::uint32_t PathList::next_query() {
 // ---------------------------------------------------------------------------
 // RoomPlan compilation
 
-RoomPlan::RoomPlan(const Room& room, RoomPlanConfig cfg) : cfg_(cfg) { rebuild(room); }
+RoomPlan::RoomPlan(const Room& room) { rebuild(room); }
 
 void RoomPlan::rebuild(const Room& room) {
   room_epoch_ = room.epoch();
@@ -82,7 +89,7 @@ void RoomPlan::rebuild(const Room& room) {
   grid_on_ = false;
   cell_start_.clear();
   cell_items_.clear();
-  if (n < cfg_.grid_min_blockers || walls_.empty()) return;
+  if (n < kGridMinBlockers || walls_.empty()) return;
 
   double minx = walls_[0].seg.a.x;
   double maxx = minx;
@@ -98,7 +105,7 @@ void RoomPlan::rebuild(const Room& room) {
   const double spany = maxy - miny;
   if (spanx <= 0.0 || spany <= 0.0) return;  // degenerate (collinear walls): flat scan
 
-  grid_ = UniformGrid(Vec2{minx, miny}, Vec2{maxx, maxy}, cfg_.grid_cell_m);
+  grid_ = UniformGrid(Vec2{minx, miny}, Vec2{maxx, maxy}, kGridCellM);
   const std::size_t cells = grid_.cells();
 
   // CSR pack: count, prefix-sum, fill. Discs register in every cell their
@@ -120,40 +127,24 @@ void RoomPlan::rebuild(const Room& room) {
   grid_on_ = true;
 }
 
-std::size_t RoomPlan::max_paths(int max_bounces) const {
-  const std::size_t w = walls_.size();
-  return 1 + w + (max_bounces >= 2 && w > 1 ? w * (w - 1) : 0);
-}
-
-void RoomPlan::build_images(Vec2 rx, int max_bounces, ImageTable& out) const {
+void RoomPlan::build_images(Vec2 rx, ImageTable& out) const {
   if (!compiled()) throw std::logic_error("RoomPlan: build_images before rebuild()");
   const std::size_t w = walls_.size();
   out.rx = rx;
   out.room_epoch = room_epoch_;
-  out.max_bounces = max_bounces;
   out.wall_image.resize(w);  // mmx-analyze: allow(hot-path-alloc) -- amortized growth
   for (std::size_t i = 0; i < w; ++i) out.wall_image[i] = walls_[i].seg.mirror(rx);
-  if (max_bounces >= 2) {
-    out.pair_image.resize(w * w);  // mmx-analyze: allow(hot-path-alloc) -- amortized growth
-    for (std::size_t wi = 0; wi < w; ++wi)
-      for (std::size_t wj = 0; wj < w; ++wj) {
-        if (wi == wj) continue;
-        out.pair_image[wi * w + wj] = walls_[wi].seg.mirror(out.wall_image[wj]);
-      }
-  } else {
-    out.pair_image.clear();
-  }
 }
 
 // ---------------------------------------------------------------------------
 // Tracing
 
-double RoomPlan::transmission_loss_db(Vec2 a, Vec2 b, WallSkip skip) const {
+double RoomPlan::transmission_loss_db(Vec2 a, Vec2 b, int skip) const {
   // trans_walls_ is ascending, so the dB sum accumulates in the exact
   // wall order of the reference tracer's transmission_loss_db.
   double loss = 0.0;
   for (const std::uint32_t w : trans_walls_) {
-    if (skip.contains(static_cast<int>(w))) continue;
+    if (static_cast<int>(w) == skip) continue;
     if (walls_[w].seg.intersect(a, b)) loss += walls_[w].transmission_loss_db;
   }
   return loss;
@@ -228,8 +219,7 @@ std::size_t RoomPlan::grid_candidates(Vec2 a, Vec2 b, PathList& ws) const {
   return ncand;
 }
 
-void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& out,
-                         double max_excess_loss_db, int max_bounces) const {
+void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& out) const {
   // Mirrors the reference tracer's blocker-free run statement-for-statement;
   // only the image computation (tabulated) and the path storage
   // (workspace) differ — both bit-preserving substitutions. That run adds
@@ -237,7 +227,6 @@ void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& o
   // x + 0.0 == x for every x but -0.0, and the transmission term added
   // next is never -0.0. Blocker terms are priced on top (priced_loss_db).
   const Vec2* wall_images = images.wall_image.data();
-  const Vec2* pair_images = images.pair_image.data();
 
   // --- Line of sight ---------------------------------------------------
   {
@@ -246,9 +235,9 @@ void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& o
     p.length_m = distance(tx, rx);
     p.departure_rad = (rx - tx).angle();
     p.arrival_rad = (tx - rx).angle();
-    p.walls.leg_transmission_db[0] = transmission_loss_db(tx, rx, WallSkip{});
+    p.walls.leg_transmission_db[0] = transmission_loss_db(tx, rx, -1);
     p.excess_loss_db = p.walls.leg_transmission_db[0];
-    if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
+    if (p.excess_loss_db <= kMaxExcessLossDb) out.commit() = p;
   }
 
   // --- Single-bounce reflections (image method) ------------------------
@@ -272,72 +261,23 @@ void RoomPlan::trace_one(Vec2 tx, Vec2 rx, const ImageTable& images, PathList& o
     p.via = via;
     const int wall_id = static_cast<int>(w);
     p.walls = {wall.reflection_loss_db,
-               {transmission_loss_db(tx, via, WallSkip{wall_id}),
-                transmission_loss_db(via, rx, WallSkip{wall_id}), 0.0}};
+               {transmission_loss_db(tx, via, wall_id), transmission_loss_db(via, rx, wall_id)}};
     double loss = p.walls.reflection_db;
     loss += p.walls.leg_transmission_db[0];
     loss += p.walls.leg_transmission_db[1];
     p.excess_loss_db = loss;
-    if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
-  }
-
-  // --- Double bounces (image of image) ----------------------------------
-  if (max_bounces >= 2) {
-    for (std::size_t wi = 0; wi < nwalls; ++wi) {
-      for (std::size_t wj = 0; wj < nwalls; ++wj) {
-        if (wi == wj) continue;
-        const WallRec& first = walls_[wi];
-        const WallRec& second = walls_[wj];
-        const Vec2 image_j = wall_images[wj];
-        const Vec2 image_ji = pair_images[wi * nwalls + wj];
-        const auto hit1 = first.seg.intersect(tx, image_ji);
-        if (!hit1) continue;
-        const Vec2 p1 = *hit1;
-        const auto hit2 = second.seg.intersect(p1, image_j);
-        if (!hit2) continue;
-        const Vec2 p2 = *hit2;
-        const double leg1 = distance(tx, p1);
-        const double leg2 = distance(p1, p2);
-        const double leg3 = distance(p2, rx);
-        if (leg1 < 1e-6 || leg2 < 1e-6 || leg3 < 1e-6) continue;
-
-        Path p;
-        p.kind = PathKind::kDoubleReflected;
-        p.length_m = leg1 + leg2 + leg3;
-        p.departure_rad = (p1 - tx).angle();
-        p.arrival_rad = (p2 - rx).angle();
-        p.wall_index = static_cast<int>(wi);
-        p.wall_index2 = static_cast<int>(wj);
-        p.via = p1;
-        p.via2 = p2;
-        const int wid = static_cast<int>(wi);
-        const int wjd = static_cast<int>(wj);
-        p.walls = {first.reflection_loss_db + second.reflection_loss_db,
-                   {transmission_loss_db(tx, p1, WallSkip{wid}),
-                    transmission_loss_db(p1, p2, WallSkip{wid, wjd}),
-                    transmission_loss_db(p2, rx, WallSkip{wjd})}};
-        double loss = p.walls.reflection_db;
-        loss += p.walls.leg_transmission_db[0];
-        loss += p.walls.leg_transmission_db[1];
-        loss += p.walls.leg_transmission_db[2];
-        p.excess_loss_db = loss;
-        if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
-      }
-    }
+    if (p.excess_loss_db <= kMaxExcessLossDb) out.commit() = p;
   }
 }
 
-std::span<const Path> RoomPlan::trace_into(Vec2 tx, Vec2 rx, PathList& out,
-                                           double max_excess_loss_db, int max_bounces) const {
+std::span<const Path> RoomPlan::trace_into(Vec2 tx, Vec2 rx, PathList& out) const {
   if (!compiled()) throw std::logic_error("RoomPlan: trace_into before rebuild()");
-  if (max_bounces < 1 || max_bounces > 2)
-    throw std::invalid_argument("RoomPlan: max_bounces must be 1 or 2");
   if (tx == rx) throw std::invalid_argument("RoomPlan: tx and rx coincide");
 
   const std::size_t begin = out.size();
-  out.ensure_paths(begin + max_paths(max_bounces));
-  build_images(rx, max_bounces, out.images_);
-  trace_one(tx, rx, out.images_, out, max_excess_loss_db, max_bounces);
+  out.ensure_paths(begin + max_paths());
+  build_images(rx, out.images_);
+  trace_one(tx, rx, out.images_, out);
 
   // Price the blocker-free set and cull it in place. Blocker terms are
   // never negative and rounding is monotonic, so every path the
@@ -346,17 +286,15 @@ std::span<const Path> RoomPlan::trace_into(Vec2 tx, Vec2 rx, PathList& out,
   out.count_ = begin;
   for (std::size_t k = begin; k < end; ++k) {
     Path p = out.storage_[k];
-    std::array<Vec2, 4> corners{tx, p.via, p.via2, rx};
-    const std::size_t legs = p.kind == PathKind::kLineOfSight ? 1
-                             : p.kind == PathKind::kReflected ? 2
-                                                              : 3;
-    corners[legs] = rx;
-    std::array<double, 3> blocker_db{};
+    const bool reflected = p.kind == PathKind::kReflected;
+    const std::array<Vec2, 3> corners{tx, reflected ? p.via : rx, rx};
+    const std::size_t legs = reflected ? 2 : 1;
+    std::array<double, 2> blocker_db{};
     for (std::size_t l = 0; l < legs; ++l)
       blocker_db[l] =
           leg_blocker_loss_db(corners[l], corners[l + 1], p.kind, out, p.blocker_crossings);
     p.excess_loss_db = priced_loss_db(p.walls, {blocker_db.data(), legs});
-    if (p.excess_loss_db <= max_excess_loss_db) out.commit() = p;
+    if (p.excess_loss_db <= kMaxExcessLossDb) out.commit() = p;
   }
   return out.slice(begin, out.size());
 }
@@ -370,8 +308,8 @@ double RoomPlan::leg_blocker_loss_db(Vec2 a, Vec2 b, PathKind kind, PathList& ws
 }
 
 double RoomPlan::priced_loss_db(const WallTerms& walls, std::span<const double> leg_blocker_db) {
-  if (leg_blocker_db.empty() || leg_blocker_db.size() > 3)
-    throw std::invalid_argument("RoomPlan: a path has 1 to 3 legs");
+  if (leg_blocker_db.empty() || leg_blocker_db.size() > 2)
+    throw std::invalid_argument("RoomPlan: a path has 1 or 2 legs");
   // A line of sight starts 0.0 + blocker term where the reference starts
   // at the term itself; a blocker term starts from +0.0 and is never
   // -0.0, so the two agree.
@@ -383,24 +321,19 @@ double RoomPlan::priced_loss_db(const WallTerms& walls, std::span<const double> 
 
 std::span<const Path> RoomPlan::trace_batch_into(Vec2 ap, std::span<const Vec2> nodes,
                                                  const ImageTable& images, PathList& out,
-                                                 std::span<std::uint32_t> offsets,
-                                                 double max_excess_loss_db,
-                                                 int max_bounces) const {
+                                                 std::span<std::uint32_t> offsets) const {
   if (!compiled()) throw std::logic_error("RoomPlan: trace_batch_into before rebuild()");
-  if (max_bounces < 1 || max_bounces > 2)
-    throw std::invalid_argument("RoomPlan: max_bounces must be 1 or 2");
   if (offsets.size() != nodes.size() + 1)
     throw std::invalid_argument("RoomPlan: offsets must have nodes.size() + 1 slots");
-  if (images.room_epoch != room_epoch_ || !(images.rx == ap) ||
-      images.max_bounces < max_bounces)
+  if (images.room_epoch != room_epoch_ || !(images.rx == ap))
     throw std::invalid_argument("RoomPlan: ImageTable stale or built for another endpoint");
 
   const std::size_t begin = out.size();
-  out.ensure_paths(begin + nodes.size() * max_paths(max_bounces));
+  out.ensure_paths(begin + nodes.size() * max_paths());
   offsets[0] = static_cast<std::uint32_t>(begin);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i] == ap) throw std::invalid_argument("RoomPlan: tx and rx coincide");
-    trace_one(nodes[i], ap, images, out, max_excess_loss_db, max_bounces);
+    trace_one(nodes[i], ap, images, out);
     offsets[i + 1] = static_cast<std::uint32_t>(out.size());
   }
   return out.slice(begin, out.size());

@@ -26,10 +26,8 @@ struct ScenarioConfig {
   double duration_s = 5.0;
   std::size_t walkers = 0;          ///< people doing random waypoint
   double walker_speed_mps = 1.4;
-  double mobility_step_s = 0.1;     ///< blocker position update cadence
   std::uint64_t seed = 1;
   bool reliable = false;            ///< use ARQ (send_reliable) per frame
-  double outage_snr_db = 10.0;      ///< threshold for outage accounting
 };
 
 struct ScenarioNodeOutcome {
@@ -39,7 +37,8 @@ struct ScenarioNodeOutcome {
   std::size_t inversions = 0;       ///< blockage-induced polarity flips
   double mean_snr_db = 0.0;
   double min_snr_db = 0.0;
-  /// Fraction of frames sent while the link sat below `outage_snr_db`.
+  /// Fraction of frames sent while the link sat below the outage
+  /// threshold (10 dB SNR, scenario.cpp).
   double outage_fraction = 0.0;
   double goodput_bps = 0.0;         ///< delivered payload bits / duration
   double airtime_s = 0.0;           ///< radio-on time spent transmitting

@@ -9,11 +9,16 @@
 
 namespace mmx::core {
 
+namespace {
+// Walkers' position update cadence [s].
+constexpr double kMobilityStepS = 0.1;
+// A frame sent below this SNR [dB] counts toward the outage fraction.
+constexpr double kOutageSnrDb = 10.0;
+}  // namespace
+
 ScenarioResult run_scenario(Network& net, const std::vector<ScenarioNode>& nodes,
                             const ScenarioConfig& cfg) {
   if (cfg.duration_s <= 0.0) throw std::invalid_argument("run_scenario: duration must be > 0");
-  if (cfg.mobility_step_s <= 0.0)
-    throw std::invalid_argument("run_scenario: mobility step must be > 0");
 
   Rng rng(cfg.seed);
   ScenarioResult result;
@@ -58,12 +63,12 @@ ScenarioResult run_scenario(Network& net, const std::vector<ScenarioNode>& nodes
     handlers.push_back(std::make_unique<std::function<void()>>());
     std::function<void()>* step = handlers.back().get();
     *step = [&queue, &rng, &cfg, crowd_ptr = crowd.get(), step] {
-      crowd_ptr->update(cfg.mobility_step_s, rng);
-      if (queue.now() + cfg.mobility_step_s <= cfg.duration_s) {
-        queue.schedule_in(cfg.mobility_step_s, *step);
+      crowd_ptr->update(kMobilityStepS, rng);
+      if (queue.now() + kMobilityStepS <= cfg.duration_s) {
+        queue.schedule_in(kMobilityStepS, *step);
       }
     };
-    queue.schedule_at(cfg.mobility_step_s, *step);
+    queue.schedule_at(kMobilityStepS, *step);
   }
 
   // Per-node traffic processes.
@@ -79,7 +84,7 @@ ScenarioResult run_scenario(Network& net, const std::vector<ScenarioNode>& nodes
       node->outcome.inversions += r.inverted;
       node->snr_acc += r.snr_db;
       node->snr_min = std::min(node->snr_min, r.snr_db);
-      if (r.snr_db < cfg.outage_snr_db) ++node->outage_frames;
+      if (r.snr_db < kOutageSnrDb) ++node->outage_frames;
       if (queue.now() + node->spec.frame_interval_s <= cfg.duration_s) {
         queue.schedule_in(node->spec.frame_interval_s, *fire);
       }

@@ -45,11 +45,11 @@ struct HarmonicSlot {
 /// TMA's steered_angle: sin(theta_m) = 0.125 m.
 std::vector<HarmonicSlot> default_sdm_slots();
 
-/// Deny backoff hint at zero occupancy and zero deny pressure, and its
-/// ceiling (docs/ROBUSTNESS.md): hint = base * (1 + 15 occ^2 + 0.25
-/// streak), capped at the ceiling.
+/// Deny backoff hint at zero occupancy and zero deny pressure
+/// (docs/ROBUSTNESS.md): hint = base * (1 + 15 occ^2 + 0.25 streak),
+/// with occupancy in [0, 1] and the streak counted up to 32, so the hint
+/// saturates at 24 * base = 3 s.
 inline constexpr double kDenyHintBaseS = 0.125;
-inline constexpr double kDenyHintMaxS = 4.0;
 
 /// Graceful-degradation policy for oversubscribed joins. Disabled by
 /// default, which keeps InitProtocol byte-identical to the pre-overload
@@ -70,9 +70,9 @@ struct OverloadConfig {
 };
 
 /// The AP's tone placement and SDM geometry are fixed (paper §7a): the
-/// FSK tone offset, the group capacity, the bearing separation and the
-/// harmonic mismatch tolerance are constants in init_protocol.cpp, and
-/// the harmonics are default_sdm_slots().
+/// FSK tone offset, the bearing separation (which caps a group at 3) and
+/// the harmonic mismatch tolerance are constants in init_protocol.cpp,
+/// and the harmonics are default_sdm_slots().
 struct InitConfig {
   double spectral_efficiency = kSpectralEfficiency;  ///< bit/s/Hz of OTAM's ASK-FSK
   double guard_hz = 1e6;

@@ -14,10 +14,10 @@ namespace mmx::mac {
 // The AP's fixed tone placement and SDM geometry (paper §7a).
 // FSK tones sit at centre -/+ this fraction of the channel width.
 constexpr double kFskFraction = 0.4;
-// Max nodes sharing one frequency channel through the TMA.
-constexpr int kSdmCapacity = 3;
 // Bearings closer than this cannot share a channel (harmonic lobes
-// would overlap).
+// would overlap). It also caps a group at 3 members: the harmonics steer
+// within +-0.52 rad and a bearing sits at most kMaxHarmonicMismatchRad
+// off one, so no four bearings are pairwise this far apart.
 constexpr double kMinBearingSeparationRad = 0.45;
 // A node may only take a harmonic whose steered direction is within
 // this angle of its bearing (beyond it the harmonic's array gain at the
@@ -198,10 +198,10 @@ double InitProtocol::deny_hint_s() const {
       band > 0.0 ? std::clamp(1.0 - allocator_.free_bandwidth_hz() / band, 0.0, 1.0) : 1.0;
   // Quadratic in occupancy (gentle until the band is nearly full), plus a
   // linear deny-pressure term so a storm spreads retries further apart
-  // the longer it lasts. Saturates at kDenyHintMaxS.
+  // the longer it lasts. Saturates at 24 * kDenyHintBaseS (full band, a
+  // streak of 32 or more).
   const double pressure = static_cast<double>(std::min<std::uint64_t>(deny_streak_, 32));
-  const double hint = kDenyHintBaseS * (1.0 + 15.0 * occ * occ + 0.25 * pressure);
-  return std::min(kDenyHintMaxS, hint);
+  return kDenyHintBaseS * (1.0 + 15.0 * occ * occ + 0.25 * pressure);
 }
 
 bool InitProtocol::shed_for(const ChannelRequest& request) {
@@ -457,7 +457,6 @@ SideChannelMessage InitProtocol::try_sdm(const ChannelRequest& request) {
   for (auto& [key, sc] : shared_) {
     ++work_.sdm_groups_scanned;
     if (sc.channel.bandwidth_hz + 1e-6 < bw) continue;
-    if (static_cast<int>(sc.members.size()) >= kSdmCapacity) continue;
     if (!bearing_ok(sc.bearings)) continue;
     const auto slot = best_free_slot(sc.harmonics, request.bearing_rad);
     if (!slot) continue;

@@ -15,12 +15,6 @@
 namespace mmx::sim {
 
 namespace {
-// Trace parameters behind gains(); the cache's blocker-free traces use the
-// same ones, so the paths it keeps are a superset of the priced ones.
-constexpr double kTraceMaxExcessLossDb = 60.0;
-constexpr int kTraceMaxBounces = 1;
-static_assert(kTraceMaxBounces == 1, "LinkCache::PathRecord holds one reflection point");
-
 // Nodes per refill batch: big enough to amortize the per-batch image
 // table and workspace reuse, small enough that for_each_chunk still
 // load-balances a 10^4-node refresh across workers.
@@ -71,7 +65,7 @@ channel::BeamGains price_paths(const channel::RoomPlan& plan, LinkCache::Entry& 
       if (moved) {
         const double loss =
             channel::RoomPlan::priced_loss_db(p.walls, {p.leg_blocker_db.data(), legs});
-        p.kept = loss <= kTraceMaxExcessLossDb;
+        p.kept = loss <= channel::RoomPlan::kMaxExcessLossDb;
         p.gain = p.kept ? channel::path_gain_from(p.spreading_db, p.phasor, loss) * p.ap_amp
                         : std::complex<double>{};
       }
@@ -218,15 +212,14 @@ channel::BeamGains NetworkSimulator::compute_gains(const channel::Pose& pose) co
   // state with the cache (or another thread) and compiles the live room.
   const channel::RoomPlan plan(room_);
   channel::PathList ws;
-  const auto paths = plan.trace_into(pose.position, ap_pose_.position, ws, kTraceMaxExcessLossDb,
-                                     kTraceMaxBounces);
+  const auto paths = plan.trace_into(pose.position, ap_pose_.position, ws);
   return channel::compute_beam_gains(paths, pose, beams_, ap_pose_, ap_antenna_, cfg_.freq_hz);
 }
 
 const NetworkSimulator::TraceContext& NetworkSimulator::trace_context() const {
   if (!ctx_.plan.compiled() || ctx_.plan.room_epoch() != room_.epoch()) {
     ctx_.plan.rebuild(room_);
-    ctx_.plan.build_images(ap_pose_.position, kTraceMaxBounces, ctx_.ap_images);
+    ctx_.plan.build_images(ap_pose_.position, ctx_.ap_images);
   }
   return ctx_;
 }
@@ -242,8 +235,7 @@ LinkCache::LegCounts NetworkSimulator::refill_block(const TraceContext& ctx,
     if (!job.reprice) txs.push_back(job.pose.position);
   if (!txs.empty()) {
     offs.resize(txs.size() + 1);
-    ctx.plan.trace_batch_into(ap_pose_.position, txs, ctx.ap_images, ws, offs,
-                              kTraceMaxExcessLossDb, kTraceMaxBounces);
+    ctx.plan.trace_batch_into(ap_pose_.position, txs, ctx.ap_images, ws, offs);
   }
 
   std::size_t traced = 0;

@@ -147,12 +147,19 @@ TEST(RayTracer, ReflectorOutOfViewIgnored) {
 }
 
 TEST(RayTracer, MaxExcessLossDropsWeakPaths) {
-  Room room = paper_room();
-  const auto all = trace_paths(room, {1.0, 2.0}, {5.0, 2.0}, 60.0);
-  // 5 dB is cheaper than drywall's 12 dB reflection loss.
-  const auto tight = trace_paths(room, {1.0, 2.0}, {5.0, 2.0}, 5.0);
-  EXPECT_GT(all.size(), tight.size());
-  EXPECT_EQ(tight.size(), 1u);  // only LoS survives
+  // A blocker on the line of sight takes its full loss there, so a LoS
+  // priced exactly at the cull survives and one 1 dB past it is dropped.
+  // The wall bounces cross the blocker at most once at half loss.
+  constexpr double kCull = RoomPlan::kMaxExcessLossDb;
+  for (const double blocker_db : {kCull, kCull + 1.0}) {
+    Room room = paper_room();
+    room.add_blocker({{3.0, 2.0}, 0.3, blocker_db});
+    const auto paths = trace_paths(room, {1.0, 2.0}, {5.0, 2.0});
+    const bool los_kept = blocker_db <= kCull;
+    EXPECT_EQ(paths.size(), los_kept ? 5u : 4u) << blocker_db;
+    EXPECT_EQ(find_los(paths) != nullptr, los_kept) << blocker_db;
+    for (const Path& p : paths) EXPECT_LE(p.excess_loss_db, kCull);
+  }
 }
 
 TEST(RayTracer, CoincidentEndpointsThrow) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -26,17 +27,20 @@ namespace {
     if (a.kind != b.kind || a.length_m != b.length_m || a.departure_rad != b.departure_rad ||
         a.arrival_rad != b.arrival_rad || a.excess_loss_db != b.excess_loss_db ||
         a.blocker_crossings != b.blocker_crossings || a.wall_index != b.wall_index ||
-        a.wall_index2 != b.wall_index2 || !(a.via == b.via) || !(a.via2 == b.via2))
+        !(a.via == b.via))
       return ::testing::AssertionFailure()
              << "path " << i << " differs: ref(kind=" << static_cast<int>(a.kind)
              << " len=" << a.length_m << " loss=" << a.excess_loss_db
-             << " cross=" << a.blocker_crossings << " w=" << a.wall_index << "/" << a.wall_index2
+             << " cross=" << a.blocker_crossings << " w=" << a.wall_index
              << ") fast(kind=" << static_cast<int>(b.kind) << " len=" << b.length_m
              << " loss=" << b.excess_loss_db << " cross=" << b.blocker_crossings
-             << " w=" << b.wall_index << "/" << b.wall_index2 << ")";
+             << " w=" << b.wall_index << ")";
   }
   return ::testing::AssertionSuccess();
 }
+
+// The plan's one cull; the reference tracer takes it as an argument.
+constexpr double kCull = RoomPlan::kMaxExcessLossDb;
 
 Vec2 random_point(Rng& rng, double w, double h) {
   return {rng.uniform(0.05, w - 0.05), rng.uniform(0.05, h - 0.05)};
@@ -71,27 +75,37 @@ void add_heavy_blockers(Rng& rng, Room& room, double w, double h) {
     room.add_blocker({random_point(rng, w, h), rng.uniform(0.1, 0.6), rng.uniform(0.0, 70.0)});
 }
 
+// Blockers until the plan's grid broad phase switches on (8 or more).
+void add_grid_blockers(Rng& rng, Room& room, double w, double h) {
+  while (room.blockers().size() < 8)
+    room.add_blocker({random_point(rng, w, h), rng.uniform(0.1, 0.6), rng.uniform(5.0, 30.0)});
+}
+
+// The corners of a traced path: tx, the reflection point if any, rx.
+// Leg l runs corners[l] -> corners[l + 1].
+std::array<Vec2, 3> path_corners(const Path& p, Vec2 tx, Vec2 rx) {
+  return {tx, p.kind == PathKind::kReflected ? p.via : rx, rx};
+}
+
+std::size_t path_legs(const Path& p) { return p.kind == PathKind::kReflected ? 2 : 1; }
+
 // A blocker-free window priced leg by leg: each path's wall terms plus one
 // leg_blocker_loss_db per leg, summed in the reference order (reflection
-// sum, blocker terms, transmission terms), then culled at the bound.
+// loss, blocker terms, transmission terms), then culled at the bound.
 // Written out rather than calling priced_loss_db, so it checks that
 // function independently.
 std::vector<Path> price_window(const RoomPlan& plan, std::span<const Path> window, Vec2 tx,
-                               Vec2 rx, double max_excess, PathList& ws) {
+                               Vec2 rx, PathList& ws) {
   std::vector<Path> out;
   for (Path p : window) {
-    const Vec2 corners[4] = {tx, p.via, p.via2, rx};
-    const int legs = p.kind == PathKind::kLineOfSight ? 1
-                     : p.kind == PathKind::kReflected ? 2
-                                                      : 3;
+    const auto corners = path_corners(p, tx, rx);
+    const std::size_t legs = path_legs(p);
     double loss = p.walls.reflection_db;
     int crossings = 0;
-    for (int l = 0; l < legs; ++l) {
-      const Vec2 b = l == legs - 1 ? rx : corners[l + 1];
-      loss += plan.leg_blocker_loss_db(corners[l], b, p.kind, ws, crossings);
-    }
-    for (int l = 0; l < legs; ++l) loss += p.walls.leg_transmission_db[static_cast<std::size_t>(l)];
-    if (!(loss <= max_excess)) continue;
+    for (std::size_t l = 0; l < legs; ++l)
+      loss += plan.leg_blocker_loss_db(corners[l], corners[l + 1], p.kind, ws, crossings);
+    for (std::size_t l = 0; l < legs; ++l) loss += p.walls.leg_transmission_db[l];
+    if (!(loss <= kCull)) continue;
     p.excess_loss_db = loss;
     p.blocker_crossings = crossings;
     out.push_back(p);
@@ -99,17 +113,16 @@ std::vector<Path> price_window(const RoomPlan& plan, std::span<const Path> windo
   return out;
 }
 
-// The headline property test: ~12k random (room, endpoints, knobs)
-// draws, reference and plan compared field-by-field with exact floating
-// point equality. Half the cases force the grid on (grid_min_blockers =
-// 0, small cells) so the broad phase is exercised even at low blocker
-// counts; the other half run the default config (flat SoA scan below 8
-// blockers). A quarter of the draws compare the reference's blocker-free
-// trace against the window of a one-node batch trace, which is how the
-// plan produces that set. A heavy-blocker arm follows with its own draws:
-// 2 bounces, up to 12 more blockers of up to 70 dB, the grid forced on in
-// half, so trace_into's price-then-cull step drops paths the blocker-free
-// trace kept.
+// The headline property test: ~12k random (room, endpoints) draws,
+// reference and plan compared field-by-field with exact floating point
+// equality. Half the cases add blockers until the grid broad phase is on
+// (8 or more); the other half keep random_room's 0 to 6 blockers, so the
+// flat SoA scan runs. A quarter of the draws compare the reference's
+// blocker-free trace against the window of a one-node batch trace, which
+// is how the plan produces that set. A heavy-blocker arm follows with its
+// own draws: up to 12 more blockers of up to 70 dB, the grid on in at
+// least half, so trace_into's price-then-cull step drops paths the
+// blocker-free trace kept.
 TEST(RoomPlanProperty, BitIdenticalToReferenceTracer) {
   constexpr int kCases = 12000;
   constexpr int kHeavyCases = 3000;
@@ -120,34 +133,27 @@ TEST(RoomPlanProperty, BitIdenticalToReferenceTracer) {
     Rng rng = Rng::stream(0x700fULL, static_cast<std::uint64_t>(c));
     double w = 0.0;
     double h = 0.0;
-    const Room room = random_room(rng, w, h);
+    Room room = random_room(rng, w, h);
+    if (c % 2 == 1) add_grid_blockers(rng, room, w, h);
     const ref::RayTracer tracer(room);
-    RoomPlanConfig cfg;
-    if (c % 2 == 1) {
-      cfg.grid_min_blockers = 0;
-      cfg.grid_cell_m = rng.uniform(0.2, 1.5);
-    }
-    const RoomPlan plan(room, cfg);
+    const RoomPlan plan(room);
+    ASSERT_EQ(plan.grid_enabled(), c % 2 == 1) << "case " << c;
 
     const Vec2 tx = random_point(rng, w, h);
     Vec2 rx = random_point(rng, w, h);
     if (rx == tx) rx.x += 0.25;
-    const int max_bounces = rng.chance(0.35) ? 2 : 1;
-    const double max_excess_loss_db = rng.chance(0.2) ? rng.uniform(5.0, 40.0) : 60.0;
     const bool apply_blockers = !rng.chance(0.25);
 
-    const auto ref = tracer.trace(tx, rx, max_excess_loss_db, max_bounces, apply_blockers);
+    const auto ref = tracer.trace(tx, rx, kCull, apply_blockers);
     ws.clear();
     std::span<const Path> fast;
     if (apply_blockers) {
-      fast = plan.trace_into(tx, rx, ws, max_excess_loss_db, max_bounces);
+      fast = plan.trace_into(tx, rx, ws);
     } else {
-      plan.build_images(rx, max_bounces, images);
-      fast = plan.trace_batch_into(rx, {&tx, 1}, images, ws, offsets, max_excess_loss_db,
-                                   max_bounces);
+      plan.build_images(rx, images);
+      fast = plan.trace_batch_into(rx, {&tx, 1}, images, ws, offsets);
     }
-    ASSERT_TRUE(paths_equal(ref, fast)) << "case " << c << " bounces " << max_bounces
-                                        << " blockers " << room.blockers().size()
+    ASSERT_TRUE(paths_equal(ref, fast)) << "case " << c << " blockers " << room.blockers().size()
                                         << " grid " << plan.grid_enabled();
   }
   for (int c = 0; c < kHeavyCases; ++c) {
@@ -156,20 +162,17 @@ TEST(RoomPlanProperty, BitIdenticalToReferenceTracer) {
     double h = 0.0;
     Room room = random_room(rng, w, h);
     add_heavy_blockers(rng, room, w, h);
+    if (c % 2 == 1) add_grid_blockers(rng, room, w, h);
     const ref::RayTracer tracer(room);
-    RoomPlanConfig cfg;
+    const RoomPlan plan(room);
     if (c % 2 == 1) {
-      cfg.grid_min_blockers = 0;
-      cfg.grid_cell_m = rng.uniform(0.2, 1.5);
+      ASSERT_TRUE(plan.grid_enabled()) << "heavy case " << c;
     }
-    const RoomPlan plan(room, cfg);
     const Vec2 tx = random_point(rng, w, h);
     Vec2 rx = random_point(rng, w, h);
     if (rx == tx) rx.x += 0.25;
-    const double max_excess_loss_db = rng.chance(0.2) ? rng.uniform(5.0, 40.0) : 60.0;
     ws.clear();
-    ASSERT_TRUE(paths_equal(tracer.trace(tx, rx, max_excess_loss_db, 2, true),
-                            plan.trace_into(tx, rx, ws, max_excess_loss_db, 2)))
+    ASSERT_TRUE(paths_equal(tracer.trace(tx, rx, kCull, true), plan.trace_into(tx, rx, ws)))
         << "heavy case " << c << " blockers " << room.blockers().size() << " grid "
         << plan.grid_enabled();
   }
@@ -187,32 +190,30 @@ TEST(RoomPlanProperty, BatchMatchesSingleAndReference) {
   ASSERT_TRUE(plan.grid_enabled());
   const Vec2 ap = random_point(rng, w, h);
 
-  for (const int max_bounces : {1, 2}) {
-    ImageTable images;
-    plan.build_images(ap, max_bounces, images);
-    std::vector<Vec2> nodes;
-    for (int i = 0; i < 400; ++i) nodes.push_back(random_point(rng, w, h));
+  ImageTable images;
+  plan.build_images(ap, images);
+  std::vector<Vec2> nodes;
+  for (int i = 0; i < 400; ++i) nodes.push_back(random_point(rng, w, h));
 
-    PathList ws;
-    std::vector<std::uint32_t> offsets(nodes.size() + 1);
-    const auto all = plan.trace_batch_into(ap, nodes, images, ws, offsets, 60.0, max_bounces);
-    EXPECT_EQ(all.size(), ws.size());
-    EXPECT_EQ(offsets.front(), 0u);
-    EXPECT_EQ(offsets.back(), ws.size());
+  PathList ws;
+  std::vector<std::uint32_t> offsets(nodes.size() + 1);
+  const auto all = plan.trace_batch_into(ap, nodes, images, ws, offsets);
+  EXPECT_EQ(all.size(), ws.size());
+  EXPECT_EQ(offsets.front(), 0u);
+  EXPECT_EQ(offsets.back(), ws.size());
 
-    PathList single;
-    PathList scratch;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const auto window = ws.slice(offsets[i], offsets[i + 1]);
-      const auto ref = tracer.trace(nodes[i], ap, 60.0, max_bounces, true);
-      const auto priced = price_window(plan, window, nodes[i], ap, 60.0, scratch);
-      ASSERT_TRUE(paths_equal(ref, priced)) << "node " << i << " bounces " << max_bounces;
-      single.clear();
-      const auto one = plan.trace_into(nodes[i], ap, single, 60.0, max_bounces);
-      ASSERT_TRUE(paths_equal(one, priced)) << "node " << i;
-      ASSERT_TRUE(paths_equal(tracer.trace(nodes[i], ap, 60.0, max_bounces, false), window))
-          << "blocker-free node " << i << " bounces " << max_bounces;
-    }
+  PathList single;
+  PathList scratch;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const auto window = ws.slice(offsets[i], offsets[i + 1]);
+    const auto ref = tracer.trace(nodes[i], ap, kCull, true);
+    const auto priced = price_window(plan, window, nodes[i], ap, scratch);
+    ASSERT_TRUE(paths_equal(ref, priced)) << "node " << i;
+    single.clear();
+    const auto one = plan.trace_into(nodes[i], ap, single);
+    ASSERT_TRUE(paths_equal(one, priced)) << "node " << i;
+    ASSERT_TRUE(paths_equal(tracer.trace(nodes[i], ap, kCull, false), window))
+        << "blocker-free node " << i;
   }
 }
 
@@ -230,31 +231,25 @@ TEST(RoomPlanProperty, DualBatchMatchesTwoReferencePasses) {
   const RoomPlan plan(room);
   const Vec2 ap = random_point(rng, w, h);
 
-  for (const int max_bounces : {1, 2}) {
-    for (const double max_excess : {25.0, 60.0}) {
-      ImageTable images;
-      plan.build_images(ap, max_bounces, images);
-      std::vector<Vec2> nodes;
-      for (int i = 0; i < 150; ++i) nodes.push_back(random_point(rng, w, h));
+  ImageTable images;
+  plan.build_images(ap, images);
+  std::vector<Vec2> nodes;
+  for (int i = 0; i < 300; ++i) nodes.push_back(random_point(rng, w, h));
 
-      PathList ws;
-      PathList scratch;
-      std::vector<std::uint32_t> off(nodes.size() + 1);
-      const auto all = plan.trace_batch_into(ap, nodes, images, ws, off, max_excess, max_bounces);
-      EXPECT_EQ(all.size(), ws.size());
-      EXPECT_EQ(off.back(), ws.size());
+  PathList ws;
+  PathList scratch;
+  std::vector<std::uint32_t> off(nodes.size() + 1);
+  const auto all = plan.trace_batch_into(ap, nodes, images, ws, off);
+  EXPECT_EQ(all.size(), ws.size());
+  EXPECT_EQ(off.back(), ws.size());
 
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const auto ref_on = tracer.trace(nodes[i], ap, max_excess, max_bounces, true);
-        const auto ref_off = tracer.trace(nodes[i], ap, max_excess, max_bounces, false);
-        const auto window = ws.slice(off[i], off[i + 1]);
-        ASSERT_TRUE(
-            paths_equal(ref_on, price_window(plan, window, nodes[i], ap, max_excess, scratch)))
-            << "gains node " << i << " bounces " << max_bounces;
-        ASSERT_TRUE(paths_equal(ref_off, window))
-            << "blocker-free node " << i << " bounces " << max_bounces;
-      }
-    }
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const auto ref_on = tracer.trace(nodes[i], ap, kCull, true);
+    const auto ref_off = tracer.trace(nodes[i], ap, kCull, false);
+    const auto window = ws.slice(off[i], off[i + 1]);
+    ASSERT_TRUE(paths_equal(ref_on, price_window(plan, window, nodes[i], ap, scratch)))
+        << "gains node " << i;
+    ASSERT_TRUE(paths_equal(ref_off, window)) << "blocker-free node " << i;
   }
 }
 
@@ -263,8 +258,8 @@ TEST(RoomPlanProperty, DualBatchMatchesTwoReferencePasses) {
 // sum trace_into and the link cache run — equals the leg-by-leg sum, so
 // the priced, culled window is the reference's blockers-on trace: the same
 // paths in the same order with the same excess-loss doubles and crossing
-// counts. Heavy blockers (up to 70 dB) push paths across the cull; the
-// grid runs forced on in half the rooms.
+// counts. Heavy blockers (up to 70 dB) push paths across the cull; half
+// the rooms get blockers until the grid is on.
 TEST(RoomPlanProperty, LegPricingRebuildsTracedLoss) {
   Rng rng(0x1e9);
   for (int c = 0; c < 40; ++c) {
@@ -272,23 +267,20 @@ TEST(RoomPlanProperty, LegPricingRebuildsTracedLoss) {
     double h = 0.0;
     Room room = random_room(rng, w, h);
     add_heavy_blockers(rng, room, w, h);
-    RoomPlanConfig cfg;
+    if (c % 2 == 1) add_grid_blockers(rng, room, w, h);
+    const RoomPlan plan(room);
     if (c % 2 == 1) {
-      cfg.grid_min_blockers = 0;
-      cfg.grid_cell_m = rng.uniform(0.2, 1.5);
+      ASSERT_TRUE(plan.grid_enabled()) << "room " << c;
     }
-    const RoomPlan plan(room, cfg);
     const ref::RayTracer tracer(room);
     const Vec2 ap = random_point(rng, w, h);
-    const int max_bounces = c % 4 < 2 ? 1 : 2;
-    const double max_excess = rng.chance(0.5) ? 60.0 : rng.uniform(10.0, 40.0);
     ImageTable images;
-    plan.build_images(ap, max_bounces, images);
+    plan.build_images(ap, images);
     std::vector<Vec2> nodes;
     for (int i = 0; i < 20; ++i) nodes.push_back(random_point(rng, w, h));
     PathList ws;
     std::vector<std::uint32_t> off(nodes.size() + 1);
-    plan.trace_batch_into(ap, nodes, images, ws, off, max_excess, max_bounces);
+    plan.trace_batch_into(ap, nodes, images, ws, off);
 
     PathList scratch;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -298,23 +290,18 @@ TEST(RoomPlanProperty, LegPricingRebuildsTracedLoss) {
         for (const double t : p.walls.leg_transmission_db) wall_only += t;
         EXPECT_EQ(wall_only, p.excess_loss_db) << "room " << c << " node " << i;
       }
-      const auto repriced = price_window(plan, window, nodes[i], ap, max_excess, scratch);
+      const auto repriced = price_window(plan, window, nodes[i], ap, scratch);
       for (const Path& p : repriced) {
-        const Vec2 corners[4] = {nodes[i], p.via, p.via2, ap};
-        const std::size_t legs = p.kind == PathKind::kLineOfSight ? 1
-                                 : p.kind == PathKind::kReflected ? 2
-                                                                  : 3;
-        std::vector<Vec2> legs_corners(corners, corners + legs);
-        legs_corners.push_back(ap);
+        const auto corners = path_corners(p, nodes[i], ap);
         int crossings = 0;
         std::vector<double> blocker_db;
-        for (std::size_t l = 0; l < legs; ++l)
-          blocker_db.push_back(plan.leg_blocker_loss_db(legs_corners[l], legs_corners[l + 1],
-                                                        p.kind, scratch, crossings));
+        for (std::size_t l = 0; l < path_legs(p); ++l)
+          blocker_db.push_back(
+              plan.leg_blocker_loss_db(corners[l], corners[l + 1], p.kind, scratch, crossings));
         EXPECT_EQ(RoomPlan::priced_loss_db(p.walls, blocker_db), p.excess_loss_db);
         EXPECT_EQ(crossings, p.blocker_crossings);
       }
-      ASSERT_TRUE(paths_equal(tracer.trace(nodes[i], ap, max_excess, max_bounces, true), repriced))
+      ASSERT_TRUE(paths_equal(tracer.trace(nodes[i], ap, kCull, true), repriced))
           << "room " << c << " node " << i;
     }
   }
@@ -325,19 +312,21 @@ TEST(RoomPlanProperty, LegPricingRebuildsTracedLoss) {
 // on a grid line. The invariant is always the same — bit-identity with
 // the reference scan.
 TEST(RoomPlanGrid, SegmentAlongCellBoundary) {
+  // An 8 m x 8 m room gets the automatic 8 / 8 = 1 m cell, so x = 4 and
+  // y = 4 are exact cell boundaries. 5 dB blockers keep every path along
+  // y = 4 under the cull, the line of sight through nine of them included.
   Room room(8.0, 8.0);
   for (int i = 0; i < 10; ++i)
-    room.add_blocker({{0.8 * (i + 1), 4.0}, 0.25, 15.0});  // centres on the y=4 line
+    room.add_blocker({{0.8 * (i + 1), 4.0}, 0.25, 5.0});  // centres on the y=4 line
   const ref::RayTracer tracer(room);
-  RoomPlanConfig cfg;
-  cfg.grid_cell_m = 1.0;  // y=4.0 is an exact cell boundary
-  cfg.grid_min_blockers = 0;
-  const RoomPlan plan(room, cfg);
+  const RoomPlan plan(room);
   ASSERT_TRUE(plan.grid_enabled());
 
   PathList ws;
   // Horizontal segment exactly on the boundary row.
   auto ref = tracer.trace({0.5, 4.0}, {7.5, 4.0});
+  ASSERT_EQ(ref.front().kind, PathKind::kLineOfSight);
+  ASSERT_EQ(ref.front().blocker_crossings, 9);
   auto fast = plan.trace_into({0.5, 4.0}, {7.5, 4.0}, ws);
   EXPECT_TRUE(paths_equal(ref, fast));
   // Vertical segment on a column boundary.
@@ -349,13 +338,12 @@ TEST(RoomPlanGrid, SegmentAlongCellBoundary) {
 
 TEST(RoomPlanGrid, BlockerSpanningManyCells) {
   Room room(10.0, 10.0);
-  room.add_blocker({{5.0, 5.0}, 3.0, 25.0});  // 6 m disc across a 1 m grid
+  room.add_blocker({{5.0, 5.0}, 3.0, 25.0});  // 6 m disc across the 1.25 m auto grid
   room.add_blocker({{1.0, 9.0}, 0.2, 10.0});
+  for (int i = 0; i < 6; ++i)  // small discs along one wall: 8 blockers turn the grid on
+    room.add_blocker({{1.0 + 1.5 * i, 0.6}, 0.2, 10.0});
   const ref::RayTracer tracer(room);
-  RoomPlanConfig cfg;
-  cfg.grid_cell_m = 1.0;
-  cfg.grid_min_blockers = 0;
-  const RoomPlan plan(room, cfg);
+  const RoomPlan plan(room);
   ASSERT_TRUE(plan.grid_enabled());
 
   Rng rng(77);
@@ -364,9 +352,9 @@ TEST(RoomPlanGrid, BlockerSpanningManyCells) {
     const Vec2 tx = random_point(rng, 10.0, 10.0);
     Vec2 rx = random_point(rng, 10.0, 10.0);
     if (rx == tx) rx.x += 0.25;
-    const auto ref = tracer.trace(tx, rx, 200.0, 2, true);
+    const auto ref = tracer.trace(tx, rx);
     ws.clear();
-    const auto fast = plan.trace_into(tx, rx, ws, 200.0, 2);
+    const auto fast = plan.trace_into(tx, rx, ws);
     ASSERT_TRUE(paths_equal(ref, fast)) << "case " << c;
   }
 }
@@ -388,22 +376,17 @@ TEST(RoomPlan, ArgumentAndStalenessChecks) {
   RoomPlan plan(room);
   PathList ws;
   EXPECT_THROW(plan.trace_into({1.0, 1.0}, {1.0, 1.0}, ws), std::invalid_argument);
-  EXPECT_THROW(plan.trace_into({1.0, 1.0}, {2.0, 2.0}, ws, 60.0, 3), std::invalid_argument);
-  EXPECT_THROW(plan.trace_into({1.0, 1.0}, {2.0, 2.0}, ws, 60.0, 0), std::invalid_argument);
 
   const RoomPlan empty;
   EXPECT_FALSE(empty.compiled());
   EXPECT_THROW(empty.trace_into({1.0, 1.0}, {2.0, 2.0}, ws), std::logic_error);
 
   ImageTable images;
-  plan.build_images({3.0, 2.0}, 1, images);
+  plan.build_images({3.0, 2.0}, images);
   std::vector<Vec2> nodes{{1.0, 1.0}};
   std::vector<std::uint32_t> offsets(2);
   // Wrong endpoint for the table.
   EXPECT_THROW(plan.trace_batch_into({3.0, 2.1}, nodes, images, ws, offsets),
-               std::invalid_argument);
-  // Table lacks the pair images a 2-bounce batch needs.
-  EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets, 60.0, 2),
                std::invalid_argument);
   // Wrong offsets size: it must be nodes.size() + 1.
   std::vector<std::uint32_t> bad(1);
@@ -412,9 +395,9 @@ TEST(RoomPlan, ArgumentAndStalenessChecks) {
   EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, {}), std::invalid_argument);
   EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, long_offsets),
                std::invalid_argument);
-  // A priced path has 1 to 3 legs, so 1 to 3 blocker terms.
+  // A priced path has 1 or 2 legs, so 1 or 2 blocker terms.
   EXPECT_THROW(RoomPlan::priced_loss_db(WallTerms{}, {}), std::invalid_argument);
-  EXPECT_THROW(RoomPlan::priced_loss_db(WallTerms{}, std::vector<double>(4, 0.0)),
+  EXPECT_THROW(RoomPlan::priced_loss_db(WallTerms{}, std::vector<double>(3, 0.0)),
                std::invalid_argument);
   // Stale table: the room mutated after build_images.
   room.add_blocker(human_blocker({2.0, 2.0}));
@@ -422,7 +405,7 @@ TEST(RoomPlan, ArgumentAndStalenessChecks) {
   EXPECT_THROW(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets),
                std::invalid_argument);
   // Rebuilt table works again.
-  plan.build_images({3.0, 2.0}, 1, images);
+  plan.build_images({3.0, 2.0}, images);
   EXPECT_GT(plan.trace_batch_into({3.0, 2.0}, nodes, images, ws, offsets).size(), 0u);
 }
 

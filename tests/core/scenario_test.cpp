@@ -113,8 +113,6 @@ TEST(Scenario, Validation) {
   Network net = paper_network();
   EXPECT_THROW(run_scenario(net, {}, ScenarioConfig{.duration_s = 0.0}),
                std::invalid_argument);
-  EXPECT_THROW(run_scenario(net, {}, ScenarioConfig{.mobility_step_s = 0.0}),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "mmx/antenna/tma.hpp"
 #include "mmx/common/units.hpp"
@@ -330,6 +331,36 @@ TEST(InitProtocolSdm, FullGroupTakesNoFourthMember) {
   EXPECT_EQ(holders_on(p, group), 3u);
 }
 
+// The bearing separation alone caps a group at 3. Members at bearing 0
+// and at the two outermost bearings the harmonics admit (harmonic -/+4
+// at -/+0.524 rad, plus the 0.07 rad mismatch) spread as wide as a group
+// can. Every bearing a free harmonic reaches then sits within 0.45 rad of
+// some member, so each fourth request is refused and the group keeps 3.
+TEST(InitProtocolSdm, WidestGroupRefusesEveryFourthBearing) {
+  InitProtocol p = make_protocol();
+  ASSERT_TRUE(std::holds_alternative<ChannelGrant>(p.handle({1, 180e6, 0.0})));
+  const double edge = kBearingP4 + 0.069;
+  for (const auto& [id, bearing] : {std::pair<std::uint16_t, double>{2, edge}, {3, -edge}}) {
+    const auto msg = p.handle({id, 100e6, bearing});
+    const auto* g = std::get_if<ChannelGrant>(&msg);
+    ASSERT_NE(g, nullptr) << id;
+    EXPECT_EQ(g->channel, p.holders().at(1).grant.channel);
+  }
+  const ChannelAllocation group = p.holders().at(1).grant.channel;
+  ASSERT_EQ(holders_on(p, group), 3u);
+  ASSERT_LT(p.allocator().largest_gap_hz(), 125e6);
+  std::uint16_t id = 10;
+  for (const HarmonicSlot& slot : default_sdm_slots()) {
+    for (const double off : {-0.069, 0.0, 0.069}) {
+      const auto msg = p.handle({id++, 100e6, slot.angle_rad + off});
+      EXPECT_TRUE(std::holds_alternative<ChannelDeny>(msg))
+          << "harmonic " << slot.harmonic << " offset " << off;
+    }
+  }
+  EXPECT_EQ(holders_on(p, group), 3u);
+  EXPECT_EQ(p.holders().size(), 3u);
+}
+
 TEST(InitProtocolSdm, BearingWithinSeparationOfAMemberIsRefused) {
   InitProtocol p = make_sdm_pair();
   const ChannelAllocation group = p.holders().at(1).grant.channel;
@@ -448,11 +479,8 @@ TEST(InitProtocolOverload, DenyHintGrowsWithPressureAndResets) {
     ASSERT_NE(d, nullptr);
     hints.push_back(d->retry_after_s);
   }
-  // Every hint positive and bounded; the deny streak pushes them up.
-  for (const double h : hints) {
-    EXPECT_GT(h, 0.0);
-    EXPECT_LE(h, kDenyHintMaxS);
-  }
+  // Every hint positive; the deny streak pushes them up.
+  for (const double h : hints) EXPECT_GT(h, 0.0);
   EXPECT_GT(hints.back(), hints.front());
   EXPECT_EQ(p.overload_stats().hinted_denies, 4u);
   // Freed spectrum resets the pressure: the next hint drops back down.
@@ -462,6 +490,27 @@ TEST(InitProtocolOverload, DenyHintGrowsWithPressureAndResets) {
   const auto* d = std::get_if<ChannelDeny>(&msg);
   ASSERT_NE(d, nullptr);
   EXPECT_LE(d->retry_after_s, hints.back());
+
+  // Saturation: a full band (occupancy 1) and a streak of 32 or more give
+  // kDenyHintBaseS * (1 + 15 + 0.25 * 32) = 3 s. The hint grows up to it
+  // and then stays there.
+  InitProtocol full = make_overloaded(cfg);
+  ASSERT_TRUE(std::holds_alternative<ChannelGrant>(full.handle({1, 200e6, kNoSdmBearing})));
+  ASSERT_EQ(full.allocator().free_bandwidth_hz(), 0.0);
+  double prev = 0.0;
+  for (std::uint16_t streak = 0; streak < 40; ++streak) {
+    const auto deny = full.handle(ChannelRequest{static_cast<std::uint16_t>(100 + streak), 10e6,
+                                                 kNoSdmBearing});
+    const auto* dn = std::get_if<ChannelDeny>(&deny);
+    ASSERT_NE(dn, nullptr);
+    if (streak < 32) {
+      EXPECT_GT(dn->retry_after_s, prev) << streak;
+      EXPECT_LT(dn->retry_after_s, 3.0) << streak;
+    } else {
+      EXPECT_EQ(dn->retry_after_s, 3.0) << streak;
+    }
+    prev = dn->retry_after_s;
+  }
 }
 
 TEST(InitProtocolOverload, CompactionAdmitsFragmentedDemand) {

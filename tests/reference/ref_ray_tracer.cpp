@@ -36,13 +36,11 @@ double RayTracer::transmission_loss_db(Vec2 a, Vec2 b, WallSkip skip) const {
 constexpr double kReflectedBlockageFraction = 0.5;
 
 std::vector<Path> RayTracer::trace(Vec2 tx, Vec2 rx, double max_excess_loss_db,
-                                   int max_bounces, bool apply_blockers) const {
+                                   bool apply_blockers) const {
   // Blocker-free traces feed cache-coherence decisions: see header.
   const auto blockers = [&](Vec2 a, Vec2 b, int& crossings, double scale) {
     return apply_blockers ? blocker_loss_db(a, b, crossings, scale) : 0.0;
   };
-  if (max_bounces < 1 || max_bounces > 2)
-    throw std::invalid_argument("RayTracer: max_bounces must be 1 or 2");
   if (tx == rx) throw std::invalid_argument("RayTracer: tx and rx coincide");
   std::vector<Path> paths;
 
@@ -93,54 +91,6 @@ std::vector<Path> RayTracer::trace(Vec2 tx, Vec2 rx, double max_excess_loss_db,
     if (p.excess_loss_db <= max_excess_loss_db) paths.push_back(p);
   }
 
-  // --- Double bounces (image of image) ----------------------------------
-  if (max_bounces >= 2) {
-    for (std::size_t wi = 0; wi < walls.size(); ++wi) {
-      for (std::size_t wj = 0; wj < walls.size(); ++wj) {
-        if (wi == wj) continue;
-        const Wall& first = walls[wi];
-        const Wall& second = walls[wj];
-        // rx mirrored over the second wall, then over the first: aiming
-        // at the double image from tx crosses wall wi at the first
-        // bounce point.
-        const Vec2 image_j = second.segment.mirror(rx);
-        const Vec2 image_ji = first.segment.mirror(image_j);
-        const auto hit1 = first.segment.intersect(tx, image_ji);
-        if (!hit1) continue;
-        const Vec2 p1 = *hit1;
-        const auto hit2 = second.segment.intersect(p1, image_j);
-        if (!hit2) continue;
-        const Vec2 p2 = *hit2;
-        const double leg1 = distance(tx, p1);
-        const double leg2 = distance(p1, p2);
-        const double leg3 = distance(p2, rx);
-        if (leg1 < 1e-6 || leg2 < 1e-6 || leg3 < 1e-6) continue;
-
-        Path p;
-        p.kind = PathKind::kDoubleReflected;
-        p.length_m = leg1 + leg2 + leg3;
-        p.departure_rad = (p1 - tx).angle();
-        p.arrival_rad = (p2 - rx).angle();
-        p.wall_index = static_cast<int>(wi);
-        p.wall_index2 = static_cast<int>(wj);
-        p.via = p1;
-        p.via2 = p2;
-        int crossings = 0;
-        double loss = first.material.reflection_loss_db + second.material.reflection_loss_db;
-        loss += blockers(tx, p1, crossings, kReflectedBlockageFraction);
-        loss += blockers(p1, p2, crossings, kReflectedBlockageFraction);
-        loss += blockers(p2, rx, crossings, kReflectedBlockageFraction);
-        const int wid = static_cast<int>(wi);
-        const int wjd = static_cast<int>(wj);
-        loss += transmission_loss_db(tx, p1, WallSkip{wid});
-        loss += transmission_loss_db(p1, p2, WallSkip{wid, wjd});
-        loss += transmission_loss_db(p2, rx, WallSkip{wjd});
-        p.excess_loss_db = loss;
-        p.blocker_crossings = crossings;
-        if (p.excess_loss_db <= max_excess_loss_db) paths.push_back(p);
-      }
-    }
-  }
   return paths;
 }
 

@@ -1,5 +1,5 @@
 // Frozen ("reference") image-method ray tracer: LoS + first-order
-// specular reflections, plus ordered double bounces on request.
+// specular reflections.
 //
 // This is the direct, allocate-per-call tracer that channel::RoomPlan
 // was derived from. RoomPlan is the production tracer; this copy is the
@@ -18,15 +18,12 @@
 
 namespace mmx::channel::ref {
 
-/// Wall ids a transmission scan must ignore — a leg's own reflecting
-/// wall(s) touch the leg at an endpoint and must not count as crossings.
-/// At most two walls are ever skipped (the two bounce walls of a
-/// double-reflected leg).
+/// Wall ids a transmission scan must ignore — a reflected leg's own
+/// wall touches the leg at an endpoint and must not count as a crossing.
 struct WallSkip {
   int w0 = -1;
-  int w1 = -1;
 
-  bool contains(int w) const { return w == w0 || w == w1; }
+  bool contains(int w) const { return w == w0; }
 };
 
 class RayTracer {
@@ -34,13 +31,12 @@ class RayTracer {
   explicit RayTracer(const Room& room);
 
   /// All propagation paths tx -> rx: the (possibly blocked) LoS plus one
-  /// single-bounce reflection per visible wall/reflector, and — with
-  /// `max_bounces` >= 2 — ordered double bounces (image-of-image method).
-  /// Paths whose total excess loss exceeds `max_excess_loss_db` are
-  /// dropped. With `apply_blockers` false, blocker crossings contribute
-  /// no loss and no pruning: the result is the wall-only path superset.
+  /// single-bounce reflection per visible wall/reflector. Paths whose
+  /// total excess loss exceeds `max_excess_loss_db` are dropped. With
+  /// `apply_blockers` false, blocker crossings contribute no loss and no
+  /// pruning: the result is the wall-only path superset.
   std::vector<Path> trace(Vec2 tx, Vec2 rx, double max_excess_loss_db = 60.0,
-                          int max_bounces = 1, bool apply_blockers = true) const;
+                          bool apply_blockers = true) const;
 
  private:
   /// Sum of blocker losses along segment [a, b], scaled by `loss_scale`

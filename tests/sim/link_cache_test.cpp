@@ -339,9 +339,9 @@ Vec2 point_on_a_leg(Rng& rng, const channel::Room& room, Vec2 node, Vec2 ap) {
   const channel::RoomPlan plan(room);
   channel::PathList ws;
   channel::ImageTable images;
-  plan.build_images(ap, 1, images);
+  plan.build_images(ap, images);
   std::array<std::uint32_t, 2> offs{};
-  const auto paths = plan.trace_batch_into(ap, {&node, 1}, images, ws, offs, 60.0, 1);
+  const auto paths = plan.trace_batch_into(ap, {&node, 1}, images, ws, offs);
   if (paths.empty()) return node;
   const channel::Path& p =
       paths[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(paths.size()) - 1))];
@@ -545,12 +545,11 @@ TEST(LinkCacheProperty, GridInvalidationEqualsBruteForce) {
       const channel::RoomPlan plan(room);
       channel::PathList ws;
       channel::ImageTable images;
-      plan.build_images(ap, 1, images);
+      plan.build_images(ap, images);
       std::array<std::uint32_t, 2> offs{};
       const Vec2 node = e.pose.position;
       e.paths.clear();
-      for (const channel::Path& p :
-           plan.trace_batch_into(ap, {&node, 1}, images, ws, offs, 60.0, 1)) {
+      for (const channel::Path& p : plan.trace_batch_into(ap, {&node, 1}, images, ws, offs)) {
         LinkCache::PathRecord& r = e.paths.emplace_back();
         r.via = p.via;
         r.reflected = p.kind == channel::PathKind::kReflected;
